@@ -202,20 +202,37 @@ def check_possibilistic_nd(pb: PossibilisticBehavior) -> DisturbanceReport:
 
 
 def _check_nd(b: AnyBehavior) -> DisturbanceReport:
+    """Project each table once per shared measurement set, then compare the
+    projections of every overlapping pair in stored order."""
     s = b.scenario
-    for i in range(len(s.contexts)):
-        for j in range(i + 1, len(s.contexts)):
-            shared = tuple(m for m in s.contexts[i] if m in s.contexts[j])
-            if not shared:
-                continue
-            for joint in itertools.product(*(s.outcomes[m] for m in shared)):
-                va = b.marginal(i, shared, joint)
-                vb = b.marginal(j, shared, joint)
-                if va != vb:
-                    return DisturbanceReport(
-                        ok=False,
-                        violation=Violation(i, j, shared, joint, va, vb),
-                    )
+    possibilistic = isinstance(b, PossibilisticBehavior)
+    zero = False if possibilistic else Fraction(0)
+    projected: dict[tuple[int, tuple[str, ...]], dict] = {}
+
+    def project(ci: int, shared: tuple[str, ...]) -> dict:
+        """Nonzero marginals of context ci on shared, keyed by joint outcome."""
+        if (ci, shared) not in projected:
+            c = s.contexts[ci]
+            pos = [c.index(m) for m in shared]
+            marginal: dict[tuple[str, ...], object] = {}
+            for cell, p in zip(joint_outcomes(s, c), b.tables[ci]):
+                if p:
+                    key = tuple(cell[q] for q in pos)
+                    marginal[key] = True if possibilistic else marginal.get(key, zero) + p
+            projected[ci, shared] = marginal
+        return projected[ci, shared]
+
+    containing = {m: [j for j, c in enumerate(s.contexts) if m in c] for m in s.measurements}
+    for i, c in enumerate(s.contexts):
+        for j in sorted({j for m in c for j in containing[m] if j > i}):
+            shared = tuple(m for m in c if j in containing[m])
+            va, vb = project(i, shared), project(j, shared)
+            if va != vb:
+                joint = next(
+                    x for x in joint_outcomes(s, shared) if va.get(x, zero) != vb.get(x, zero)
+                )
+                values = (va.get(joint, zero), vb.get(joint, zero))
+                return DisturbanceReport(ok=False, violation=Violation(i, j, shared, joint, *values))
     return DisturbanceReport(ok=True)
 
 

@@ -6,15 +6,19 @@ together with impossibility facts around the cycle that forbid every global
 assignment extending it. The detectors find such paradoxes by reachable-set
 propagation: starting from {b}, push the set of attainable outcomes through
 each context's possibility relation; a paradox exists exactly when a is not
-reachable after going all the way around. Propagation is O(n l^2) per
-witness, and each impossibility it uses is recorded, so every certificate
-can be re-validated directly against the tables with no trust in the
-detector.
+reachable after going all the way around. One index-level kernel does this
+for every detector. It builds each oriented context of the walk once as
+per-row bitmasks, so a step is an OR of the rows the reachable set selects,
+and it propagates {b} once per base context and b, O(n l) row ORs shared by
+every witness (a, b). Only the hit is turned into labels: its chain records
+each impossibility used, so every certificate can be re-validated directly
+against the tables with no trust in the detector.
 
 On dichotomic simple scenarios, scanning the chordless cycles of the
-compatibility graph decides logical contextuality outright; on dichotomic
-cycles, strong contextuality holds exactly for the PR-box-like tables (one
-odd-parity family of two-element complement-closed rows), which is what
+compatibility graph, each in place on the scenario's own tables, decides
+logical contextuality outright; on dichotomic cycles, strong contextuality
+holds exactly for the PR-box-like tables (one odd-parity family of
+two-element complement-closed rows), which is what
 classify_strong_contextuality recognizes.
 
 All context indices in certificates and classifications are 1-based
@@ -22,11 +26,11 @@ positions into the scenario's stored context list.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .behavior import AnyBehavior, PossibilisticBehavior, cell_index, collapse, check_possibilistic_nd
 from .errors import (
+    ContextualityError,
     NonDichotomic,
     NonSimpleScenario,
     NotCycle,
@@ -160,55 +164,98 @@ def verify_certificate(b: AnyBehavior, cert: ParadoxCertificate) -> bool:
     return a not in prev_reach
 
 
-def _scan_cycle(pb: PossibilisticBehavior) -> ParadoxCertificate | None:
-    """Reachable-set scan over every base context and witness pair.
+def _require_dichotomic(s: Scenario, error: type[Exception] = NonDichotomic) -> None:
+    """Raise error unless every measurement has exactly two outcomes."""
+    for m in s.measurements:
+        if len(s.outcomes[m]) != 2:
+            raise error(f"measurement {m!r} has {len(s.outcomes[m])} outcomes, need 2")
 
-    Assumes the scenario is a single cycle and pb is possibilistically ND;
-    bases run in stored context order, witness pairs lexicographically in
-    the traversal orientation, and the first paradox found is returned.
+
+def _require_pnd(pb: PossibilisticBehavior) -> None:
+    """Raise NotPossibilisticallyND at the first OR-marginal disagreement."""
+    v = check_possibilistic_nd(pb).violation
+    if v is not None:
+        c = pb.scenario.contexts
+        raise NotPossibilisticallyND(
+            f"contexts {c[v.context_a]} and {c[v.context_b]} disagree "
+            f"on possibility of {v.measurements}={v.outcomes}"
+        )
+
+
+def _scan_walk(pb: PossibilisticBehavior, walk: tuple, bases) -> ParadoxCertificate | None:
+    """Reachable-set scan of one closed walk through distinct pair contexts.
+
+    walk lists (stored context index, (u, v)) in walk order and orientation;
+    bases are walk positions, tried in the given order, and witness pairs
+    run lexicographically in the walk's orientation. The first paradox found
+    is returned. Assumes pb is possibilistically ND.
     """
     s = pb.scenario
-    order = traverse_cycle(s)
-    n = len(order)
-    pos_of = {stored: walk for walk, (stored, _) in enumerate(order)}
+    n = len(walk)
+    rows = []  # rows[p][x]: bitmask of the y with (u=x, v=y) possible at position p
+    for ci, (u, v) in walk:
+        table = pb.tables[ci]
+        lu, lv = len(s.outcomes[u]), len(s.outcomes[v])
+        sx, sy = (lv, 1) if s.contexts[ci] == (u, v) else (1, lu)
+        rows.append([sum(1 << y for y in range(lv) if table[x * sx + y * sy]) for x in range(lu)])
 
-    for base in range(n):
-        walk_start = pos_of[base]
-        _, (u, v) = order[walk_start]
-        for a, b_out in itertools.product(s.outcomes[u], s.outcomes[v]):
-            if not _oriented_possible(pb, base, (u, v), (a, b_out)):
-                continue
-            reach = (b_out,)
-            steps = []
-            for j in range(1, n):
-                ci, (x_m, y_m) = order[(walk_start + j) % n]
-                outs = s.outcomes[y_m]
-                image = tuple(
-                    y
-                    for y in outs
-                    if any(_oriented_possible(pb, ci, (x_m, y_m), (x, y)) for x in reach)
-                )
-                forbidden = tuple(
-                    (x, y) for x in reach for y in outs if y not in image
-                )
-                steps.append(
-                    ChainStep(
-                        context_index=ci + 1,
-                        context=(x_m, y_m),
-                        reachable_in=reach,
-                        forbidden=forbidden,
-                        reachable_out=image,
-                    )
-                )
-                reach = image
-            if a not in reach:
-                return ParadoxCertificate(
-                    base_context_index=base + 1,
-                    base_context=(u, v),
-                    witness_pair=(a, b_out),
-                    chain=tuple(steps),
-                )
+    for p in bases:
+        lv = len(s.outcomes[walk[p][1][1]])
+        reach_from: dict[int, int] = {}  # b_out -> set reached from {b_out}
+        for a, row in enumerate(rows[p]):
+            for b_out in range(lv):
+                if not row >> b_out & 1:
+                    continue
+                reach = reach_from.get(b_out)
+                if reach is None:
+                    reach = 1 << b_out
+                    for j in range(p + 1, p + n):
+                        reach = _image(reach, rows[j % n])
+                    reach_from[b_out] = reach
+                if not reach >> a & 1:
+                    return _certificate(pb, walk, rows, p, a, b_out)
     return None
+
+
+def _image(reach: int, context_rows: list[int]) -> int:
+    """Outcomes reachable in one step from the outcome set reach."""
+    out = 0
+    for x, ys in enumerate(context_rows):
+        if reach >> x & 1:
+            out |= ys
+    return out
+
+
+def _certificate(pb: PossibilisticBehavior, walk, rows, p, a, b_out) -> ParadoxCertificate:
+    """Label the chain of the hit (a, b_out) at walk position p."""
+    s = pb.scenario
+    n = len(walk)
+    base_ci, (u, v) = walk[p]
+    reach = 1 << b_out
+    steps = []
+    for j in range(p + 1, p + n):
+        ci, (x_m, y_m) = walk[j % n]
+        image = _image(reach, rows[j % n])
+        reach_in = tuple(o for k, o in enumerate(s.outcomes[x_m]) if reach >> k & 1)
+        outs = s.outcomes[y_m]
+        steps.append(
+            ChainStep(
+                context_index=ci + 1,
+                context=(x_m, y_m),
+                reachable_in=reach_in,
+                forbidden=tuple(
+                    (x, y) for x in reach_in for k, y in enumerate(outs) if not image >> k & 1
+                ),
+                reachable_out=tuple(y for k, y in enumerate(outs) if image >> k & 1),
+            )
+        )
+        reach = image
+    return ParadoxCertificate(
+        base_context_index=base_ci + 1,
+        base_context=(u, v),
+        witness_pair=(s.outcomes[u][a], s.outcomes[v][b_out]),
+        chain=tuple(steps),
+    )
 
 
 def detect_cycle_paradox(b: AnyBehavior) -> ParadoxCertificate | None:
@@ -225,16 +272,9 @@ def detect_cycle_paradox(b: AnyBehavior) -> ParadoxCertificate | None:
         disagree.
     """
     pb = _as_possibilistic(b)
-    traverse_cycle(pb.scenario)
-    report = check_possibilistic_nd(pb)
-    if not report.ok:
-        v = report.violation
-        raise NotPossibilisticallyND(
-            f"contexts {pb.scenario.contexts[v.context_a]} and "
-            f"{pb.scenario.contexts[v.context_b]} disagree on possibility of "
-            f"{v.measurements}={v.outcomes}"
-        )
-    return _scan_cycle(pb)
+    walk = traverse_cycle(pb.scenario)
+    _require_pnd(pb)
+    return _scan_walk(pb, walk, sorted(range(len(walk)), key=lambda p: walk[p][0]))
 
 
 @dataclass(frozen=True)
@@ -253,34 +293,15 @@ class SimpleScenarioParadox:
         return {"cycle": list(self.cycle), **self.certificate.to_json_dict()}
 
 
-def _restrict_to_cycle(pb: PossibilisticBehavior, cycle: tuple[str, ...]) -> PossibilisticBehavior:
-    s = pb.scenario
-    by_set = {frozenset(c): i for i, c in enumerate(s.contexts)}
-    contexts = []
-    tables = []
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
-        ci = by_set[frozenset((u, v))]
-        contexts.append((u, v))
-        stored = s.contexts[ci]
-        table = []
-        for x in s.outcomes[u]:
-            for y in s.outcomes[v]:
-                ordered = (x, y) if stored == (u, v) else (y, x)
-                table.append(pb.tables[ci][cell_index(s, stored, ordered)])
-        tables.append(tuple(table))
-    sub = Scenario(cycle, {m: s.outcomes[m] for m in cycle}, tuple(contexts))
-    return PossibilisticBehavior(sub, tuple(tables))
-
-
 def detect_simple_scenario_paradox(b: AnyBehavior) -> SimpleScenarioParadox | None:
     """Decide logical contextuality of a dichotomic simple scenario by
     scanning its chordless cycles.
 
-    Restricts the behavior to each chordless cycle in canonical order and
-    runs the cycle detector; the first hit is returned. None on acyclic
+    Scans each chordless cycle in canonical order, in place on the
+    behavior's own tables: bases and orientation follow the cycle's
+    measurement order, and the first hit is returned. None on acyclic
     scenarios (no cycles, hence never logically contextual) and on behaviors
-    whose every cycle restriction is paradox-free.
+    whose every cycle is paradox-free.
 
     :raises NonSimpleScenario: if some context is not a pair.
     :raises NonDichotomic: if some measurement has more than two outcomes
@@ -290,43 +311,17 @@ def detect_simple_scenario_paradox(b: AnyBehavior) -> SimpleScenarioParadox | No
     pb = _as_possibilistic(b)
     s = pb.scenario
     decomposition = chordless_cycles(s)  # raises NonSimpleScenario
-    for m in s.measurements:
-        if len(s.outcomes[m]) != 2:
-            raise NonDichotomic(f"measurement {m!r} has {len(s.outcomes[m])} outcomes, need 2")
-    report = check_possibilistic_nd(pb)
-    if not report.ok:
-        v = report.violation
-        raise NotPossibilisticallyND(
-            f"contexts {s.contexts[v.context_a]} and {s.contexts[v.context_b]} disagree "
-            f"on possibility of {v.measurements}={v.outcomes}"
-        )
+    _require_dichotomic(s)
+    _require_pnd(pb)
     by_set = {frozenset(c): i for i, c in enumerate(s.contexts)}
     for cycle in decomposition.cycles:
-        # A restriction of a possibilistically-ND behavior to a subfamily of
-        # its contexts is still possibilistically ND, so no recheck here.
-        sub = _restrict_to_cycle(pb, cycle)
-        cert = _scan_cycle(sub)
+        # A possibilistically-ND behavior stays so on any subfamily of its
+        # contexts, so each cycle is scanned in place with no recheck.
+        pairs = zip(cycle, cycle[1:] + cycle[:1])
+        walk = tuple((by_set[frozenset(uv)], uv) for uv in pairs)
+        cert = _scan_walk(pb, walk, range(len(walk)))
         if cert is not None:
-            # Re-index from the cycle restriction to the parent's contexts so
-            # the certificate verifies against the behavior it was asked about.
-            return SimpleScenarioParadox(
-                certificate=ParadoxCertificate(
-                    base_context_index=by_set[frozenset(cert.base_context)] + 1,
-                    base_context=cert.base_context,
-                    witness_pair=cert.witness_pair,
-                    chain=tuple(
-                        ChainStep(
-                            context_index=by_set[frozenset(st.context)] + 1,
-                            context=st.context,
-                            reachable_in=st.reachable_in,
-                            forbidden=st.forbidden,
-                            reachable_out=st.reachable_out,
-                        )
-                        for st in cert.chain
-                    ),
-                ),
-                cycle=cycle,
-            )
+            return SimpleScenarioParadox(certificate=cert, cycle=cycle)
     return None
 
 
@@ -407,9 +402,7 @@ def detect_bell22_paradox(b: AnyBehavior) -> BellParadox | None:
     pb = _as_possibilistic(b)
     s = pb.scenario
     alice, bob = _bell_parts(s)
-    for m in s.measurements:
-        if len(s.outcomes[m]) != 2:
-            raise WrongScenarioShape(f"measurement {m!r} has {len(s.outcomes[m])} outcomes, need 2")
+    _require_dichotomic(s, WrongScenarioShape)
     hit = detect_simple_scenario_paradox(pb)
     if hit is None:
         return None
@@ -560,16 +553,8 @@ def classify_strong_contextuality(b: AnyBehavior) -> PrBoxForm | None:
     pb = _as_possibilistic(b)
     s = pb.scenario
     order = traverse_cycle(s)
-    for m in s.measurements:
-        if len(s.outcomes[m]) != 2:
-            raise NonDichotomic(f"measurement {m!r} has {len(s.outcomes[m])} outcomes, need 2")
-    report = check_possibilistic_nd(pb)
-    if not report.ok:
-        v = report.violation
-        raise NotPossibilisticallyND(
-            f"contexts {s.contexts[v.context_a]} and {s.contexts[v.context_b]} disagree "
-            f"on possibility of {v.measurements}={v.outcomes}"
-        )
+    _require_dichotomic(s)
+    _require_pnd(pb)
     types = {}
     for ci in range(len(s.contexts)):
         t = _xor_type(pb, ci)
@@ -587,7 +572,8 @@ def classify_strong_contextuality(b: AnyBehavior) -> PrBoxForm | None:
         t_bit = 1 if types[ci] == "N" else 0
         nxt = bits[u] ^ t_bit ^ (1 if ci == flip else 0)
         if v in bits:
-            assert bits[v] == nxt, "odd-parity walk must close"
+            if bits[v] != nxt:
+                raise ContextualityError("odd-parity walk must close")
         else:
             bits[v] = nxt
     assignment = tuple(s.outcomes[m][bits[m]] for m in measurements)
@@ -611,9 +597,7 @@ def pr_box_behavior(
     """
     order = traverse_cycle(scenario)
     s = scenario
-    for m in s.measurements:
-        if len(s.outcomes[m]) != 2:
-            raise NonDichotomic(f"measurement {m!r} has {len(s.outcomes[m])} outcomes, need 2")
+    _require_dichotomic(s)
     n = len(order)
     if not 1 <= flip_context_index <= n:
         raise ValueError(f"flip_context_index must be in 1..{n}, got {flip_context_index}")
@@ -629,15 +613,7 @@ def pr_box_behavior(
     tables: list[tuple[bool, ...] | None] = [None] * n
     for ci, (u, v) in order:
         flip = 1 if ci == flip_context_index - 1 else 0
-        # pairs (x, y) with x ^ bit[u] == y ^ bit[v] ^ flip are possible
-        stored = s.contexts[ci]
-        table = []
-        for x in (0, 1):
-            for y in (0, 1):
-                if stored == (u, v):
-                    xu, yv = x, y
-                else:
-                    xu, yv = y, x
-                table.append((xu ^ bit[u]) == (yv ^ bit[v]) ^ flip)
-        tables[ci] = tuple(table)
+        # pairs with x ^ bit[u] == y ^ bit[v] ^ flip are possible; the test is
+        # symmetric in (x, y), so the stored orientation does not matter
+        tables[ci] = tuple(x ^ y ^ bit[u] ^ bit[v] == flip for x in (0, 1) for y in (0, 1))
     return PossibilisticBehavior(s, tuple(tables))

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .behavior import Behavior
 from .errors import DegenerateParams, InvalidModel, NegativeProbability
@@ -573,9 +572,13 @@ def optimize_gamma(n: int, restarts: int = 40, tol: float = 1e-10, seed: int = 0
     drawn from a generator seeded by seed. Degenerate parameter sets score 0.
     Best value wins; ties keep the earliest restart. Best-effort: the result
     is the largest value found, with no convergence guarantee.
+
+    :raises ValueError: if n < 4 or restarts < 1.
     """
     if n < 4:
         raise ValueError(f"cycle constructions need n >= 4, got {n}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     if n % 2 == 0:
         lo, hi = 1e-9, math.pi / 4 - 1e-9
         golden = (math.sqrt(5) - 1) / 2
@@ -602,6 +605,8 @@ def optimize_gamma(n: int, restarts: int = 40, tol: float = 1e-10, seed: int = 0
             trace=((0, gamma),),
         )
 
+    from scipy.optimize import minimize  # here, so importing the package does not load scipy
+
     rng = np.random.default_rng(seed)
     m = (n - 3) // 2
     best_val = -1.0
@@ -620,7 +625,6 @@ def optimize_gamma(n: int, restarts: int = 40, tol: float = 1e-10, seed: int = 0
         if val > best_val:
             best_val = float(val)
             best_x = res.x
-    assert best_x is not None
     phi = float(best_x[0])
     params = OddCycleParams(
         n, (0.0, 0.0, 1.0), (math.sin(phi), 0.0, math.cos(phi)), tuple(float(t) for t in best_x[1:])

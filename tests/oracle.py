@@ -142,3 +142,119 @@ def brute_induced_cycle_count(n_vertices: int, edges: set[frozenset]) -> int:
             if seen == inside:
                 count += 1
     return count
+
+
+# -- label-level references for the paradox detectors and the ND check -------
+
+
+def _oriented_possible(b: AnyBehavior, ci: int, pair, labels) -> bool:
+    """Possibility of (u, v) = labels in context ci, whose stored order may
+    be the reverse of pair."""
+    ordered = labels if tuple(b.scenario.contexts[ci]) == tuple(pair) else labels[::-1]
+    return possible_table(b, ci)[_cell_index(b, ci, ordered)]
+
+
+def cycle_walk(s):
+    """Walk a single-cycle scenario from stored context 0 in its stored
+    orientation: ((stored index, (u, v)), ...)."""
+    pos, (u, v) = 0, tuple(s.contexts[0])
+    walk = [(pos, (u, v))]
+    while len(walk) < len(s.contexts):
+        pos = next(
+            i for i, c in enumerate(s.contexts) if v in c and i != pos
+        )
+        c = s.contexts[pos]
+        u, v = v, (c[1] if c[0] == v else c[0])
+        walk.append((pos, (u, v)))
+    return tuple(walk)
+
+
+def ref_scan_walk(b: AnyBehavior, walk, bases):
+    """Reachable-set paradox scan, label by label, as a certificate dict.
+
+    Bases are walk positions, tried in the given order; witness pairs (a, b)
+    run lexicographically in the walk's orientation, and every pair
+    propagates {b} once around the walk from scratch. Returns the first
+    paradox in the shape of ParadoxCertificate.to_json_dict(), or None.
+    """
+    s = b.scenario
+    n = len(walk)
+    for p in bases:
+        base_ci, (u, v) = walk[p]
+        for a, b_out in itertools.product(s.outcomes[u], s.outcomes[v]):
+            if not _oriented_possible(b, base_ci, (u, v), (a, b_out)):
+                continue
+            reach = (b_out,)
+            chain = []
+            for j in range(1, n):
+                ci, (x_m, y_m) = walk[(p + j) % n]
+                outs = s.outcomes[y_m]
+                image = tuple(
+                    y
+                    for y in outs
+                    if any(_oriented_possible(b, ci, (x_m, y_m), (x, y)) for x in reach)
+                )
+                chain.append(
+                    {
+                        "context_index": ci + 1,
+                        "context": [x_m, y_m],
+                        "reachable_in": list(reach),
+                        "forbidden": [[x, y] for x in reach for y in outs if y not in image],
+                        "reachable_out": list(image),
+                    }
+                )
+                reach = image
+            if a not in reach:
+                return {
+                    "base_context_index": base_ci + 1,
+                    "base_context": [u, v],
+                    "witness": [a, b_out],
+                    "chain": chain,
+                }
+    return None
+
+
+def ref_cycle_paradox(b: AnyBehavior):
+    """The cycle detector's certificate dict: bases in stored context order."""
+    walk = cycle_walk(b.scenario)
+    return ref_scan_walk(b, walk, sorted(range(len(walk)), key=lambda p: walk[p][0]))
+
+
+def ref_simple_scenario_paradox(b: AnyBehavior, cycles):
+    """The simple-scenario detector's dict: each chordless cycle in the given
+    order, walked and based in its own measurement order."""
+    by_set = {frozenset(c): i for i, c in enumerate(b.scenario.contexts)}
+    for cycle in cycles:
+        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        walk = tuple((by_set[frozenset(uv)], uv) for uv in pairs)
+        cert = ref_scan_walk(b, walk, range(len(walk)))
+        if cert is not None:
+            return {"cycle": list(cycle), **cert}
+    return None
+
+
+def ref_marginal(b: AnyBehavior, ci: int, shared, joint):
+    """Marginal of context ci on the shared measurements: OR of possible
+    cells for possibilistic tables, exact sum for probabilistic ones."""
+    s = b.scenario
+    c = s.contexts[ci]
+    total = False if isinstance(b, PossibilisticBehavior) else Fraction(0)
+    for k, cell in enumerate(itertools.product(*(s.outcomes[m] for m in c))):
+        if all(cell[c.index(m)] == o for m, o in zip(shared, joint)):
+            p = b.tables[ci][k]
+            total = (total or bool(p)) if isinstance(total, bool) else total + p
+    return total
+
+
+def ref_nd_violation(b: AnyBehavior):
+    """First disagreement (i, j, shared, joint, value_i, value_j) between two
+    contexts' marginals on their shared measurements, or None. Pairs run in
+    stored order, shared in context i's order, joints lexicographically."""
+    s = b.scenario
+    for i, j in itertools.combinations(range(len(s.contexts)), 2):
+        shared = tuple(m for m in s.contexts[i] if m in s.contexts[j])
+        for joint in itertools.product(*(s.outcomes[m] for m in shared)) if shared else ():
+            va, vb = ref_marginal(b, i, shared, joint), ref_marginal(b, j, shared, joint)
+            if va != vb:
+                return i, j, shared, joint, va, vb
+    return None

@@ -24,10 +24,14 @@ from contextuality import (
     fixture,
     joint_outcomes,
     load_behavior,
+    make_bipartite_bell,
     make_n_cycle,
     random_nd_coupling,
+    random_pnd,
     save_behavior,
 )
+
+import oracle
 
 F = Fraction
 
@@ -146,6 +150,86 @@ class TestDisturbance:
         rng = random.Random(seed)
         b = random_nd_coupling(make_n_cycle(rng.randint(3, 5)), rng)
         assert check_nondisturbance(b).ok
+
+
+def _flip_cells(pb: PossibilisticBehavior, rng: random.Random, count: int) -> PossibilisticBehavior:
+    tables = [list(t) for t in pb.tables]
+    for _ in range(count):
+        ci = rng.randrange(len(tables))
+        cell = rng.randrange(len(tables[ci]))
+        tables[ci][cell] = not tables[ci][cell]
+        if not any(tables[ci]):
+            tables[ci][cell] = True
+    return PossibilisticBehavior(pb.scenario, tuple(map(tuple, tables)))
+
+
+def _move_mass(b: Behavior, rng: random.Random) -> Behavior:
+    tables = [list(t) for t in b.tables]
+    ci = rng.randrange(len(tables))
+    src, dst = rng.sample(range(len(tables[ci])), 2)
+    tables[ci][dst] += tables[ci][src]
+    tables[ci][src] = F(0)
+    return Behavior(b.scenario, tuple(map(tuple, tables)))
+
+
+def _violation_fields(report):
+    if report.ok:
+        return None
+    v = report.violation
+    return v.context_a, v.context_b, v.measurements, v.outcomes, v.value_a, v.value_b
+
+
+# Triple contexts with mixed outcome counts: shared sets of one and two
+# measurements, in an order that differs between the two contexts.
+TRIPLES = Scenario(
+    tuple("ABCDE"),
+    {"A": ("0", "1"), "B": ("0", "1", "2"), "C": ("x", "y"), "D": ("0", "1"), "E": ("p", "q", "r")},
+    (("A", "B", "C"), ("C", "D", "A"), ("E", "B", "D"), ("E", "C")),
+)
+
+
+class TestDisturbanceAgainstReference:
+    """The first violation reported equals a label-level marginal scan's."""
+
+    SCENARIOS = [make_n_cycle(n, l) for n in (3, 5, 8) for l in (2, 3)] + [
+        make_bipartite_bell(k, 2) for k in (2, 3)
+    ]
+
+    def test_possibilistic_flipped_cells(self):
+        rng = random.Random(2024)
+        draws = violations = 0
+        for _ in range(100):
+            for s in self.SCENARIOS:
+                pb = random_pnd(s, rng)
+                for b in (pb, _flip_cells(pb, rng, 1), _flip_cells(pb, rng, 3)):
+                    report = check_possibilistic_nd(b)
+                    assert _violation_fields(report) == oracle.ref_nd_violation(b)
+                    assert report.ok or type(report.violation.value_a) is bool
+                    draws += 1
+                    violations += not report.ok
+            tables = []
+            for ci in range(len(TRIPLES.contexts)):
+                t = [rng.random() < 0.8 for _ in range(TRIPLES.context_cells(ci))]
+                t[0] = t[0] or not any(t)
+                tables.append(tuple(t))
+            b = PossibilisticBehavior(TRIPLES, tuple(tables))
+            assert _violation_fields(check_possibilistic_nd(b)) == oracle.ref_nd_violation(b)
+            draws += 1
+        assert draws == 2500
+        assert 500 < violations < 2000, violations
+
+    def test_exact_moved_mass(self):
+        rng = random.Random(7)
+        violations = 0
+        for _ in range(25):
+            for s in self.SCENARIOS:
+                b = random_nd_coupling(s, rng)
+                for x in (b, _move_mass(b, rng)):
+                    report = check_nondisturbance(x)
+                    assert _violation_fields(report) == oracle.ref_nd_violation(x)
+                    assert report.ok or type(report.violation.value_a) is Fraction
+                    violations += not report.ok
+        assert violations > 100, violations
 
 
 # ============================================================

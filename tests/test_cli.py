@@ -314,6 +314,10 @@ class TestGamma:
     def test_bad_n_exits_3(self, capsys):
         assert run(["gamma", "--n", "3"]) == 3
 
+    def test_zero_restarts_exits_3(self, capsys):
+        assert run(["gamma", "--n", "5", "--restarts", "0"]) == 3
+        assert "restarts" in capsys.readouterr().err
+
 
 # ======================================================================
 # 5. bundle and fixtures

@@ -17,6 +17,7 @@ from contextuality import (
     PossibilisticBehavior,
     Scenario,
     WrongScenarioShape,
+    chordless_cycles,
     classify_strong_contextuality,
     collapse,
     detect_bell22_paradox,
@@ -413,3 +414,51 @@ class TestAgainstOracle:
         assert (hit is not None) == oracle.brute_is_lc(b)
         if hit is not None:
             assert verify_certificate(b, hit.certificate)
+
+
+# ======================================================================
+# 6. Canonical order: certificates equal the label-level reference's
+# ======================================================================
+
+
+def scrambled_cycle(n: int, l: int, rng: random.Random) -> Scenario:
+    """An n-cycle with 2..l outcomes per measurement and its contexts stored
+    shuffled, each reversed with probability 1/2."""
+    names = tuple(f"M{i}" for i in range(1, n + 1))
+    outcomes = {m: tuple(str(o) for o in range(rng.randint(2, l))) for m in names}
+    contexts = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    contexts = [c[::-1] if rng.random() < 0.5 else c for c in contexts]
+    rng.shuffle(contexts)
+    return Scenario(names, outcomes, tuple(contexts))
+
+
+class TestCanonicalOrder:
+    def test_cycle_certificates_match_reference(self):
+        rng = random.Random(31)
+        draws = hits = 0
+        for n in range(3, 12):
+            for l in (2, 3, 4):
+                for k in range(60):
+                    s = make_n_cycle(n, l) if k % 2 == 0 else scrambled_cycle(n, l, rng)
+                    b = random_pnd(s, rng)
+                    cert = detect_cycle_paradox(b)
+                    got = cert.to_json_dict() if cert is not None else None
+                    assert got == oracle.ref_cycle_paradox(b), f"n={n} l={l} draw {k}"
+                    draws += 1
+                    hits += cert is not None
+        assert draws == 1620
+        assert 200 < hits < 1400, hits
+
+    def test_bell_certificates_match_reference(self):
+        rng = random.Random(32)
+        hits = 0
+        for k in (2, 3, 4):
+            s = make_bipartite_bell(k, 2)
+            cycles = chordless_cycles(s).cycles
+            for _ in range(150):
+                b = random_pnd(s, rng)
+                hit = detect_simple_scenario_paradox(b)
+                got = hit.to_json_dict() if hit is not None else None
+                assert got == oracle.ref_simple_scenario_paradox(b, cycles), f"k={k}"
+                hits += hit is not None
+        assert 50 < hits < 400, hits

@@ -1,11 +1,16 @@
 """Quantum cycle constructions: models, exact tables, and the gamma search."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contextuality
 from contextuality import (
     DegenerateParams,
     EvenCycleParams,
@@ -350,6 +355,15 @@ class TestOptimizeGamma:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             optimize_gamma(3)
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        code = "import sys, contextuality; print('scipy.optimize' in sys.modules)"
+        src = str(Path(contextuality.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False", "only optimize_gamma may import scipy.optimize"
 
     def test_tsirelson_check_rejects_excess(self):
         assert check_hardy_tsirelson(HARDY_TSIRELSON)
