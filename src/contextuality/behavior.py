@@ -252,6 +252,10 @@ def _parse_rational(raw) -> Fraction:
     raise InvalidBehavior(f"probability {raw!r} must be an int or a 'num/den' string")
 
 
+def _is_list_of(value, kind: type) -> bool:
+    return isinstance(value, list) and all(isinstance(x, kind) for x in value)
+
+
 def behavior_from_json_dict(data: dict, base_dir: str | None = None) -> AnyBehavior:
     """Build a (possibly possibilistic) behavior from its JSON object form.
 
@@ -280,7 +284,9 @@ def behavior_from_json_dict(data: dict, base_dir: str | None = None) -> AnyBehav
     for entry in entries:
         if not isinstance(entry, dict) or "context" not in entry:
             raise InvalidBehavior("each table entry needs a 'context'")
-        key = frozenset(str(m) for m in entry["context"])
+        if not _is_list_of(entry["context"], str):
+            raise InvalidBehavior(f"'context' must be a list of strings, got {entry['context']!r}")
+        key = frozenset(entry["context"])
         if key in by_set:
             raise InvalidBehavior(f"duplicate table for context {sorted(key)}")
         by_set[key] = entry
@@ -299,8 +305,10 @@ def behavior_from_json_dict(data: dict, base_dir: str | None = None) -> AnyBehav
         entry = by_set.pop(frozenset(context), None)
         if entry is None:
             raise InvalidBehavior(f"no table for context {context}")
-        stored = tuple(str(m) for m in entry["context"])
+        stored = tuple(entry["context"])
         if possibilistic:
+            if not _is_list_of(entry["possible"], list):
+                raise InvalidBehavior(f"'possible' for context {stored} must be a list of lists")
             table = [False] * scenario.context_cells(i)
             for labels in entry["possible"]:
                 joint = tuple(str(o) for o in labels)
@@ -310,6 +318,8 @@ def behavior_from_json_dict(data: dict, base_dir: str | None = None) -> AnyBehav
                 table[cell_index(scenario, context, remapped)] = True
             bool_tables.append(tuple(table))
         else:
+            if not isinstance(entry["probs"], dict):
+                raise InvalidBehavior(f"'probs' for context {stored} must be an object")
             cells = [Fraction(0)] * scenario.context_cells(i)
             for key, raw in entry["probs"].items():
                 joint = tuple(key.split(","))

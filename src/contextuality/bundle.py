@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .behavior import AnyBehavior, joint_outcomes
-from .classical import _coverage
+from .classical import _scan
 from .errors import NonSimpleScenario
 
 
@@ -78,7 +78,7 @@ def build_bundle(b: AnyBehavior, cap: int | None = None) -> BundleDiagram:
     s = b.scenario
     if not s.is_simple:
         raise NonSimpleScenario("bundle diagrams need contexts of exactly two measurements")
-    covered, possible, _ = _coverage(b, cap)
+    _, possible, covered = _scan(b, cap)
     edges = []
     for ci, c in enumerate(s.contexts):
         u, v = c

@@ -11,9 +11,15 @@ a global distribution whose marginals reproduce every context table; its
 existence is decided by one exact rational LP, whose optimum also yields the
 contextual fraction.
 
-Global assignments are enumerated in mixed-radix order over the scenario's
-measurement order (last measurement fastest), vectorized with numpy in
-fixed-size chunks so nothing above the enumeration cap is materialized.
+Every question reads one scan of the assignment space. It enumerates global
+assignments in mixed-radix order over the scenario's measurement order (last
+measurement fastest), vectorized with numpy in fixed-size chunks, after
+checking the count against the enumeration cap. It returns the support as an
+int64 array of assignment indices in that order, each context's possible
+cells, and each context's covered cells (restrictions of support members),
+filled chunk by chunk. The support size, SC, the LC witness and the LP's
+columns are all read from it; only the public outputs turn indices into
+labelled GlobalAssignments.
 
 support / is_logically_contextual / is_strongly_contextual accept a Behavior
 or a PossibilisticBehavior; probability tables are read through their
@@ -26,12 +32,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
 from . import simplex
-from .behavior import AnyBehavior, Behavior, PossibilisticBehavior, check_nondisturbance, joint_outcomes
+from .behavior import AnyBehavior, Behavior, check_nondisturbance, joint_outcomes
 from .errors import EnumerationCapExceeded, NotNondisturbing
 from .scenario import Scenario
 
@@ -109,8 +114,6 @@ class _Engine:
     """
 
     def __init__(self, radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]):
-        self.radices = radices
-        self.total = math.prod(radices)
         strides = [1] * len(radices)
         for q in range(len(radices) - 2, -1, -1):
             strides[q] = strides[q + 1] * radices[q + 1]
@@ -121,11 +124,10 @@ class _Engine:
             cell_strides = np.ones(len(positions), dtype=np.int64)
             for k in range(len(positions) - 2, -1, -1):
                 cell_strides[k] = cell_strides[k + 1] * radices[positions[k + 1]]
-            n_cells = int(np.prod(pos_radices))
-            self.contexts.append((pos_strides, pos_radices, cell_strides, n_cells))
+            self.contexts.append((pos_strides, pos_radices, cell_strides))
 
     def cell_codes(self, arr: np.ndarray, ci: int) -> np.ndarray:
-        pos_strides, pos_radices, cell_strides, _ = self.contexts[ci]
+        pos_strides, pos_radices, cell_strides = self.contexts[ci]
         codes = np.zeros(len(arr), dtype=np.int64)
         for stride, radix, cstride in zip(pos_strides, pos_radices, cell_strides):
             codes += (arr // stride) % radix * cstride
@@ -149,47 +151,45 @@ def enumeration_size(s: Scenario) -> int:
     return math.prod(len(s.outcomes[m]) for m in s.measurements)
 
 
-def _check_cap(s: Scenario, cap: int | None) -> int:
+def _scan(b: AnyBehavior, cap: int | None) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """One pass over every global assignment of b's scenario.
+
+    Returns (survivors, possible, covered): the support as assignment
+    indices in mixed-radix order, the possible cells of each context, and
+    the cells of each context that some support member restricts to.
+
+    :raises EnumerationCapExceeded: when the assignment count exceeds cap.
+    """
     cap = default_cap() if cap is None else cap
-    total = enumeration_size(s)
+    total = enumeration_size(b.scenario)
     if total > cap:
         raise EnumerationCapExceeded(f"{total} global assignments exceed the cap {cap}")
-    return total
-
-
-def _possible_tables(b: AnyBehavior) -> list[np.ndarray]:
-    if isinstance(b, PossibilisticBehavior):
-        return [np.array(t, dtype=bool) for t in b.tables]
-    return [np.array([p > 0 for p in t], dtype=bool) for t in b.tables]
-
-
-def _survivor_chunks(b: AnyBehavior, cap: int | None) -> Iterator[np.ndarray]:
-    """Yield chunks of assignment indices whose every restriction is possible."""
-    total = _check_cap(b.scenario, cap)
     eng = _engine_for(b.scenario)
-    tables = _possible_tables(b)
+    possible = [np.array([p > 0 for p in t], dtype=bool) for t in b.tables]
+    covered = [np.zeros(len(t), dtype=bool) for t in possible]
+    chunks = [np.zeros(0, dtype=np.int64)]
     for start in range(0, total, _CHUNK):
         arr = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         mask = np.ones(len(arr), dtype=bool)
-        for ci, table in enumerate(tables):
+        for ci, table in enumerate(possible):
             mask &= table[eng.cell_codes(arr, ci)]
             if not mask.any():
                 break
-        survivors = arr[mask]
-        if len(survivors):
-            yield survivors
+        arr = arr[mask]
+        if len(arr):
+            for ci, cov in enumerate(covered):
+                cov[eng.cell_codes(arr, ci)] = True
+            chunks.append(arr)
+    return np.concatenate(chunks), possible, covered
 
 
-def _assignment_from_index(s: Scenario, idx: int) -> GlobalAssignment:
-    radices = [len(s.outcomes[m]) for m in s.measurements]
-    digits = []
-    for r in reversed(radices):
-        idx, d = divmod(idx, r)
-        digits.append(d)
-    digits.reverse()
-    return GlobalAssignment(
-        tuple((m, s.outcomes[m][d]) for m, d in zip(s.measurements, digits))
-    )
+def _assignments(s: Scenario, indices: np.ndarray) -> list[GlobalAssignment]:
+    """Labelled global assignments for assignment indices, in order."""
+    digits = np.transpose(np.unravel_index(indices, [len(s.outcomes[m]) for m in s.measurements]))
+    return [
+        GlobalAssignment(tuple((m, s.outcomes[m][d]) for m, d in zip(s.measurements, row)))
+        for row in digits.tolist()
+    ]
 
 
 # -- possibilistic level ------------------------------------------------------
@@ -200,51 +200,28 @@ def support(b: AnyBehavior, cap: int | None = None) -> tuple[GlobalAssignment, .
 
     :raises EnumerationCapExceeded: when the assignment count exceeds cap.
     """
-    s = b.scenario
-    out = []
-    for chunk in _survivor_chunks(b, cap):
-        out.extend(_assignment_from_index(s, int(i)) for i in chunk)
-    return tuple(out)
+    return tuple(_assignments(b.scenario, _scan(b, cap)[0]))
 
 
 def support_size(b: AnyBehavior, cap: int | None = None) -> int:
     """Number of support assignments, without materializing them."""
-    return sum(len(chunk) for chunk in _survivor_chunks(b, cap))
+    return len(_scan(b, cap)[0])
 
 
 def is_strongly_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
-    """True iff the support is empty (stops at the first survivor)."""
-    for _ in _survivor_chunks(b, cap):
-        return False
-    return True
+    """True iff the support is empty."""
+    return len(_scan(b, cap)[0]) == 0
 
 
-def _coverage(b: AnyBehavior, cap: int | None):
-    """Which possible cells are restrictions of support members.
-
-    Returns (covered, possible, support_count) with one boolean numpy array
-    per context in each of covered/possible. Stops scanning early once every
-    possible cell is covered, in which case support_count is a lower bound
-    (only valid for deciding LC, which is then false).
-    """
-    eng = _engine_for(b.scenario)
-    tables = _possible_tables(b)
-    covered = [np.zeros(len(t), dtype=bool) for t in tables]
-    remaining = sum(int(t.sum()) for t in tables)
-    count = 0
-    for chunk in _survivor_chunks(b, cap):
-        count += len(chunk)
-        if remaining == 0:
-            continue
-        for ci, table in enumerate(tables):
-            codes = eng.cell_codes(chunk, ci)
-            new = (np.bincount(codes, minlength=len(table)) > 0) & ~covered[ci]
-            if new.any():
-                covered[ci] |= new
-                remaining -= int((new & table).sum())
-        if remaining == 0:
-            break
-    return covered, tables, count
+def _witness(s: Scenario, possible: list[np.ndarray], covered: list[np.ndarray]):
+    """First possible cell, in (context, cell) order, that no survivor covers."""
+    for ci, (table, cov) in enumerate(zip(possible, covered)):
+        bad = table & ~cov
+        if bad.any():
+            cell = int(np.flatnonzero(bad)[0])
+            joint = list(joint_outcomes(s, s.contexts[ci]))[cell]
+            return (s.contexts[ci], joint)
+    return None
 
 
 def logical_contextuality_witness(
@@ -256,15 +233,8 @@ def logical_contextuality_witness(
     order and cells in table order, or None when every possible outcome
     extends (the behavior is then not LC).
     """
-    covered, tables, _ = _coverage(b, cap)
-    s = b.scenario
-    for ci, (table, cov) in enumerate(zip(tables, covered)):
-        bad = table & ~cov
-        if bad.any():
-            cell = int(np.flatnonzero(bad)[0])
-            joint = list(joint_outcomes(s, s.contexts[ci]))[cell]
-            return (s.contexts[ci], joint)
-    return None
+    _, possible, covered = _scan(b, cap)
+    return _witness(b.scenario, possible, covered)
 
 
 def is_logically_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
@@ -275,20 +245,7 @@ def is_logically_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
 # -- probabilistic level ------------------------------------------------------
 
 
-def _noncontextual_lp(
-    b: Behavior, cap: int | None
-) -> tuple[Fraction, tuple[GlobalAssignment, ...], list[Fraction]]:
-    """Maximize the total weight of a subnormalized global distribution whose
-    context marginals are dominated by b's tables.
-
-    Only support assignments can carry weight (any other assignment hits a
-    zero cell, whose constraint forces its weight to 0), so the LP runs over
-    the support. Constraints for zero cells are then satisfied identically
-    and are skipped. The optimum is 1 exactly when b is noncontextual, and
-    the maximizer is then a global distribution reproducing every table: each
-    context's constraints sum to (total weight) <= 1 with slack 1 - total, so
-    optimum 1 makes every constraint tight.
-    """
+def _require_nd(b: Behavior) -> None:
     report = check_nondisturbance(b)
     if not report.ok:
         v = report.violation
@@ -296,23 +253,35 @@ def _noncontextual_lp(
             f"contexts {b.scenario.contexts[v.context_a]} and {b.scenario.contexts[v.context_b]} "
             f"disagree on {v.measurements}={v.outcomes}: {v.value_a} vs {v.value_b}"
         )
-    sup = support(b, cap)
-    if not sup:
-        return Fraction(0), sup, []
-    s = b.scenario
+
+
+def _lp(b: Behavior, survivors: np.ndarray) -> tuple[Fraction, list[Fraction]]:
+    """Maximize the total weight of a subnormalized global distribution whose
+    context marginals are dominated by b's tables.
+
+    Only support assignments can carry weight (any other assignment hits a
+    zero cell, whose constraint forces its weight to 0), so the LP runs over
+    the survivors, one column each. Constraints for zero cells are then
+    satisfied identically and are skipped. The optimum is 1 exactly when b
+    is noncontextual, and the maximizer is then a global distribution
+    reproducing every table: each context's constraints sum to (total
+    weight) <= 1 with slack 1 - total, so optimum 1 makes every constraint
+    tight.
+    """
+    if not len(survivors):
+        return Fraction(0), []
+    eng = _engine_for(b.scenario)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    restrictions = [[t.restrict(c) for t in sup] for c in s.contexts]
     zero, one = Fraction(0), Fraction(1)
-    for ci, c in enumerate(s.contexts):
-        for cell, joint in enumerate(joint_outcomes(s, c)):
-            p = b.tables[ci][cell]
+    for ci, table in enumerate(b.tables):
+        codes = eng.cell_codes(survivors, ci).tolist()
+        for cell, p in enumerate(table):
             if p == 0:
                 continue
-            rows.append([one if r == joint else zero for r in restrictions[ci]])
+            rows.append([one if code == cell else zero for code in codes])
             rhs.append(p)
-    opt, x = simplex.maximize([one] * len(sup), rows, rhs)
-    return opt, sup, x
+    return simplex.maximize([one] * len(survivors), rows, rhs)
 
 
 def noncontextual_weight(b: Behavior, cap: int | None = None) -> Fraction:
@@ -322,8 +291,8 @@ def noncontextual_weight(b: Behavior, cap: int | None = None) -> Fraction:
 
     :raises NotNondisturbing: if b's overlapping marginals disagree.
     """
-    opt, _, _ = _noncontextual_lp(b, cap)
-    return opt
+    _require_nd(b)
+    return _lp(b, _scan(b, cap)[0])[0]
 
 
 def is_noncontextual(b: Behavior, cap: int | None = None) -> bool:
@@ -335,10 +304,12 @@ def global_distribution(
     b: Behavior, cap: int | None = None
 ) -> dict[GlobalAssignment, Fraction] | None:
     """A global distribution reproducing b by marginals, or None if contextual."""
-    opt, sup, x = _noncontextual_lp(b, cap)
+    _require_nd(b)
+    survivors = _scan(b, cap)[0]
+    opt, x = _lp(b, survivors)
     if opt != 1:
         return None
-    return {t: w for t, w in zip(sup, x) if w > 0}
+    return {t: w for t, w in zip(_assignments(b.scenario, survivors), x) if w > 0}
 
 
 def contextual_fraction(b: Behavior, cap: int | None = None) -> Fraction:
@@ -354,31 +325,28 @@ def hierarchy(b: Behavior, cap: int | None = None, level: str = "all") -> Hierar
 
     level is one of "nd", "nc", "lc", "sc", "all". Nondisturbance is always
     checked first; if it fails, every later flag is undefined (None). Flags
-    outside the requested level stay None.
+    outside the requested level stay None. Every other flag is read off one
+    support scan.
     """
     if level not in ("nd", "nc", "lc", "sc", "all"):
         raise ValueError(f"unknown level {level!r}")
     nd_ok = check_nondisturbance(b).ok
     if not nd_ok or level == "nd":
         return HierarchyReport(nd=nd_ok)
-    nc = lc = sc = None
-    witness = None
-    size = None
+    survivors, possible, covered = _scan(b, cap)
+    nc = lc = sc = witness = None
     if level in ("nc", "all"):
-        nc = is_noncontextual(b, cap)
+        nc = _lp(b, survivors)[0] == 1
     if level in ("lc", "all"):
-        witness = logical_contextuality_witness(b, cap)
+        witness = _witness(b.scenario, possible, covered)
         lc = witness is not None
-        size = support_size(b, cap)
     if level in ("sc", "all"):
-        sc = is_strongly_contextual(b, cap)
-        if level == "sc":
-            size = support_size(b, cap)
+        sc = len(survivors) == 0
     return HierarchyReport(
         nd=True,
         nc=nc,
         logically_contextual=lc,
         strongly_contextual=sc,
         witness=witness,
-        support_size=size,
+        support_size=None if level == "nc" else len(survivors),
     )

@@ -120,6 +120,9 @@ class Scenario:
             if key not in data:
                 raise InvalidScenario(f"scenario JSON missing {key!r}")
         try:
+            lists = [data["measurements"], data["contexts"], *data["contexts"]]
+            if any(isinstance(v, str) for v in [*lists, *data["outcomes"].values()]):
+                raise InvalidScenario("scenario JSON has a string where a list of labels belongs")
             return cls(
                 measurements=tuple(str(m) for m in data["measurements"]),
                 outcomes={str(m): tuple(str(o) for o in v) for m, v in data["outcomes"].items()},

@@ -320,6 +320,23 @@ class TestJson:
         with pytest.raises((InvalidBehavior, InvalidScenario)):
             behavior_from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"context": ["A1", "B1"], "probs": [0.5, 0.5]},
+            {"context": 5, "probs": {"0,0": "1/2", "1,1": "1/2"}},
+            {"context": "A1", "probs": {"0,0": "1/2", "1,1": "1/2"}},
+            {"context": ["A1", "B1"], "possible": [["0", "0"], "11"]},
+            {"context": ["A1", "B1"], "possible": {"0": "0"}},
+        ],
+    )
+    def test_malformed_table_entry_rejected(self, entry):
+        source = collapse(fixture("bell")) if "possible" in entry else fixture("bell")
+        data = behavior_to_json_dict(source)
+        data["tables"][0] = entry
+        with pytest.raises(InvalidBehavior):
+            behavior_from_json_dict(data)
+
     def test_mixed_probs_and_possible_rejected(self):
         s = make_n_cycle(3)
         data = {

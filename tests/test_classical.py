@@ -11,6 +11,7 @@ from contextuality import (
     Behavior,
     EnumerationCapExceeded,
     GlobalAssignment,
+    HierarchyReport,
     NotNondisturbing,
     contextual_fraction,
     default_cap,
@@ -27,10 +28,13 @@ from contextuality import (
     make_n_cycle,
     noncontextual_weight,
     random_nd_coupling,
+    random_nd_mixture,
     random_pnd,
+    random_tree_scenario,
     support,
     support_size,
 )
+from contextuality import classical
 
 import oracle
 
@@ -256,6 +260,49 @@ class TestHierarchy:
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             hierarchy(HARDY, level="everything")
+
+    def test_all_levels_read_one_scan_and_one_nd_check(self, monkeypatch):
+        calls = {"scan": 0, "nd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(classical, "_scan", counted("scan", classical._scan))
+        monkeypatch.setattr(
+            classical, "check_nondisturbance", counted("nd", classical.check_nondisturbance)
+        )
+        cycle = random_nd_coupling(make_n_cycle(4, 3), random.Random(3))
+        for b in (HARDY, cycle):
+            calls.update(scan=0, nd=0)
+            hierarchy(b, level="all")
+            assert calls == {"scan": 1, "nd": 1}
+
+    def test_every_level_matches_oracle(self):
+        rng = random.Random(20201)
+        cycles = [make_n_cycle(n) for n in (3, 4, 5)]
+        scenarios = small_scenarios() + [make_n_cycle(3, 3), random_tree_scenario(rng)]
+        for draw in range(200):
+            if draw % 3 == 0:
+                b = random_nd_mixture(rng.choice(cycles), rng, rng.randint(0, 3), include_pr=True)
+            else:
+                b = random_nd_coupling(rng.choice(scenarios), rng)
+            size = len(oracle.brute_support(b))
+            witness = oracle.brute_witness(b)
+            nc = abs(oracle.linprog_noncontextual_weight(b) - 1) < 1e-7
+            for level in ("nc", "lc", "sc", "all"):
+                want = HierarchyReport(
+                    nd=True,
+                    nc=nc if level in ("nc", "all") else None,
+                    logically_contextual=witness is not None if level in ("lc", "all") else None,
+                    strongly_contextual=oracle.brute_is_sc(b) if level in ("sc", "all") else None,
+                    witness=witness if level in ("lc", "all") else None,
+                    support_size=None if level == "nc" else size,
+                )
+                assert hierarchy(b, level=level) == want, f"draw {draw}, level {level}"
 
     def test_disturbing_behavior_reports_nd_false_only(self):
         s = make_n_cycle(3)

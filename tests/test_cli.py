@@ -128,6 +128,22 @@ class TestCheck:
         path.write_text("{not json")
         assert run(["check", "--behavior", str(path)]) == 3
 
+    @pytest.mark.parametrize("command", [["check"], ["pp", "find"]])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"context": ["A1", "B1"], "probs": [0.5, 0.5]},
+            {"context": 5, "probs": {"0,0": "1/2", "1,1": "1/2"}},
+        ],
+    )
+    def test_malformed_table_entry_exits_3(self, capsys, tmp_path, command, entry):
+        payload = behavior_to_json_dict(fixture("bell"))
+        payload["tables"][0] = entry
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert run([*command, "--behavior", str(path)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
 
 # ======================================================================
 # 2. pp find

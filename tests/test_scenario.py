@@ -71,6 +71,19 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario):
             s.outcome_index("M1", "7")
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"measurements": ["A"], "outcomes": {"A": "01"}, "contexts": [["A"]]},
+            {"measurements": "AB", "outcomes": {"A": ["0", "1"], "B": ["0", "1"]}, "contexts": [["A", "B"]]},
+            {"measurements": ["A", "B"], "outcomes": {"A": ["0", "1"], "B": ["0", "1"]}, "contexts": ["AB"]},
+            {"measurements": ["A", "B"], "outcomes": {"A": ["0", "1"], "B": ["0", "1"]}, "contexts": "AB"},
+        ],
+    )
+    def test_json_string_is_not_split_into_labels(self, data):
+        with pytest.raises(InvalidScenario):
+            Scenario.from_json_dict(data)
+
 
 # ============================================================
 # 2. Standard families
