@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .errors import InvalidBehavior, NegativeProbability, SubsetNotInContext
+from .errors import (
+    InvalidBehavior,
+    NegativeProbability,
+    NotNondisturbing,
+    NotPossibilisticallyND,
+    SubsetNotInContext,
+)
 from .scenario import Scenario
 
 
@@ -74,20 +80,12 @@ class Behavior:
     def __post_init__(self) -> None:
         tables = tuple(tuple(Fraction(x) for x in t) for t in self.tables)
         object.__setattr__(self, "tables", tables)
-        s = self.scenario
-        if len(tables) != len(s.contexts):
-            raise InvalidBehavior(f"expected {len(s.contexts)} tables, got {len(tables)}")
-        for i, t in enumerate(tables):
-            cells = s.context_cells(i)
-            if len(t) != cells:
-                raise InvalidBehavior(
-                    f"table for context {s.contexts[i]} has {len(t)} cells, expected {cells}"
-                )
+        for c, t in _shaped(self.scenario, tables):
             for p in t:
                 if p < 0:
-                    raise NegativeProbability(f"negative probability {p} in context {s.contexts[i]}")
+                    raise NegativeProbability(f"negative probability {p} in context {c}")
             if sum(t) != 1:
-                raise InvalidBehavior(f"table for context {s.contexts[i]} sums to {sum(t)}, not 1")
+                raise InvalidBehavior(f"table for context {c} sums to {sum(t)}, not 1")
 
     def probability(self, context_index: int, outcomes: tuple[str, ...]) -> Fraction:
         """Probability of one joint outcome of one context."""
@@ -122,17 +120,9 @@ class PossibilisticBehavior:
     def __post_init__(self) -> None:
         tables = tuple(tuple(bool(x) for x in t) for t in self.tables)
         object.__setattr__(self, "tables", tables)
-        s = self.scenario
-        if len(tables) != len(s.contexts):
-            raise InvalidBehavior(f"expected {len(s.contexts)} tables, got {len(tables)}")
-        for i, t in enumerate(tables):
-            cells = s.context_cells(i)
-            if len(t) != cells:
-                raise InvalidBehavior(
-                    f"table for context {s.contexts[i]} has {len(t)} cells, expected {cells}"
-                )
+        for c, t in _shaped(self.scenario, tables):
             if not any(t):
-                raise InvalidBehavior(f"context {s.contexts[i]} has no possible outcome")
+                raise InvalidBehavior(f"context {c} has no possible outcome")
 
     def is_possible(self, context_index: int, outcomes: tuple[str, ...]) -> bool:
         """Whether one joint outcome of one context is possible."""
@@ -167,6 +157,19 @@ class PossibilisticBehavior:
 AnyBehavior = Union[Behavior, PossibilisticBehavior]
 
 
+def _shaped(s: Scenario, tables: tuple) -> Iterator[tuple[tuple[str, ...], tuple]]:
+    """Yield (context, table) in stored order, raising InvalidBehavior first if
+    the table count is wrong and then at the first table whose cell count is."""
+    if len(tables) != len(s.contexts):
+        raise InvalidBehavior(f"expected {len(s.contexts)} tables, got {len(tables)}")
+    for i, t in enumerate(tables):
+        if len(t) != s.context_cells(i):
+            raise InvalidBehavior(
+                f"table for context {s.contexts[i]} has {len(t)} cells, expected {s.context_cells(i)}"
+            )
+        yield s.contexts[i], t
+
+
 def _subset_positions(context: tuple[str, ...], measurements: tuple[str, ...]) -> tuple[int, ...]:
     positions = []
     for m in measurements:
@@ -199,6 +202,25 @@ def check_nondisturbance(b: Behavior) -> DisturbanceReport:
 def check_possibilistic_nd(pb: PossibilisticBehavior) -> DisturbanceReport:
     """Possibilistic nondisturbance: OR-marginals agree across contexts."""
     return _check_nd(pb)
+
+
+def require_nondisturbing(b: AnyBehavior) -> None:
+    """Raise at the first disagreement between overlapping contexts.
+
+    :raises NotNondisturbing: if a Behavior's marginals disagree.
+    :raises NotPossibilisticallyND: if a PossibilisticBehavior's OR-marginals
+        disagree.
+    """
+    possibilistic = isinstance(b, PossibilisticBehavior)
+    v = (check_possibilistic_nd if possibilistic else check_nondisturbance)(b).violation
+    if v is not None:
+        c = b.scenario.contexts
+        values = "" if possibilistic else f": {v.value_a} vs {v.value_b}"
+        error = NotPossibilisticallyND if possibilistic else NotNondisturbing
+        raise error(
+            f"contexts {c[v.context_a]} and {c[v.context_b]} disagree "
+            f"on {v.measurements}={v.outcomes}{values}"
+        )
 
 
 def _check_nd(b: AnyBehavior) -> DisturbanceReport:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .behavior import AnyBehavior, joint_outcomes
 from .classical import _scan
-from .errors import NonSimpleScenario
+from .scenario import require_pairs
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,7 @@ def build_bundle(b: AnyBehavior, cap: int | None = None) -> BundleDiagram:
     :raises EnumerationCapExceeded: if the support scan would exceed cap.
     """
     s = b.scenario
-    if not s.is_simple:
-        raise NonSimpleScenario("bundle diagrams need contexts of exactly two measurements")
+    require_pairs(s)
     _, possible, covered = _scan(b, cap)
     edges = []
     for ci, c in enumerate(s.contexts):

@@ -36,8 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import simplex
-from .behavior import AnyBehavior, Behavior, check_nondisturbance, joint_outcomes
-from .errors import EnumerationCapExceeded, NotNondisturbing
+from .behavior import AnyBehavior, Behavior, check_nondisturbance, joint_outcomes, require_nondisturbing
+from .errors import EnumerationCapExceeded
 from .scenario import Scenario
 
 DEFAULT_CAP = 1 << 24
@@ -245,16 +245,6 @@ def is_logically_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
 # -- probabilistic level ------------------------------------------------------
 
 
-def _require_nd(b: Behavior) -> None:
-    report = check_nondisturbance(b)
-    if not report.ok:
-        v = report.violation
-        raise NotNondisturbing(
-            f"contexts {b.scenario.contexts[v.context_a]} and {b.scenario.contexts[v.context_b]} "
-            f"disagree on {v.measurements}={v.outcomes}: {v.value_a} vs {v.value_b}"
-        )
-
-
 def _lp(b: Behavior, survivors: np.ndarray) -> tuple[Fraction, list[Fraction]]:
     """Maximize the total weight of a subnormalized global distribution whose
     context marginals are dominated by b's tables.
@@ -291,7 +281,7 @@ def noncontextual_weight(b: Behavior, cap: int | None = None) -> Fraction:
 
     :raises NotNondisturbing: if b's overlapping marginals disagree.
     """
-    _require_nd(b)
+    require_nondisturbing(b)
     return _lp(b, _scan(b, cap)[0])[0]
 
 
@@ -304,7 +294,7 @@ def global_distribution(
     b: Behavior, cap: int | None = None
 ) -> dict[GlobalAssignment, Fraction] | None:
     """A global distribution reproducing b by marginals, or None if contextual."""
-    _require_nd(b)
+    require_nondisturbing(b)
     survivors = _scan(b, cap)[0]
     opt, x = _lp(b, survivors)
     if opt != 1:

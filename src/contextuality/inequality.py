@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .behavior import Behavior, check_nondisturbance
-from .errors import NonDichotomic, NotNondisturbing
-from .scenario import traverse_cycle
+from .behavior import Behavior, require_nondisturbing
+from .scenario import require_dichotomic, require_pairs, traverse_cycle
 
 
 @dataclass(frozen=True)
@@ -49,17 +48,15 @@ def correlator(b: Behavior, i: int) -> Fraction:
 
     Exact, and independent of the stored measurement order of the context.
 
+    :raises ValueError: if i is out of range or context i is not a pair.
     :raises NonDichotomic: if either measurement has more than 2 outcomes.
     """
     s = b.scenario
     if not 1 <= i <= len(s.contexts):
         raise ValueError(f"context index must be in 1..{len(s.contexts)}, got {i}")
     c = s.contexts[i - 1]
-    if len(c) != 2:
-        raise ValueError(f"context {c} is not a pair")
-    for m in c:
-        if len(s.outcomes[m]) != 2:
-            raise NonDichotomic(f"measurement {m!r} has {len(s.outcomes[m])} outcomes, need 2")
+    require_pairs(s, [c], error=ValueError)
+    require_dichotomic(s, c)
     t = b.tables[i - 1]
     return 2 * (t[0] + t[3]) - 1
 
@@ -122,9 +119,7 @@ def evaluate_all(b: Behavior) -> ViolationReport:
     :raises NotNondisturbing: if the behavior disturbs.
     """
     traverse_cycle(b.scenario)
-    report = check_nondisturbance(b)
-    if not report.ok:
-        raise NotNondisturbing(f"behavior disturbs: {report.violation}")
+    require_nondisturbing(b)
     n = len(b.scenario.contexts)
     corr = [correlator(b, i + 1) for i in range(n)]
     signs = [1 if e >= 0 else -1 for e in corr]

@@ -28,16 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .behavior import AnyBehavior, PossibilisticBehavior, cell_index, collapse, check_possibilistic_nd
-from .errors import (
-    ContextualityError,
-    NonDichotomic,
-    NonSimpleScenario,
-    NotCycle,
-    NotPossibilisticallyND,
-    WrongScenarioShape,
-)
-from .scenario import Scenario, chordless_cycles, traverse_cycle
+from .behavior import AnyBehavior, PossibilisticBehavior, cell_index, collapse, require_nondisturbing
+from .errors import ContextualityError, NotCycle, WrongScenarioShape
+from .scenario import Scenario, chordless_cycles, require_dichotomic, require_pairs, traverse_cycle
 
 
 @dataclass(frozen=True)
@@ -164,24 +157,6 @@ def verify_certificate(b: AnyBehavior, cert: ParadoxCertificate) -> bool:
     return a not in prev_reach
 
 
-def _require_dichotomic(s: Scenario, error: type[Exception] = NonDichotomic) -> None:
-    """Raise error unless every measurement has exactly two outcomes."""
-    for m in s.measurements:
-        if len(s.outcomes[m]) != 2:
-            raise error(f"measurement {m!r} has {len(s.outcomes[m])} outcomes, need 2")
-
-
-def _require_pnd(pb: PossibilisticBehavior) -> None:
-    """Raise NotPossibilisticallyND at the first OR-marginal disagreement."""
-    v = check_possibilistic_nd(pb).violation
-    if v is not None:
-        c = pb.scenario.contexts
-        raise NotPossibilisticallyND(
-            f"contexts {c[v.context_a]} and {c[v.context_b]} disagree "
-            f"on possibility of {v.measurements}={v.outcomes}"
-        )
-
-
 def _scan_walk(pb: PossibilisticBehavior, walk: tuple, bases) -> ParadoxCertificate | None:
     """Reachable-set scan of one closed walk through distinct pair contexts.
 
@@ -192,13 +167,7 @@ def _scan_walk(pb: PossibilisticBehavior, walk: tuple, bases) -> ParadoxCertific
     """
     s = pb.scenario
     n = len(walk)
-    rows = []  # rows[p][x]: bitmask of the y with (u=x, v=y) possible at position p
-    for ci, (u, v) in walk:
-        table = pb.tables[ci]
-        lu, lv = len(s.outcomes[u]), len(s.outcomes[v])
-        sx, sy = (lv, 1) if s.contexts[ci] == (u, v) else (1, lu)
-        rows.append([sum(1 << y for y in range(lv) if table[x * sx + y * sy]) for x in range(lu)])
-
+    rows = _walk_rows(pb, walk)
     for p in bases:
         lv = len(s.outcomes[walk[p][1][1]])
         reach_from: dict[int, int] = {}  # b_out -> set reached from {b_out}
@@ -215,6 +184,18 @@ def _scan_walk(pb: PossibilisticBehavior, walk: tuple, bases) -> ParadoxCertific
                 if not reach >> a & 1:
                     return _certificate(pb, walk, rows, p, a, b_out)
     return None
+
+
+def _walk_rows(pb: PossibilisticBehavior, walk: tuple) -> list[list[int]]:
+    """rows[p][x]: bitmask of the y with (u=x, v=y) possible at walk position p."""
+    s = pb.scenario
+    rows = []
+    for ci, (u, v) in walk:
+        table = pb.tables[ci]
+        lu, lv = len(s.outcomes[u]), len(s.outcomes[v])
+        sx, sy = (lv, 1) if s.contexts[ci] == (u, v) else (1, lu)
+        rows.append([sum(1 << y for y in range(lv) if table[x * sx + y * sy]) for x in range(lu)])
+    return rows
 
 
 def _image(reach: int, context_rows: list[int]) -> int:
@@ -273,7 +254,7 @@ def detect_cycle_paradox(b: AnyBehavior) -> ParadoxCertificate | None:
     """
     pb = _as_possibilistic(b)
     walk = traverse_cycle(pb.scenario)
-    _require_pnd(pb)
+    require_nondisturbing(pb)
     return _scan_walk(pb, walk, sorted(range(len(walk)), key=lambda p: walk[p][0]))
 
 
@@ -311,8 +292,8 @@ def detect_simple_scenario_paradox(b: AnyBehavior) -> SimpleScenarioParadox | No
     pb = _as_possibilistic(b)
     s = pb.scenario
     decomposition = chordless_cycles(s)  # raises NonSimpleScenario
-    _require_dichotomic(s)
-    _require_pnd(pb)
+    require_dichotomic(s)
+    require_nondisturbing(pb)
     by_set = {frozenset(c): i for i, c in enumerate(s.contexts)}
     for cycle in decomposition.cycles:
         # A possibilistically-ND behavior stays so on any subfamily of its
@@ -364,8 +345,7 @@ def _bell_parts(s: Scenario) -> tuple[tuple[str, ...], tuple[str, ...]]:
     WrongScenarioShape unless the compatibility graph is K_{k,k} with
     k >= 2 and contexts are exactly the cross pairs.
     """
-    if not s.is_simple:
-        raise WrongScenarioShape("contexts must be pairs")
+    require_pairs(s, error=WrongScenarioShape)
     adj: dict[str, set[str]] = {m: set() for m in s.measurements}
     for u, v in s.contexts:
         adj[u].add(v)
@@ -402,7 +382,7 @@ def detect_bell22_paradox(b: AnyBehavior) -> BellParadox | None:
     pb = _as_possibilistic(b)
     s = pb.scenario
     alice, bob = _bell_parts(s)
-    _require_dichotomic(s, WrongScenarioShape)
+    require_dichotomic(s, error=WrongScenarioShape)
     hit = detect_simple_scenario_paradox(pb)
     if hit is None:
         return None
@@ -468,32 +448,18 @@ def detect_chen_paradox(b: AnyBehavior) -> ChenParadox | None:
     sizes = {len(s.outcomes[m]) for m in s.measurements}
     if len(sizes) != 1:
         raise WrongScenarioShape(f"outcome counts differ across measurements: {sorted(sizes)}")
-
-    def ordered_pairs(walk_pos: int, increasing: bool):
-        ci, (u, v) = order[walk_pos]
-        for xi, x in enumerate(s.outcomes[u]):
-            for yi, y in enumerate(s.outcomes[v]):
-                if (xi < yi) if increasing else (xi > yi):
-                    yield ci, (u, v), (x, y)
-
+    (l,) = sizes
+    rows = _walk_rows(pb, order)
     for p in range(4):
-        witness = next(
-            (
-                pair
-                for ci, ctx, pair in ordered_pairs(p, increasing=True)
-                if _oriented_possible(pb, ci, ctx, pair)
-            ),
-            None,
-        )
-        if witness is None:
-            continue
-        if any(
-            _oriented_possible(pb, ci, ctx, pair)
-            for q in (p + 1, p + 2, p + 3)
-            for ci, ctx, pair in ordered_pairs(q % 4, increasing=False)
+        increasing = ((x, y) for x, row in enumerate(rows[p]) for y in range(x + 1, l) if row >> y & 1)
+        witness = next(increasing, None)
+        # a row x with some bit y < x set is a possible decreasing pair
+        if witness is None or any(
+            row & (1 << x) - 1 for q in (1, 2, 3) for x, row in enumerate(rows[(p + q) % 4])
         ):
             continue
-        return ChenParadox(base_context_index=order[p][0] + 1, witness_pair=witness)
+        ci, (u, v) = order[p]
+        return ChenParadox(ci + 1, (s.outcomes[u][witness[0]], s.outcomes[v][witness[1]]))
     return None
 
 
@@ -553,8 +519,8 @@ def classify_strong_contextuality(b: AnyBehavior) -> PrBoxForm | None:
     pb = _as_possibilistic(b)
     s = pb.scenario
     order = traverse_cycle(s)
-    _require_dichotomic(s)
-    _require_pnd(pb)
+    require_dichotomic(s)
+    require_nondisturbing(pb)
     types = {}
     for ci in range(len(s.contexts)):
         t = _xor_type(pb, ci)
@@ -597,7 +563,7 @@ def pr_box_behavior(
     """
     order = traverse_cycle(scenario)
     s = scenario
-    _require_dichotomic(s)
+    require_dichotomic(s)
     n = len(order)
     if not 1 <= flip_context_index <= n:
         raise ValueError(f"flip_context_index must be in 1..{n}, got {flip_context_index}")

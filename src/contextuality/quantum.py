@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .behavior import Behavior
+from .behavior import Behavior, require_nondisturbing
 from .errors import DegenerateParams, InvalidModel, NegativeProbability
 from .scenario import Scenario, make_n_cycle
 
@@ -236,11 +236,12 @@ def behavior_from_model(
     On scenarios whose contexts are all dichotomic pairs the rational tables
     are rebuilt from shared per-measurement marginals and are exactly
     nondisturbing; otherwise each cell is snapped to a small-denominator
-    rational and the table renormalized to sum exactly 1 (nondisturbance
-    then holds only up to the snap).
+    rational and the table renormalized to sum exactly 1.
 
     :raises InvalidModel: if the model fails its invariants.
     :raises NegativeProbability: if some Born value is below -eps.
+    :raises NotNondisturbing: if the snapped tables of overlapping contexts
+        no longer share their marginals exactly.
     """
     validate_model(model, s)
     raw: list[list[float]] = []
@@ -261,17 +262,17 @@ def behavior_from_model(
 
     pairwise = s.is_simple and all(len(s.outcomes[m]) == 2 for m in s.measurements)
     if pairwise:
-        tables = _exact_pairwise_tables(s, raw, eps)
-    else:
-        tables = []
-        for ci in range(len(s.contexts)):
-            cells = [_snap(p, eps) for p in raw[ci]]
-            total = sum(cells)
-            if total == 0:
-                raise InvalidModel(f"context {s.contexts[ci]} has no probability mass")
-            tables.append(tuple(x / total for x in cells))
-        tables = tuple(tables)
-    return Behavior(s, tables, metadata=metadata)
+        return Behavior(s, _exact_pairwise_tables(s, raw, eps), metadata=metadata)
+    tables = []
+    for ci in range(len(s.contexts)):
+        cells = [_snap(p, eps) for p in raw[ci]]
+        total = sum(cells)
+        if total == 0:
+            raise InvalidModel(f"context {s.contexts[ci]} has no probability mass")
+        tables.append(tuple(x / total for x in cells))
+    behavior = Behavior(s, tuple(tables), metadata=metadata)
+    require_nondisturbing(behavior)
+    return behavior
 
 
 # -- odd cycles: real vectors in dimension 3 ----------------------------------

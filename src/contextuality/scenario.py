@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterable
 
-from .errors import InvalidScenario, NonSimpleScenario, NotCycle
+from .errors import InvalidScenario, NonDichotomic, NonSimpleScenario, NotCycle
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,32 @@ def load_scenario(path: str) -> Scenario:
         return Scenario.from_json_dict(json.load(fh))
 
 
+# -- shape guards -----------------------------------------------------------
+
+
+def require_pairs(
+    s: Scenario,
+    contexts: Iterable[tuple[str, ...]] | None = None,
+    error: type[Exception] = NonSimpleScenario,
+) -> None:
+    """Raise error unless every context (default: all of s's) is a pair."""
+    for c in s.contexts if contexts is None else contexts:
+        if len(c) != 2:
+            raise error(f"context {c} has {len(c)} measurements, need exactly 2")
+
+
+def require_dichotomic(
+    s: Scenario,
+    measurements: Iterable[str] | None = None,
+    error: type[Exception] = NonDichotomic,
+) -> None:
+    """Raise error unless every measurement (default: all of s's) has
+    exactly two outcomes."""
+    for m in s.measurements if measurements is None else measurements:
+        if len(s.outcomes[m]) != 2:
+            raise error(f"measurement {m!r} has {len(s.outcomes[m])} outcomes, need 2")
+
+
 # -- standard families ------------------------------------------------------
 
 
@@ -208,9 +235,7 @@ def chordless_cycles(s: Scenario) -> CycleDecomposition:
     :raises NonSimpleScenario: if some context does not have exactly two
         measurements.
     """
-    for c in s.contexts:
-        if len(c) != 2:
-            raise NonSimpleScenario(f"context {c} has {len(c)} measurements, need exactly 2")
+    require_pairs(s)
     adj: dict[str, set[str]] = {m: set() for m in s.measurements}
     for u, v in s.contexts:
         adj[u].add(v)

@@ -233,6 +233,38 @@ def ref_simple_scenario_paradox(b: AnyBehavior, cycles):
     return None
 
 
+def ref_chen_paradox(b: AnyBehavior):
+    """The order paradox on a 4-cycle with equal outcome counts, label by
+    label, as a ChenParadox.to_json_dict() dict or None: the first base (walk
+    order) whose first possible increasing pair meets no possible decreasing
+    pair in the next three contexts."""
+    s = b.scenario
+    walk = cycle_walk(s)
+
+    def ordered_pairs(p: int, increasing: bool):
+        ci, (u, v) = walk[p]
+        for xi, x in enumerate(s.outcomes[u]):
+            for yi, y in enumerate(s.outcomes[v]):
+                if (xi < yi) if increasing else (xi > yi):
+                    yield ci, (u, v), (x, y)
+
+    for p in range(4):
+        witness = next(
+            (pair for ci, uv, pair in ordered_pairs(p, True) if _oriented_possible(b, ci, uv, pair)),
+            None,
+        )
+        if witness is None:
+            continue
+        if any(
+            _oriented_possible(b, ci, uv, pair)
+            for q in (1, 2, 3)
+            for ci, uv, pair in ordered_pairs((p + q) % 4, False)
+        ):
+            continue
+        return {"base_context_index": walk[p][0] + 1, "witness_pair": list(witness)}
+    return None
+
+
 def ref_marginal(b: AnyBehavior, ci: int, shared, joint):
     """Marginal of context ci on the shared measurements: OR of possible
     cells for possibilistic tables, exact sum for probabilistic ones."""

@@ -449,6 +449,32 @@ class TestCanonicalOrder:
         assert draws == 1620
         assert 200 < hits < 1400, hits
 
+    def test_chen_paradox_matches_reference(self):
+        rng = random.Random(33)
+        draws = hits = 0
+        for l in (2, 3, 4):
+            for k in range(1000):
+                s = make_n_cycle(4, l)
+                if k % 2:
+                    contexts = [c[::-1] if rng.random() < 0.5 else c for c in s.contexts]
+                    rng.shuffle(contexts)
+                    s = Scenario(s.measurements, s.outcomes, tuple(contexts))
+                if k % 4 < 2:
+                    b = random_pnd(s, rng)
+                else:
+                    density = rng.uniform(0.1, 0.6)
+                    tables = [[rng.random() < density for _ in range(l * l)] for _ in range(4)]
+                    for t in tables:
+                        t[rng.randrange(l * l)] = True
+                    b = PossibilisticBehavior(s, tuple(map(tuple, tables)))
+                hit = detect_chen_paradox(b)
+                got = hit.to_json_dict() if hit is not None else None
+                assert got == oracle.ref_chen_paradox(b), f"l={l} draw {k}"
+                draws += 1
+                hits += hit is not None
+        assert draws == 3000
+        assert 50 < hits < 2000, hits
+
     def test_bell_certificates_match_reference(self):
         rng = random.Random(32)
         hits = 0

@@ -1,0 +1,141 @@
+"""Precondition contract: which exception each guarded entry point raises.
+
+Each row names one public entry point, an input that fails one or more of
+its preconditions (pair contexts, two outcomes, nondisturbance, shape), and
+the exception class it must raise. Inputs that fail two checks pin the order
+in which the entry point checks them.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from contextuality import (
+    Behavior,
+    InvalidBehavior,
+    NegativeProbability,
+    NonDichotomic,
+    NonSimpleScenario,
+    NotCycle,
+    NotNondisturbing,
+    NotPossibilisticallyND,
+    PossibilisticBehavior,
+    Scenario,
+    WrongScenarioShape,
+    build_bundle,
+    chordless_cycles,
+    classify_strong_contextuality,
+    contextual_fraction,
+    correlator,
+    detect_bell22_paradox,
+    detect_chen_paradox,
+    detect_cycle_paradox,
+    detect_simple_scenario_paradox,
+    evaluate_all,
+    global_distribution,
+    is_noncontextual,
+    make_bipartite_bell,
+    make_n_cycle,
+    noncontextual_weight,
+    pr_box_behavior,
+)
+
+BIT = ("0", "1")
+TRIT = ("0", "1", "2")
+
+
+def full(s: Scenario) -> PossibilisticBehavior:
+    cells = [s.context_cells(i) for i in range(len(s.contexts))]
+    return PossibilisticBehavior(s, tuple((True,) * k for k in cells))
+
+
+def disturbing(s: Scenario) -> Behavior:
+    """Context 1 surely gives every measurement its first outcome; the rest
+    are uniform, so context 1 and its neighbours disagree."""
+    tables = []
+    for i in range(len(s.contexts)):
+        cells = s.context_cells(i)
+        first = Fraction(1) if i == 0 else Fraction(1, cells)
+        rest = Fraction(0) if i == 0 else Fraction(1, cells)
+        tables.append((first,) + (rest,) * (cells - 1))
+    return Behavior(s, tuple(tables))
+
+
+# one context of three measurements: not pairs; TRIPLE3 is not dichotomic either
+TRIPLE2 = Scenario(("A", "B", "C"), {m: BIT for m in "ABC"}, (("A", "B", "C"),))
+TRIPLE3 = Scenario(("A", "B", "C"), {m: TRIT for m in "ABC"}, (("A", "B", "C"),))
+# the pair (A, B) is dichotomic; C, in the other context, has three outcomes
+MIXED = Scenario(("A", "B", "C"), {"A": BIT, "B": BIT, "C": TRIT}, (("A", "B"), ("B", "C")))
+PATH = Scenario(("A", "B", "C"), {m: BIT for m in "ABC"}, (("A", "B"), ("B", "C")))
+CYCLE4_MIXED = Scenario(
+    ("M1", "M2", "M3", "M4"),
+    {"M1": TRIT, "M2": BIT, "M3": BIT, "M4": BIT},
+    (("M1", "M2"), ("M2", "M3"), ("M3", "M4"), ("M4", "M1")),
+)
+DISTURBING4 = disturbing(make_n_cycle(4))
+DISTURBING3_L3 = disturbing(make_n_cycle(3, 3))  # fails two outcomes and nondisturbance
+UNIFORM_TRIPLE2 = Behavior(TRIPLE2, ((Fraction(1, 8),) * 8,))
+Q = Fraction(1, 4)
+
+
+def case(name, call, arg, error):
+    return pytest.param(call, arg, error, id=name)
+
+
+def on_path(t):
+    return Behavior(PATH, t)
+
+
+def possible_on_path(t):
+    return PossibilisticBehavior(PATH, t)
+
+
+CASES = [
+    # pair contexts
+    case("chordless_cycles/non-pair", chordless_cycles, TRIPLE2, NonSimpleScenario),
+    case("build_bundle/non-pair", build_bundle, full(TRIPLE2), NonSimpleScenario),
+    case("simple/non-pair+3-outcome", detect_simple_scenario_paradox, full(TRIPLE3), NonSimpleScenario),
+    case("bell22/non-pair", detect_bell22_paradox, full(TRIPLE2), WrongScenarioShape),
+    case("correlator/non-pair", lambda b: correlator(b, 1), UNIFORM_TRIPLE2, ValueError),
+    # two outcomes
+    case("simple/3-outcome", detect_simple_scenario_paradox, full(make_n_cycle(4, 3)), NonDichotomic),
+    case("bell22/3-outcome", detect_bell22_paradox, full(make_bipartite_bell(2, 3)), WrongScenarioShape),
+    case("correlator/3-outcome", lambda b: correlator(b, 1), DISTURBING3_L3, NonDichotomic),
+    case("pr_box/3-outcome", lambda s: pr_box_behavior(s, 1), make_n_cycle(4, 3), NonDichotomic),
+    case("classify_sc/3-outcome+disturbing", classify_strong_contextuality, DISTURBING3_L3, NonDichotomic),
+    # nondisturbance
+    case("evaluate_all/3-outcome+disturbing", evaluate_all, DISTURBING3_L3, NotNondisturbing),
+    case("evaluate_all/disturbing", evaluate_all, DISTURBING4, NotNondisturbing),
+    case("noncontextual_weight/disturbing", noncontextual_weight, DISTURBING4, NotNondisturbing),
+    case("is_noncontextual/disturbing", is_noncontextual, DISTURBING4, NotNondisturbing),
+    case("global_distribution/disturbing", global_distribution, DISTURBING4, NotNondisturbing),
+    case("contextual_fraction/disturbing", contextual_fraction, DISTURBING4, NotNondisturbing),
+    case("cycle/disturbing", detect_cycle_paradox, DISTURBING4, NotPossibilisticallyND),
+    case("simple/disturbing", detect_simple_scenario_paradox, DISTURBING4, NotPossibilisticallyND),
+    case("classify_sc/disturbing", classify_strong_contextuality, DISTURBING4, NotPossibilisticallyND),
+    # cycle and shape
+    case("cycle/path+disturbing", detect_cycle_paradox, disturbing(PATH), NotCycle),
+    case("classify_sc/path", classify_strong_contextuality, full(PATH), NotCycle),
+    case("bell22/not-bipartite", detect_bell22_paradox, full(make_n_cycle(3)), WrongScenarioShape),
+    case("chen/5-cycle", detect_chen_paradox, full(make_n_cycle(5)), WrongScenarioShape),
+    case("chen/path", detect_chen_paradox, full(PATH), WrongScenarioShape),
+    case("chen/mixed-outcomes", detect_chen_paradox, full(CYCLE4_MIXED), WrongScenarioShape),
+    # table shape, checked context by context before each table's contents
+    case("Behavior/table-count", on_path, ((Q,) * 4,), InvalidBehavior),
+    case("Behavior/negative-then-short", on_path, ((-1, 2, 0, 0), (1,)), NegativeProbability),
+    case("Behavior/short-then-negative", on_path, ((1,), (-1, 2, 0, 0)), InvalidBehavior),
+    case("Possibilistic/empty-then-short", possible_on_path, ((0,) * 4, (1,)), InvalidBehavior),
+]
+
+
+@pytest.mark.parametrize("call, arg, error", CASES)
+def test_failing_precondition_raises(call, arg, error):
+    with pytest.raises(error):
+        call(arg)
+
+
+def test_correlator_checks_only_its_own_context():
+    b = Behavior(MIXED, ((Q,) * 4, (Fraction(1, 6),) * 6))
+    assert correlator(b, 1) == 0
+    with pytest.raises(NonDichotomic):
+        correlator(b, 2)

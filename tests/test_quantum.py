@@ -17,6 +17,7 @@ from contextuality import (
     GammaResult,
     InvalidModel,
     NegativeProbability,
+    NotNondisturbing,
     OddCycleParams,
     QuantumModel,
     Scenario,
@@ -167,6 +168,30 @@ class TestExactTables:
         model = QuantumModel(2, np.array([1.0, 0.0], dtype=complex), {"M1": (p0, p1)})
         b = behavior_from_model(model, s)
         assert b.tables == ((Fraction(1, 2), Fraction(1, 2)),)
+
+    def test_non_pairwise_disturbing_snap_rejected(self):
+        # A-B-C with three outcomes each: A and C act on one qutrit factor, B
+        # on the other. Snapping each context separately moves B's marginal
+        # differently in (A, B) and (B, C).
+        rng = np.random.default_rng(1)
+
+        def basis():
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            return [np.outer(q[:, k], q[:, k].conj()) for k in range(3)]
+
+        eye = np.eye(3)
+        a, b, c = basis(), basis(), basis()
+        psi = rng.normal(size=9) + 1j * rng.normal(size=9)
+        projectors = {
+            "A": tuple(np.kron(p, eye) for p in a),
+            "B": tuple(np.kron(eye, p) for p in b),
+            "C": tuple(np.kron(p, eye) for p in c),
+        }
+        model = QuantumModel(9, psi / np.linalg.norm(psi), projectors)
+        labels = ("0", "1", "2")
+        s = Scenario(("A", "B", "C"), {m: labels for m in "ABC"}, (("A", "B"), ("B", "C")))
+        with pytest.raises(NotNondisturbing):
+            behavior_from_model(model, s)
 
     def test_conflicting_pins_rejected(self):
         s = make_n_cycle(3)
