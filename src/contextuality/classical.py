@@ -11,15 +11,15 @@ a global distribution whose marginals reproduce every context table; its
 existence is decided by one exact rational LP, whose optimum also yields the
 contextual fraction.
 
-Every question reads one scan of the assignment space. It enumerates global
-assignments in mixed-radix order over the scenario's measurement order (last
-measurement fastest), vectorized with numpy in fixed-size chunks, after
-checking the count against the enumeration cap. It returns the support as an
-int64 array of assignment indices in that order, each context's possible
-cells, and each context's covered cells (restrictions of support members),
-filled chunk by chunk. The support size, SC, the LC witness and the LP's
-columns are all read from it; only the public outputs turn indices into
-labelled GlobalAssignments.
+Every question reads one scan of the assignment space: global assignments
+in mixed-radix order over the scenario's measurement order (last fastest),
+vectorized with numpy in fixed-size chunks after checking the count against
+the enumeration cap. It yields the support chunk by chunk as int64
+assignment indices. is_strongly_contextual stops at the first chunk holding
+a survivor; every other question reads the whole support with each
+context's possible cells and covered cells (restrictions of support
+members). Only the public outputs turn indices into labelled
+GlobalAssignments.
 
 support / is_logically_contextual / is_strongly_contextual accept a Behavior
 or a PossibilisticBehavior; probability tables are read through their
@@ -134,9 +134,7 @@ class _Engine:
         return codes
 
 
-@lru_cache(maxsize=256)
-def _engine(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]) -> _Engine:
-    return _Engine(radices, ctx_positions)
+_engine = lru_cache(maxsize=256)(_Engine)
 
 
 def _engine_for(s: Scenario) -> _Engine:
@@ -151,23 +149,18 @@ def enumeration_size(s: Scenario) -> int:
     return math.prod(len(s.outcomes[m]) for m in s.measurements)
 
 
-def _scan(b: AnyBehavior, cap: int | None) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """One pass over every global assignment of b's scenario.
-
-    Returns (survivors, possible, covered): the support as assignment
-    indices in mixed-radix order, the possible cells of each context, and
-    the cells of each context that some support member restricts to.
+def _survivor_chunks(b: AnyBehavior, possible: list[np.ndarray], cap: int | None):
+    """Yield the support chunk by chunk, skipping empty chunks.
 
     :raises EnumerationCapExceeded: when the assignment count exceeds cap.
     """
     cap = default_cap() if cap is None else cap
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
     total = enumeration_size(b.scenario)
     if total > cap:
         raise EnumerationCapExceeded(f"{total} global assignments exceed the cap {cap}")
     eng = _engine_for(b.scenario)
-    possible = [np.array([p > 0 for p in t], dtype=bool) for t in b.tables]
-    covered = [np.zeros(len(t), dtype=bool) for t in possible]
-    chunks = [np.zeros(0, dtype=np.int64)]
     for start in range(0, total, _CHUNK):
         arr = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         mask = np.ones(len(arr), dtype=bool)
@@ -177,9 +170,28 @@ def _scan(b: AnyBehavior, cap: int | None) -> tuple[np.ndarray, list[np.ndarray]
                 break
         arr = arr[mask]
         if len(arr):
-            for ci, cov in enumerate(covered):
-                cov[eng.cell_codes(arr, ci)] = True
-            chunks.append(arr)
+            yield arr
+
+
+def _possible(b: AnyBehavior) -> list[np.ndarray]:
+    return [np.array([p > 0 for p in t], dtype=bool) for t in b.tables]
+
+
+def _scan(b: AnyBehavior, cap: int | None) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """One pass over every global assignment of b's scenario.
+
+    Returns (survivors, possible, covered): the support as assignment
+    indices in mixed-radix order, the possible cells of each context, and
+    the cells of each context that some support member restricts to.
+    """
+    eng = _engine_for(b.scenario)
+    possible = _possible(b)
+    covered = [np.zeros(len(t), dtype=bool) for t in possible]
+    chunks = [np.zeros(0, dtype=np.int64)]
+    for arr in _survivor_chunks(b, possible, cap):
+        for ci, cov in enumerate(covered):
+            cov[eng.cell_codes(arr, ci)] = True
+        chunks.append(arr)
     return np.concatenate(chunks), possible, covered
 
 
@@ -209,8 +221,9 @@ def support_size(b: AnyBehavior, cap: int | None = None) -> int:
 
 
 def is_strongly_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
-    """True iff the support is empty."""
-    return len(_scan(b, cap)[0]) == 0
+    """True iff the support is empty; stops at the first chunk holding a
+    survivor."""
+    return next(_survivor_chunks(b, _possible(b), cap), None) is None
 
 
 def _witness(s: Scenario, possible: list[np.ndarray], covered: list[np.ndarray]):
@@ -258,20 +271,16 @@ def _lp(b: Behavior, survivors: np.ndarray) -> tuple[Fraction, list[Fraction]]:
     weight) <= 1 with slack 1 - total, so optimum 1 makes every constraint
     tight.
     """
-    if not len(survivors):
-        return Fraction(0), []
     eng = _engine_for(b.scenario)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     rhs: list[Fraction] = []
-    zero, one = Fraction(0), Fraction(1)
     for ci, table in enumerate(b.tables):
         codes = eng.cell_codes(survivors, ci).tolist()
         for cell, p in enumerate(table):
-            if p == 0:
-                continue
-            rows.append([one if code == cell else zero for code in codes])
-            rhs.append(p)
-    return simplex.maximize([one] * len(survivors), rows, rhs)
+            if p:
+                rows.append([1 if code == cell else 0 for code in codes])
+                rhs.append(p)
+    return simplex.maximize([1] * len(survivors), rows, rhs)
 
 
 def noncontextual_weight(b: Behavior, cap: int | None = None) -> Fraction:
@@ -333,10 +342,6 @@ def hierarchy(b: Behavior, cap: int | None = None, level: str = "all") -> Hierar
     if level in ("sc", "all"):
         sc = len(survivors) == 0
     return HierarchyReport(
-        nd=True,
-        nc=nc,
-        logically_contextual=lc,
-        strongly_contextual=sc,
-        witness=witness,
+        nd=True, nc=nc, logically_contextual=lc, strongly_contextual=sc, witness=witness,
         support_size=None if level == "nc" else len(survivors),
     )

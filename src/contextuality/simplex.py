@@ -1,38 +1,41 @@
-"""Exact rational simplex for the small LPs behind the classical tests.
+"""Exact simplex for the small LPs behind the classical tests.
 
-Solves  max c.x  subject to  A x <= b, x >= 0  with every entry a Fraction
-and every b_i >= 0, so the all-slack basis is feasible and no phase-1 is
-needed. Bland's smallest-index rule guarantees termination. Dense tableau;
-the LPs here have at most a few hundred variables and rows, where exact
-arithmetic beats any tolerance policy on polytope faces.
+Solves  max c.x  subject to  A x <= b, x >= 0  with rational entries and
+every b_i >= 0, so the all-slack basis is feasible and no phase-1 is
+needed. Bland's smallest-index rule guarantees termination.
+
+Pivoting is integer-preserving (Edmonds 1967; Bareiss 1968). Each row with its
+right-hand side, and c, is scaled to ints by the lcm of its denominators;
+slack columns stay the identity. The rational tableau is T/d with d the last
+pivot, a positive int (|basis determinant|). Pivoting on p = T[r][s] keeps
+row r and sets every other row, the objective too, to
+(T[i]*p - T[i][s]*T[r]) // d, exact by Sylvester's identity. These are the
+rational tableau's pivots: row scaling leaves that tableau unchanged, and
+scaling c or a slack column by a positive constant changes no reduced cost's
+sign and no ratio test, which cross-multiplies with the same tie-break.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """values times the lcm of their denominators, as ints, and that lcm."""
+    values = [a if type(a) is int else Fraction(a) for a in values]
+    scale = math.lcm(*{a.denominator for a in values})
+    return [a.numerator * (scale // a.denominator) for a in values], scale
+
+
 def maximize(
-    c: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
+    c: Sequence[Fraction], rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[Fraction, list[Fraction]]:
-    """Maximize c.x over {A x <= b, x >= 0} exactly.
+    """Maximize c.x over {A x <= b, x >= 0} exactly, given c, the rows of A
+    and b >= 0. Returns (value, x): the optimum and one optimal point.
 
-    Parameters
-    ----------
-    c : objective coefficients, one per variable.
-    rows : constraint matrix A, one row per constraint.
-    rhs : right-hand sides b, all nonnegative.
-
-    Returns
-    -------
-    (value, x) : the optimal objective value and one optimal point.
-
-    Raises
-    ------
-    ValueError : if some rhs entry is negative or a row length is off.
-    ArithmeticError : if the LP is unbounded (never the case for the
+    :raises ValueError: if some rhs entry is negative or a row length is off.
+    :raises ArithmeticError: if the LP is unbounded (never the case for the
         probability polytopes this package builds).
     """
     nvars = len(c)
@@ -42,54 +45,46 @@ def maximize(
     for b_i in rhs:
         if b_i < 0:
             raise ValueError(f"negative right-hand side {b_i}; all-slack start needs b >= 0")
-    zero, one = Fraction(0), Fraction(1)
-    ncols = nvars + m + 1  # original vars, slacks, rhs
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     for i, row in enumerate(rows):
         if len(row) != nvars:
             raise ValueError(f"row {i} has {len(row)} entries, expected {nvars}")
-        t = [Fraction(a) for a in row] + [zero] * m + [Fraction(rhs[i])]
-        t[nvars + i] = one
+        t = _scaled([*row, rhs[i]])[0]
+        t[nvars:nvars] = [int(k == i) for k in range(m)]
         tableau.append(t)
-    # obj[j] is the reduced cost of column j; obj[-1] tracks -objective.
-    obj = [Fraction(a) for a in c] + [zero] * (m + 1)
+    # The last row holds the reduced costs, then -objective, times c_scale.
+    obj, c_scale = _scaled(c)
+    tableau.append(obj + [0] * (m + 1))
     basis = list(range(nvars, nvars + m))
+    d = 1
 
     while True:
-        enter = next((j for j in range(nvars + m) if obj[j] > 0), None)
-        if enter is None:
+        s = next((j for j in range(nvars + m) if tableau[m][j] > 0), None)
+        if s is None:
             break
-        leave_row = None
-        best_ratio = None
+        r = None
         for i in range(m):
-            a = tableau[i][enter]
+            a = tableau[i][s]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave_row])
-                ):
-                    best_ratio = ratio
-                    leave_row = i
-        if leave_row is None:
+                if r is not None:
+                    bi_ar, br_ai = tableau[i][-1] * tableau[r][s], tableau[r][-1] * a
+                if r is None or bi_ar < br_ai or (bi_ar == br_ai and basis[i] < basis[r]):
+                    r = i
+        if r is None:
             raise ArithmeticError("LP is unbounded")
-        piv_row = tableau[leave_row]
-        piv = piv_row[enter]
-        if piv != 1:
-            tableau[leave_row] = piv_row = [a / piv for a in piv_row]
-        for i in range(m):
-            if i != leave_row and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                row_i = tableau[i]
-                tableau[i] = [a - f * p for a, p in zip(row_i, piv_row)]
-        f = obj[enter]
-        if f != 0:
-            obj = [a - f * p for a, p in zip(obj, piv_row)]
-        basis[leave_row] = enter
+        piv_row = tableau[r]
+        p = piv_row[s]
+        for i, row in enumerate(tableau):
+            f = row[s]
+            if f and i != r:
+                tableau[i] = [(a * p - f * b) // d for a, b in zip(row, piv_row)]
+            elif not f and p != d:
+                tableau[i] = [a * p // d for a in row]
+        basis[r] = s
+        d = p
 
-    x = [zero] * nvars
+    x = [Fraction(0)] * nvars
     for i, bv in enumerate(basis):
         if bv < nvars:
-            x[bv] = tableau[i][-1]
-    return -obj[-1], x
+            x[bv] = Fraction(tableau[i][-1], d)
+    return Fraction(-tableau[m][-1], d * c_scale), x

@@ -290,3 +290,66 @@ def ref_nd_violation(b: AnyBehavior):
             if va != vb:
                 return i, j, shared, joint, va, vb
     return None
+
+
+def ref_maximize(c, rows, rhs):
+    """Dense Fraction tableau simplex with Bland's rule: max c.x over
+    {A x <= b, x >= 0}, b >= 0. The reference for `simplex.maximize`, which
+    must return the same (value, x) or raise the same exception."""
+    nvars = len(c)
+    m = len(rows)
+    if len(rhs) != m:
+        raise ValueError(f"{m} rows but {len(rhs)} right-hand sides")
+    for b_i in rhs:
+        if b_i < 0:
+            raise ValueError(f"negative right-hand side {b_i}; all-slack start needs b >= 0")
+    zero, one = Fraction(0), Fraction(1)
+    tableau = []
+    for i, row in enumerate(rows):
+        if len(row) != nvars:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {nvars}")
+        t = [Fraction(a) for a in row] + [zero] * m + [Fraction(rhs[i])]
+        t[nvars + i] = one
+        tableau.append(t)
+    # obj[j] is the reduced cost of column j; obj[-1] tracks -objective.
+    obj = [Fraction(a) for a in c] + [zero] * (m + 1)
+    basis = list(range(nvars, nvars + m))
+
+    while True:
+        enter = next((j for j in range(nvars + m) if obj[j] > 0), None)
+        if enter is None:
+            break
+        leave_row = None
+        best_ratio = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave_row])
+                ):
+                    best_ratio = ratio
+                    leave_row = i
+        if leave_row is None:
+            raise ArithmeticError("LP is unbounded")
+        piv_row = tableau[leave_row]
+        piv = piv_row[enter]
+        if piv != 1:
+            tableau[leave_row] = piv_row = [a / piv for a in piv_row]
+        for i in range(m):
+            if i != leave_row and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                row_i = tableau[i]
+                tableau[i] = [a - f * p for a, p in zip(row_i, piv_row)]
+        f = obj[enter]
+        if f != 0:
+            obj = [a - f * p for a, p in zip(obj, piv_row)]
+        basis[leave_row] = enter
+
+    x = [zero] * nvars
+    for i, bv in enumerate(basis):
+        if bv < nvars:
+            x[bv] = tableau[i][-1]
+    return -obj[-1], x

@@ -13,6 +13,7 @@ from contextuality import (
     GlobalAssignment,
     HierarchyReport,
     NotNondisturbing,
+    PossibilisticBehavior,
     contextual_fraction,
     default_cap,
     enumeration_size,
@@ -117,6 +118,22 @@ class TestLogicalLevel:
     def test_pr_box_strongly_contextual(self):
         assert is_strongly_contextual(PR)
         assert is_logically_contextual(PR)
+
+    def test_standalone_sc_stops_at_first_survivor_chunk(self, monkeypatch):
+        calls = 0
+        cell_codes = classical._Engine.cell_codes
+
+        def counted(self, arr, ci):
+            nonlocal calls
+            calls += 1
+            return cell_codes(self, arr, ci)
+
+        monkeypatch.setattr(classical._Engine, "cell_codes", counted)
+        s = make_n_cycle(20)
+        pb = PossibilisticBehavior(s, ((True,) * 4,) * len(s.contexts))
+        assert not is_strongly_contextual(pb)
+        # 2^20 assignments make 16 chunks; the first one holds survivors.
+        assert calls == len(s.contexts), f"{calls} cell-code lookups, want one chunk's"
 
     def test_witness_matches_oracle_on_fixtures(self):
         for b in (BELL, HARDY, PR):

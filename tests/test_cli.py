@@ -116,6 +116,11 @@ class TestCheck:
         assert run(["check", "--behavior", bell_file, "--cap", "8"]) == 2
         assert "cap" in capsys.readouterr().err
 
+    def test_non_positive_cap_exits_3(self, capsys, bell_file):
+        assert run(["check", "--behavior", bell_file, "--cap", "0"]) == 3
+        err = capsys.readouterr().err
+        assert "cap must be positive" in err and "Traceback" not in err
+
     def test_env_cap_junk_exits_3(self, capsys, bell_file, monkeypatch):
         monkeypatch.setenv("CTX_CAP", "many")
         assert run(["check", "--behavior", bell_file]) == 3
@@ -366,6 +371,11 @@ class TestBundle:
 
     def test_cap_exits_2(self, capsys, hardy_file):
         assert run(["bundle", "--behavior", hardy_file, "--cap", "4"]) == 2
+
+    def test_negative_cap_exits_3(self, capsys, hardy_file):
+        assert run(["bundle", "--behavior", hardy_file, "--cap", "-3"]) == 3
+        err = capsys.readouterr().err
+        assert "cap must be positive" in err and "Traceback" not in err
 
 
 class TestFixtures:

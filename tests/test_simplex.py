@@ -1,13 +1,27 @@
-"""Exact rational simplex: known optima, degeneracy, and a scipy cross-check."""
+"""Exact rational simplex: known optima, degeneracy, a scipy cross-check,
+and exact agreement with the dense Fraction tableau in tests/oracle.py."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from contextuality import (
+    contextual_fraction,
+    global_distribution,
+    make_bipartite_bell,
+    make_n_cycle,
+    random_nd_coupling,
+    random_nd_mixture,
+    simplex,
+    support_size,
+)
 from contextuality.simplex import maximize
+
+import oracle
 
 
 def F(a, b=1):
@@ -173,3 +187,88 @@ class TestAgainstScipy:
         assert abs(float(value) - (-res.fun)) < 1e-7, (
             f"exact {float(value)} vs scipy {-res.fun}"
         )
+
+
+# ======================================================================
+# 6. Exact agreement with the Fraction tableau
+# ======================================================================
+
+
+def solve(fn, lp):
+    """(value, x), or the class of the exception fn raised."""
+    try:
+        return fn(*lp)
+    except (ArithmeticError, ValueError) as e:
+        return type(e)
+
+
+@st.composite
+def general_lp(draw):
+    """Random LP with negative, fractional and zero entries and zero
+    right-hand sides; no box row, so some draws are unbounded."""
+    nvars = draw(st.integers(min_value=0, max_value=5))
+    m = draw(st.integers(min_value=0, max_value=5))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    )
+    c = [draw(entry) for _ in range(nvars)]
+    rows = [[draw(entry) for _ in range(nvars)] for _ in range(m)]
+    rhs = [abs(draw(entry)) for _ in range(m)]
+    return c, rows, rhs
+
+
+BEALE = (
+    [F(3, 4), F(-150), F(1, 50), F(-6)],
+    [
+        [F(1, 4), F(-60), F(-1, 25), F(9)],
+        [F(1, 2), F(-90), F(-1, 50), F(3)],
+        [F(0), F(0), F(1), F(0)],
+    ],
+    [F(0), F(0), F(1)],
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(general_lp())
+    @example(BEALE)
+    @example(([F(1)], [[F(-1)]], [F(1)]))
+    def test_same_point_value_or_exception(self, lp):
+        got, want = solve(maximize, lp), solve(oracle.ref_maximize, lp)
+        assert got == want, f"integer tableau {got} vs Fraction tableau {want}"
+        if isinstance(want, tuple):
+            assert type(got[0]) is Fraction and all(type(a) is Fraction for a in got[1])
+
+    def test_classical_lps_match(self, monkeypatch):
+        """The LPs behind global_distribution and contextual_fraction on
+        seeded n-cycle and Bell couplings and mixtures, supports up to 100."""
+        want = {}
+
+        def checked(c, rows, rhs):
+            got = maximize(c, rows, rhs)
+            key = (tuple(c), tuple(map(tuple, rows)), tuple(rhs))
+            if key not in want:
+                want[key] = oracle.ref_maximize(c, rows, rhs)
+            assert got == want[key], f"LP with {len(c)} columns and {len(rows)} rows"
+            return got
+
+        monkeypatch.setattr(simplex, "maximize", checked)
+        rng = random.Random(2024)
+        # (scenario, whether it is a dichotomic cycle, so a PR box can be mixed in)
+        scenarios = [(make_n_cycle(n, 2), True) for n in range(3, 8)]
+        scenarios += [(make_n_cycle(n, 3), False) for n in range(3, 6)]
+        scenarios += [(make_bipartite_bell(k, l), False) for k in (2, 3) for l in (2, 3)]
+        sizes = []
+        while len(sizes) < 40:
+            s, pr_ok = rng.choice(scenarios)
+            if rng.random() < 0.5:
+                b = random_nd_coupling(s, rng, max_components=rng.randint(1, 10))
+            else:
+                b = random_nd_mixture(s, rng, rng.randint(2, 16), include_pr=pr_ok and rng.random() < 0.5)
+            if support_size(b) > 100:
+                continue
+            sizes.append(support_size(b))
+            global_distribution(b)
+            contextual_fraction(b)
+        assert len(want) == 40 and max(sizes) > 80, sorted(sizes)
