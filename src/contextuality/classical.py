@@ -11,15 +11,19 @@ a global distribution whose marginals reproduce every context table; its
 existence is decided by one exact rational LP, whose optimum also yields the
 contextual fraction.
 
-Every question reads one scan of the assignment space: global assignments
-in mixed-radix order over the scenario's measurement order (last fastest),
-vectorized with numpy in fixed-size chunks after checking the count against
-the enumeration cap. It yields the support chunk by chunk as int64
-assignment indices. is_strongly_contextual stops at the first chunk holding
-a survivor; every other question reads the whole support with each
-context's possible cells and covered cells (restrictions of support
-members). Only the public outputs turn indices into labelled
-GlobalAssignments.
+Every question reads one listing of the support as int64 assignment
+indices, ascending in mixed-radix order over the scenario's measurement
+order (last fastest), made after checking the assignment count against the
+enumeration cap. On an n-cycle the support is the set of closed walks
+through possible cells, so it is listed by walking the cycle: a frontier of
+partial assignments grows one measurement at a time and keeps only those
+that can still close, so its size never exceeds the support's. Every other
+scenario is scanned: all global assignments, vectorized with numpy in
+fixed-size chunks, keeping the survivors. is_strongly_contextual reads the
+chunked scan and stops at the first chunk holding a survivor; every other
+question reads the whole support with each context's possible cells and
+covered cells (restrictions of support members). Only the public outputs
+turn indices into labelled GlobalAssignments.
 
 support / is_logically_contextual / is_strongly_contextual accept a Behavior
 or a PossibilisticBehavior; probability tables are read through their
@@ -33,15 +37,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import simplex
 from .behavior import AnyBehavior, Behavior, check_nondisturbance, joint_outcomes, require_nondisturbing
-from .errors import EnumerationCapExceeded
-from .scenario import Scenario
+from .errors import EnumerationCapExceeded, NotCycle
+from .lazy import Deferred
+from .paradox import _image, _walk_rows
+from .scenario import Scenario, traverse_cycle
+
+np = Deferred("numpy", globals(), "np")
 
 DEFAULT_CAP = 1 << 24
 _CHUNK = 1 << 16
+_MAX_INDEX = (1 << 63) - 1  # assignment indices are int64
 
 
 def default_cap() -> int:
@@ -117,6 +124,7 @@ class _Engine:
         strides = [1] * len(radices)
         for q in range(len(radices) - 2, -1, -1):
             strides[q] = strides[q + 1] * radices[q + 1]
+        self.strides = tuple(strides)
         self.contexts = []
         for positions in ctx_positions:
             pos_strides = np.array([strides[q] for q in positions], dtype=np.int64)
@@ -149,17 +157,29 @@ def enumeration_size(s: Scenario) -> int:
     return math.prod(len(s.outcomes[m]) for m in s.measurements)
 
 
+def _check_cap(s: Scenario, cap: int | None) -> int:
+    """The assignment count of s, checked against cap (default: default_cap()).
+
+    :raises EnumerationCapExceeded: when the assignment count exceeds cap, or
+        the int64 range of assignment indices.
+    """
+    cap = default_cap() if cap is None else cap
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
+    total = enumeration_size(s)
+    if total > cap:
+        raise EnumerationCapExceeded(f"{total} global assignments exceed the cap {cap}")
+    if total > _MAX_INDEX:
+        raise EnumerationCapExceeded(f"{total} global assignments exceed the int64 index range")
+    return total
+
+
 def _survivor_chunks(b: AnyBehavior, possible: list[np.ndarray], cap: int | None):
     """Yield the support chunk by chunk, skipping empty chunks.
 
     :raises EnumerationCapExceeded: when the assignment count exceeds cap.
     """
-    cap = default_cap() if cap is None else cap
-    if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
-    total = enumeration_size(b.scenario)
-    if total > cap:
-        raise EnumerationCapExceeded(f"{total} global assignments exceed the cap {cap}")
+    total = _check_cap(b.scenario, cap)
     eng = _engine_for(b.scenario)
     for start in range(0, total, _CHUNK):
         arr = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
@@ -173,26 +193,71 @@ def _survivor_chunks(b: AnyBehavior, possible: list[np.ndarray], cap: int | None
             yield arr
 
 
+def _bits(masks: list[int], width: int) -> np.ndarray:
+    """Boolean matrix whose row i holds the low width bits of masks[i]."""
+    return np.array([[m >> j & 1 for j in range(width)] for m in masks], dtype=bool)
+
+
+def _walk_support(b: AnyBehavior, walk: tuple) -> np.ndarray:
+    """The support of a cycle behavior, ascending, as closed walks.
+
+    walk is traverse_cycle(b.scenario): position k joins w_k to w_(k+1),
+    and w_n is w_0 again. back[k][x] is the bitmask of start values a such
+    that w_k = x extends through possible cells to w_n = a. The frontier
+    holds, per partial assignment of w_0..w_k, its start value, last value
+    and assignment index, and keeps only those that can still close; each
+    therefore extends to a distinct support member.
+    """
+    s = b.scenario
+    strides = dict(zip(s.measurements, _engine_for(s).strides))
+    verts = [u for _, (u, _) in walk]
+    sizes = [len(s.outcomes[m]) for m in verts]
+    # _walk_rows reads only the tables' truth values, which for a probability
+    # table are those of its possibilistic collapse.
+    rows = _walk_rows(b, walk)
+    back = [[1 << a for a in range(sizes[0])]]
+    for row in reversed(rows):
+        back.append([_image(ys, back[-1]) for ys in row])
+    back.reverse()
+    start = np.array([a for a in range(sizes[0]) if back[0][a] >> a & 1], dtype=np.int64)
+    last, index = start, start * strides[verts[0]]
+    for k in range(1, len(walk)):
+        # step[i, y]: w_k = y is possible after partial i and can still close
+        step = _bits(rows[k - 1], sizes[k])[last] & _bits(back[k], sizes[0]).T[start]
+        kept, last = np.nonzero(step)
+        start = start[kept]
+        index = index[kept] + last * strides[verts[k]]
+    return np.sort(index)
+
+
 def _possible(b: AnyBehavior) -> list[np.ndarray]:
     return [np.array([p > 0 for p in t], dtype=bool) for t in b.tables]
 
 
 def _scan(b: AnyBehavior, cap: int | None) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """One pass over every global assignment of b's scenario.
+    """The support of b, listed once, with the cell sets every question reads.
 
-    Returns (survivors, possible, covered): the support as assignment
-    indices in mixed-radix order, the possible cells of each context, and
-    the cells of each context that some support member restricts to.
+    Returns (survivors, possible, covered): the support as ascending
+    assignment indices, the possible cells of each context, and the cells of
+    each context that some support member restricts to. Cycles are listed
+    by _walk_support, every other scenario by the chunked scan.
     """
-    eng = _engine_for(b.scenario)
+    s = b.scenario
     possible = _possible(b)
+    try:
+        walk = traverse_cycle(s)
+    except NotCycle:
+        survivors = np.concatenate([np.zeros(0, dtype=np.int64), *_survivor_chunks(b, possible, cap)])
+    else:
+        _check_cap(s, cap)
+        survivors = _walk_support(b, walk)
+    eng = _engine_for(s)
     covered = [np.zeros(len(t), dtype=bool) for t in possible]
-    chunks = [np.zeros(0, dtype=np.int64)]
-    for arr in _survivor_chunks(b, possible, cap):
+    for start in range(0, len(survivors), _CHUNK):
+        arr = survivors[start : start + _CHUNK]
         for ci, cov in enumerate(covered):
             cov[eng.cell_codes(arr, ci)] = True
-        chunks.append(arr)
-    return np.concatenate(chunks), possible, covered
+    return survivors, possible, covered
 
 
 def _assignments(s: Scenario, indices: np.ndarray) -> list[GlobalAssignment]:

@@ -28,11 +28,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .behavior import Behavior, require_nondisturbing
 from .errors import DegenerateParams, InvalidModel, NegativeProbability
+from .lazy import Deferred
 from .scenario import Scenario, make_n_cycle
+
+np = Deferred("numpy", globals(), "np")
 
 EPS = 1e-10
 # Snapping floor ~1/(2*SNAP_DENOMINATOR) must sit below EPS, or a marginal

@@ -1,7 +1,10 @@
 """Support enumeration, logical and strong contextuality, and the exact LP."""
 
+import json
 import random
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +15,14 @@ from contextuality import (
     EnumerationCapExceeded,
     GlobalAssignment,
     HierarchyReport,
+    NotCycle,
     NotNondisturbing,
     PossibilisticBehavior,
+    Scenario,
+    build_bundle,
     contextual_fraction,
     default_cap,
+    deterministic_behavior,
     enumeration_size,
     fixture,
     global_distribution,
@@ -34,6 +41,7 @@ from contextuality import (
     random_tree_scenario,
     support,
     support_size,
+    traverse_cycle,
 )
 from contextuality import classical
 
@@ -361,3 +369,117 @@ class TestCaps:
         monkeypatch.setenv("CTX_CAP", junk)
         with pytest.raises(ValueError):
             default_cap()
+
+
+# ======================================================================
+# 6. Cycle supports listed by the closed walk
+# ======================================================================
+
+
+def shuffled_cycle(rng: random.Random, n: int, l: int) -> Scenario:
+    """An n-cycle with 2..l outcomes per measurement, measurements stored in
+    a shuffled order, contexts shuffled and some of them reversed."""
+    names = [f"M{i}" for i in range(n)]
+    outcomes = {m: tuple(str(o) for o in range(rng.randint(2, l))) for m in names}
+    contexts = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    contexts = [c[::-1] if rng.random() < 0.5 else c for c in contexts]
+    rng.shuffle(contexts)
+    rng.shuffle(names)
+    return Scenario(tuple(names), outcomes, tuple(contexts))
+
+
+def chunked_route(monkeypatch):
+    """Make _scan treat every scenario as a non-cycle, so it scans."""
+
+    def not_a_cycle(s):
+        raise NotCycle("scan route forced")
+
+    monkeypatch.setattr(classical, "traverse_cycle", not_a_cycle)
+
+
+def outputs(b) -> str:
+    """Every output read off the support listing, as one JSON string."""
+    out = {"support": [t.values for t in support(b)], "bundle": build_bundle(b).to_json_dict()}
+    if isinstance(b, Behavior):
+        out["levels"] = [hierarchy(b, level=lv).to_json_dict() for lv in ("nd", "nc", "lc", "sc", "all")]
+        dist = global_distribution(b)
+        out["distribution"] = None if dist is None else [[t.values, str(w)] for t, w in dist.items()]
+    return json.dumps(out)
+
+
+class TestCycleWalk:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_walk_matches_chunked_scan(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        draws = []
+        for draw in range(30):
+            s = shuffled_cycle(rng, rng.randint(3, 9), rng.randint(2, 4))
+            if enumeration_size(s) > 20000:
+                continue
+            if draw % 3 == 0:
+                b = random_pnd(s, rng)
+            elif draw % 3 == 1 or any(len(o) != 2 for o in s.outcomes.values()):
+                b = random_nd_coupling(s, rng, max_components=rng.randint(1, 6))
+            else:
+                b = random_nd_mixture(s, rng, rng.randint(1, 4), include_pr=rng.random() < 0.7)
+            walked = classical._walk_support(b, traverse_cycle(s))
+            scanned = np.concatenate(
+                [np.zeros(0, dtype=np.int64), *classical._survivor_chunks(b, classical._possible(b), None)]
+            )
+            assert walked.dtype == np.int64 and np.array_equal(walked, scanned), f"draw {draw}"
+            if len(walked) <= 150:
+                draws.append(b)
+        assert len(draws) >= 10, len(draws)
+        via_walk = [outputs(b) for b in draws]
+        chunked_route(monkeypatch)
+        assert [outputs(b) for b in draws] == via_walk
+
+    def test_draws_cover_every_verdict(self):
+        rng = random.Random(0)
+        flags = set()
+        for _ in range(40):
+            s = shuffled_cycle(rng, rng.randint(3, 6), 2)
+            b = random_nd_mixture(s, rng, rng.randint(1, 3), include_pr=True)
+            r = hierarchy(b)
+            flags.add((r.nc, r.logically_contextual, r.strongly_contextual))
+        assert flags >= {(True, False, False), (False, True, False), (False, True, True)}, flags
+
+    def test_cap_contract_on_a_cycle(self):
+        b = random_nd_coupling(make_n_cycle(5, 3), random.Random(1))
+        with pytest.raises(EnumerationCapExceeded, match=r"^243 global assignments exceed the cap 242$"):
+            support_size(b, cap=242)
+        assert support_size(b, cap=243) == len(oracle.brute_support(b))
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="cap must be positive"):
+                hierarchy(b, cap=cap)
+
+    def test_raised_cap_answers_long_cycles_within_int64_indices(self):
+        # 4^31 = 2^62 assignments: the walk answers; 4^32 = 2^64 would wrap
+        # int64 assignment indices, so it is refused even under a larger cap.
+        for n, size in ((31, 1), (32, None)):
+            s = make_n_cycle(n, 4)
+            b = deterministic_behavior(s, {m: "3" for m in s.measurements})
+            if size is None:
+                with pytest.raises(EnumerationCapExceeded, match="int64 index range"):
+                    hierarchy(b, cap=1 << 70)
+            else:
+                assert hierarchy(b, cap=1 << 70) == HierarchyReport(True, True, False, False, None, 1)
+                assert support(b, cap=1 << 70)[0].as_dict() == {m: "3" for m in s.measurements}
+
+    def test_cycle_never_reads_the_chunked_scan(self, monkeypatch):
+        calls = 0
+        chunks = classical._survivor_chunks
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return chunks(*args)
+
+        monkeypatch.setattr(classical, "_survivor_chunks", counted)
+        b = random_nd_coupling(make_n_cycle(24), random.Random(4))
+        # level "lc": the LP over thousands of support columns is not the point here
+        assert hierarchy(b, level="lc").support_size == support_size(b) > 1000
+        build_bundle(b)
+        assert calls == 0
+        hierarchy(random_nd_coupling(make_bipartite_bell(3), random.Random(4)), level="lc")
+        assert calls == 1, "a Bell scenario beyond CHSH is not a cycle and is scanned"

@@ -390,6 +390,29 @@ class TestOptimizeGamma:
         )
         assert out.stdout.strip() == "False", "only optimize_gamma may import scipy.optimize"
 
+    def test_import_and_numpy_free_commands_leave_numpy_unloaded(self, tmp_path):
+        hardy = str(tmp_path / "hardy.json")
+        code = (
+            "import contextlib, io, sys\n"
+            "from contextuality import cli\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            f"for argv in (['fixtures', '--name', 'hardy', '--out', {hardy!r}],\n"
+            f"             ['pp', 'find', '--behavior', {hardy!r}],\n"
+            f"             ['ineq', '--behavior', {hardy!r}]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.run(argv) == 0, argv\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "print(loaded)\n"
+        )
+        src = str(Path(contextuality.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[False, False, False, False]", (
+            "numpy loaded by: import contextuality, fixtures, pp find, ineq"
+        )
+
     def test_tsirelson_check_rejects_excess(self):
         assert check_hardy_tsirelson(HARDY_TSIRELSON)
         assert not check_hardy_tsirelson(HARDY_TSIRELSON + 1e-6)

@@ -1,7 +1,9 @@
 """Exact rational simplex: known optima, degeneracy, a scipy cross-check,
 and exact agreement with the dense Fraction tableau in tests/oracle.py."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -218,6 +220,40 @@ def general_lp(draw):
     return c, rows, rhs
 
 
+@st.composite
+def classical_lp(draw):
+    """An LP shaped like the ones classical._lp builds for a noncontextual
+    behavior on pair contexts: one column per support member, one 0/1 row
+    per possible cell of each context with that cell's probability as its
+    right-hand side, and objective all ones. The optimum is 1 at many
+    degenerate vertices, so the ratio test meets many ties. Sizes come from
+    a seeded Random, not from shrinkable integers, so large LPs stay
+    common."""
+    rng = draw(st.randoms(use_true_random=False))
+    m = rng.randint(3, 6)
+    radices = [rng.randint(2, 3 if m < 5 else 2) for _ in range(m)]
+    if rng.random() < 0.5:
+        pairs = [(i, (i + 1) % m) for i in range(m)]
+    else:
+        pairs = rng.sample(list(itertools.combinations(range(m), 2)), rng.randint(2, m))
+    space = list(itertools.product(*map(range, radices)))
+    weights = Counter()
+    for _ in range(rng.randint(1, 16)):
+        weights[rng.choice(space)] += rng.randint(1, 3)
+    total = sum(weights.values())
+    tables = [Counter() for _ in pairs]
+    for (u, v), table in zip(pairs, tables):
+        for point, w in weights.items():
+            table[point[u], point[v]] += w
+    columns = [a for a in space if all((a[u], a[v]) in t for (u, v), t in zip(pairs, tables))]
+    rows, rhs = [], []
+    for (u, v), table in zip(pairs, tables):
+        for cell in sorted(table):
+            rows.append([int((a[u], a[v]) == cell) for a in columns])
+            rhs.append(Fraction(table[cell], total))
+    return [1] * len(columns), rows, rhs
+
+
 BEALE = (
     [F(3, 4), F(-150), F(1, 50), F(-6)],
     [
@@ -239,6 +275,11 @@ class TestAgainstReference:
         assert got == want, f"integer tableau {got} vs Fraction tableau {want}"
         if isinstance(want, tuple):
             assert type(got[0]) is Fraction and all(type(a) is Fraction for a in got[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(classical_lp())
+    def test_classical_shaped_lps_match(self, lp):
+        assert solve(maximize, lp) == solve(oracle.ref_maximize, lp)
 
     def test_classical_lps_match(self, monkeypatch):
         """The LPs behind global_distribution and contextual_fraction on
