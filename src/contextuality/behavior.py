@@ -78,7 +78,7 @@ class Behavior:
     metadata: dict | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        tables = tuple(tuple(Fraction(x) for x in t) for t in self.tables)
+        tables = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in t) for t in self.tables)
         object.__setattr__(self, "tables", tables)
         for c, t in _shaped(self.scenario, tables):
             for p in t:

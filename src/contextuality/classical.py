@@ -389,8 +389,8 @@ def hierarchy(b: Behavior, cap: int | None = None, level: str = "all") -> Hierar
 
     level is one of "nd", "nc", "lc", "sc", "all". Nondisturbance is always
     checked first; if it fails, every later flag is undefined (None). Flags
-    outside the requested level stay None. Every other flag is read off one
-    support scan.
+    outside the requested level stay None. The rest is read off one support
+    scan, and the LP runs only if no LC witness already rules out nc.
     """
     if level not in ("nd", "nc", "lc", "sc", "all"):
         raise ValueError(f"unknown level {level!r}")
@@ -398,15 +398,15 @@ def hierarchy(b: Behavior, cap: int | None = None, level: str = "all") -> Hierar
     if not nd_ok or level == "nd":
         return HierarchyReport(nd=nd_ok)
     survivors, possible, covered = _scan(b, cap)
-    nc = lc = sc = witness = None
+    witness = _witness(b.scenario, possible, covered)
+    nc = lc = sc = None
     if level in ("nc", "all"):
-        nc = _lp(b, survivors)[0] == 1
+        nc = witness is None and _lp(b, survivors)[0] == 1
     if level in ("lc", "all"):
-        witness = _witness(b.scenario, possible, covered)
         lc = witness is not None
     if level in ("sc", "all"):
         sc = len(survivors) == 0
     return HierarchyReport(
-        nd=True, nc=nc, logically_contextual=lc, strongly_contextual=sc, witness=witness,
-        support_size=None if level == "nc" else len(survivors),
+        nd=True, nc=nc, logically_contextual=lc, strongly_contextual=sc,
+        witness=witness if lc else None, support_size=None if level == "nc" else len(survivors),
     )

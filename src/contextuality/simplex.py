@@ -2,17 +2,17 @@
 
 Solves  max c.x  subject to  A x <= b, x >= 0  with rational entries and
 every b_i >= 0, so the all-slack basis is feasible and no phase-1 is
-needed. Bland's smallest-index rule guarantees termination.
+needed. Bland's smallest-label rule (label n+i is row i's slack) ends it.
 
-Pivoting is integer-preserving (Edmonds 1967; Bareiss 1968). Each row with its
-right-hand side, and c, is scaled to ints by the lcm of its denominators;
-slack columns stay the identity. The rational tableau is T/d with d the last
-pivot, a positive int (|basis determinant|). Pivoting on p = T[r][s] keeps
-row r and sets every other row, the objective too, to
-(T[i]*p - T[i][s]*T[r]) // d, exact by Sylvester's identity. These are the
-rational tableau's pivots: row scaling leaves that tableau unchanged, and
-scaling c or a slack column by a positive constant changes no reduced cost's
-sign and no ratio test, which cross-multiplies with the same tie-break.
+Pivots are integer-preserving (Edmonds 1967; Bareiss 1968) on the lrs
+dictionary: rows and c are scaled to ints by their lcm, the rational tableau
+is T/d with d the last pivot, and only nonbasic columns are stored, since a
+basic one is d*e_r. Pivoting on p = T[r][s] sets every row but r to
+(T[i]*p - T[i][s]*T[r]) // d (Sylvester); on the leaving column d*e_r that
+gives d in row r and -T[i][s] elsewhere, which column s then holds. So every
+entry is the full tableau's (slacks starting as the identity) and the pivots
+are the rational tableau's: scaling a row, c or a slack column by a positive
+constant changes no reduced cost's sign and no cross-multiplied ratio test.
 """
 from __future__ import annotations
 
@@ -49,17 +49,15 @@ def maximize(
     for i, row in enumerate(rows):
         if len(row) != nvars:
             raise ValueError(f"row {i} has {len(row)} entries, expected {nvars}")
-        t = _scaled([*row, rhs[i]])[0]
-        t[nvars:nvars] = [int(k == i) for k in range(m)]
-        tableau.append(t)
+        tableau.append(_scaled([*row, rhs[i]])[0])
     # The last row holds the reduced costs, then -objective, times c_scale.
     obj, c_scale = _scaled(c)
-    tableau.append(obj + [0] * (m + 1))
-    basis = list(range(nvars, nvars + m))
+    tableau.append(obj + [0])
+    nonbasic, basis = list(range(nvars)), list(range(nvars, nvars + m))
     d = 1
 
     while True:
-        s = next((j for j in range(nvars + m) if tableau[m][j] > 0), None)
+        s = min((j for j in range(nvars) if tableau[m][j] > 0), key=nonbasic.__getitem__, default=None)
         if s is None:
             break
         r = None
@@ -78,9 +76,11 @@ def maximize(
             f = row[s]
             if f and i != r:
                 tableau[i] = [(a * p - f * b) // d for a, b in zip(row, piv_row)]
+                tableau[i][s] = -f
             elif not f and p != d:
                 tableau[i] = [a * p // d for a in row]
-        basis[r] = s
+        piv_row[s] = d
+        nonbasic[s], basis[r] = basis[r], nonbasic[s]
         d = p
 
     x = [Fraction(0)] * nvars

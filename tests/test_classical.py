@@ -306,6 +306,23 @@ class TestHierarchy:
             hierarchy(b, level="all")
             assert calls == {"scan": 1, "nd": 1}
 
+    @pytest.mark.parametrize("level", ["nc", "all"])
+    def test_lc_witness_decides_nc_without_the_lp(self, monkeypatch, level):
+        """LC implies contextual, so an LC behavior needs no LP; a behavior
+        without a witness still gets exactly one."""
+        calls = []
+        real = classical._lp
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(classical, "_lp", counted)
+        for b, lp_calls, nc in ((HARDY, 0, False), (PR, 0, False), (BELL, 1, True)):
+            calls.clear()
+            assert hierarchy(b, level=level).nc is nc
+            assert len(calls) == lp_calls
+
     def test_every_level_matches_oracle(self):
         rng = random.Random(20201)
         cycles = [make_n_cycle(n) for n in (3, 4, 5)]

@@ -1,10 +1,17 @@
 """The ctx command line: JSON contracts, exit codes, file round-trips."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from contextuality import (
     behavior_from_json_dict,
@@ -412,3 +419,84 @@ class TestArgHandling:
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
         assert "check" in capsys.readouterr().out
+
+
+# ======================================================================
+# 7. Mutated fixture JSON
+# ======================================================================
+
+# Labels drawn from the fixtures, plus rationals and junk, so mutations
+# often stay well-formed enough to reach the deeper checks.
+LABELS = ["0", "1", "2", "A1", "B1", "A2", "B2", "A", "0,0", "1,1", "0,1,0"]
+LABELS += ["1/2", "-1/4", "3/2", "1/0", "x", ""]
+KEYS = [*LABELS, "context", "probs", "possible"]
+json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(), st.sampled_from(LABELS)
+)
+json_value = st.recursive(
+    json_leaf,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+# The caps keep the scan and the LP small whatever the mutation does.
+FUZZ_COMMANDS = (["check", "--cap", "256"], ["pp", "find"], ["ineq"], ["bundle", "--cap", "256"])
+
+
+def _paths(value, path=()):
+    """Every node of a JSON value as a key path, the root first."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _mutate(data, doc):
+    """doc with one node replaced, deleted, duplicated or swapped with a
+    sibling (a swap inside "probs" keeps the table normalized)."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return data.draw(json_value)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    op = data.draw(st.sampled_from(["replace", "delete", "duplicate", "swap"]))
+    if op == "swap":
+        siblings = list(parent) if isinstance(parent, dict) else range(len(parent))
+        other = data.draw(st.sampled_from(siblings))
+        parent[key], parent[other] = parent[other], parent[key]
+    elif op == "replace":
+        parent[key] = data.draw(json_value)
+    elif op == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[data.draw(st.sampled_from(LABELS))] = copy.deepcopy(parent[key])
+    return doc
+
+
+class TestMutatedInput:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_exit_codes_hold_and_nothing_escapes(self, data):
+        name = data.draw(st.sampled_from(["bell", "hardy", "pr-box", "cabello5", "hardy4"]))
+        doc = behavior_to_json_dict(fixture(name))
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = _mutate(data, doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "behavior.json"
+            path.write_text(json.dumps(doc))
+            for command in FUZZ_COMMANDS:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = run([*command, "--behavior", str(path)])
+                assert "Traceback" not in err.getvalue(), (command, doc)
+                assert code in (0, 1, 2, 3), (command, code, doc)
+                assert code != 1 or command == ["pp", "find"], (command, doc)

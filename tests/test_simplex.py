@@ -313,3 +313,51 @@ class TestAgainstReference:
             global_distribution(b)
             contextual_fraction(b)
         assert len(want) == 40 and max(sizes) > 80, sorted(sizes)
+
+
+# ======================================================================
+# 7. The condensed tableau: stored slack columns and tall LPs
+# ======================================================================
+
+
+@st.composite
+def tall_lp(draw):
+    """Random LP with many more rows than columns (m >> n), the shape of the
+    classical LPs, where most of the full tableau would be slack columns.
+    A few draws are unbounded and many are degenerate. Entries come from a
+    seeded Random, which keeps drawing a hundred of them cheap."""
+    rng = draw(st.randoms(use_true_random=False))
+    nvars, m = rng.randint(1, 4), rng.randint(6, 24)
+
+    def entry():
+        kind = rng.randrange(3)
+        return Fraction(0) if kind == 0 else Fraction(rng.randint(-1, 3), 1 if kind == 1 else rng.randint(2, 5))
+
+    c = [Fraction(rng.randint(-3, 12), rng.randint(1, 3)) for _ in range(nvars)]
+    rows = [[entry() for _ in range(nvars)] for _ in range(m)]
+    rhs = [abs(entry()) + rng.randint(0, 4) for _ in range(m)]
+    return c, rows, rhs
+
+
+class TestCondensedTableau:
+    def test_slack_leaves_and_reenters(self):
+        # max 2x + 3y s.t. x + y <= 2, (2/3)x <= 1/3. Bland's rule enters x
+        # first, and slack 1 leaves (ratio 1/2 < 2); y enters and slack 0
+        # leaves; then slack 1, now a stored nonbasic column, re-enters and
+        # x leaves. The optimum is (0, 2).
+        lp = ([F(2), F(3)], [[F(1), F(1)], [F(2, 3), F(0)]], [F(2), F(1, 3)])
+        assert maximize(*lp) == oracle.ref_maximize(*lp) == (F(6), [F(0), F(2)])
+
+    def test_entering_column_is_smallest_label_not_position(self):
+        # max x0 + 2 x2 s.t. x0 + 2 x1 <= 1, x0 + x2 <= 3. After x0 and x2
+        # enter, column 0 holds slack 0 (label 3) and column 1 holds x1
+        # (label 1), both with positive reduced cost; Bland's rule takes x1.
+        # Taking column 0 would end at the other optimum (0, 0, 3).
+        lp = ([F(1), F(0), F(2)], [[F(1), F(2), F(0)], [F(1), F(0), F(1)]], [F(1), F(3)])
+        assert maximize(*lp) == oracle.ref_maximize(*lp) == (F(6), [F(0), F(1, 2), F(3)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(tall_lp())
+    def test_tall_lps_match_reference(self, lp):
+        got, want = solve(maximize, lp), solve(oracle.ref_maximize, lp)
+        assert got == want, f"condensed tableau {got} vs Fraction tableau {want}"
