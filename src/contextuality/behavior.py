@@ -267,6 +267,9 @@ def _parse_rational(raw) -> Fraction:
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
+        # Fraction builds 10**exponent exactly, so one short string could stall the loader.
+        if "e" in raw or "E" in raw:
+            raise InvalidBehavior(f"probability {raw!r} has an exponent; write it as 'num/den' or a decimal")
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:

@@ -14,16 +14,15 @@ contextual fraction.
 Every question reads one listing of the support as int64 assignment
 indices, ascending in mixed-radix order over the scenario's measurement
 order (last fastest), made after checking the assignment count against the
-enumeration cap. On an n-cycle the support is the set of closed walks
-through possible cells, so it is listed by walking the cycle: a frontier of
-partial assignments grows one measurement at a time and keeps only those
-that can still close, so its size never exceeds the support's. Every other
-scenario is scanned: all global assignments, vectorized with numpy in
-fixed-size chunks, keeping the survivors. is_strongly_contextual reads the
-chunked scan and stops at the first chunk holding a survivor; every other
-question reads the whole support with each context's possible cells and
-covered cells (restrictions of support members). Only the public outputs
-turn indices into labelled GlobalAssignments.
+enumeration cap. The listing grows partial assignments depth first, one
+measurement at a time, each next measurement sharing a context with one
+already placed where it can; a context prunes the partials as soon as its
+last measurement is placed, so on a cycle or a tree the partials stay close
+to the support instead of the l^n assignments. is_strongly_contextual stops
+at the first listed chunk; every other question reads the whole support
+with each context's possible cells and covered cells (restrictions of
+support members). Only the public outputs turn indices into labelled
+GlobalAssignments.
 
 support / is_logically_contextual / is_strongly_contextual accept a Behavior
 or a PossibilisticBehavior; probability tables are read through their
@@ -39,10 +38,9 @@ from functools import lru_cache
 
 from . import simplex
 from .behavior import AnyBehavior, Behavior, check_nondisturbance, joint_outcomes, require_nondisturbing
-from .errors import EnumerationCapExceeded, NotCycle
+from .errors import EnumerationCapExceeded
 from .lazy import Deferred
-from .paradox import _image, _walk_rows
-from .scenario import Scenario, traverse_cycle
+from .scenario import Scenario
 
 np = Deferred("numpy", globals(), "np")
 
@@ -110,14 +108,20 @@ class HierarchyReport:
         }
 
 
-# -- vectorized assignment enumeration ---------------------------------------
+# -- vectorized support listing ---------------------------------------------------
 
 
 class _Engine:
-    """Per-shape tables for scanning all global assignments of a scenario.
+    """Per-shape tables for listing the support of a scenario.
 
     Assignment index -> context cell code is an affine digit map; the
-    arrays here let a whole chunk of indices be mapped at once.
+    arrays here let a whole array of indices be mapped at once. A partial
+    assignment is the index with its unplaced digits 0, so a context's cell
+    codes are read off it once the context's measurements are placed. order
+    places each measurement after the first in scenario order among those
+    sharing a context with one already placed (the first unplaced one when
+    none does); closing[k] lists the contexts whose last measurement is
+    order[k].
     """
 
     def __init__(self, radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]):
@@ -125,6 +129,7 @@ class _Engine:
         for q in range(len(radices) - 2, -1, -1):
             strides[q] = strides[q + 1] * radices[q + 1]
         self.strides = tuple(strides)
+        self.radices = radices
         self.contexts = []
         for positions in ctx_positions:
             pos_strides = np.array([strides[q] for q in positions], dtype=np.int64)
@@ -133,6 +138,18 @@ class _Engine:
             for k in range(len(positions) - 2, -1, -1):
                 cell_strides[k] = cell_strides[k + 1] * radices[positions[k + 1]]
             self.contexts.append((pos_strides, pos_radices, cell_strides))
+        rank: dict[int, int] = {}
+        touched: set[int] = set()
+        for _ in radices:
+            q = min(touched - rank.keys(), default=None)
+            if q is None:
+                q = min(set(range(len(radices))) - rank.keys())
+            rank[q] = len(rank)
+            touched.update(*(p for p in ctx_positions if q in p))
+        self.order = tuple(rank)
+        self.closing = tuple([] for _ in radices)
+        for ci, positions in enumerate(ctx_positions):
+            self.closing[max(rank[q] for q in positions)].append(ci)
 
     def cell_codes(self, arr: np.ndarray, ci: int) -> np.ndarray:
         pos_strides, pos_radices, cell_strides = self.contexts[ci]
@@ -175,59 +192,30 @@ def _check_cap(s: Scenario, cap: int | None) -> int:
 
 
 def _survivor_chunks(b: AnyBehavior, possible: list[np.ndarray], cap: int | None):
-    """Yield the support chunk by chunk, skipping empty chunks.
+    """Yield the support in non-empty chunks, unordered.
+
+    Partial assignments grow along eng.order in slices of at most _CHUNK;
+    each growth step keeps the partials that every context closing there
+    allows, and a slice that reaches full depth is yielded.
 
     :raises EnumerationCapExceeded: when the assignment count exceeds cap.
     """
-    total = _check_cap(b.scenario, cap)
+    _check_cap(b.scenario, cap)
     eng = _engine_for(b.scenario)
-    for start in range(0, total, _CHUNK):
-        arr = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        mask = np.ones(len(arr), dtype=bool)
-        for ci, table in enumerate(possible):
-            mask &= table[eng.cell_codes(arr, ci)]
-            if not mask.any():
-                break
-        arr = arr[mask]
-        if len(arr):
-            yield arr
 
+    def grow(part: np.ndarray, k: int):
+        q = eng.order[k]
+        part = (part[:, None] + np.arange(eng.radices[q], dtype=np.int64) * eng.strides[q]).ravel()
+        for ci in eng.closing[k]:
+            part = part[possible[ci][eng.cell_codes(part, ci)]]
+        if k + 1 == len(eng.order):
+            if len(part):
+                yield part
+            return
+        for start in range(0, len(part), _CHUNK):
+            yield from grow(part[start : start + _CHUNK], k + 1)
 
-def _bits(masks: list[int], width: int) -> np.ndarray:
-    """Boolean matrix whose row i holds the low width bits of masks[i]."""
-    return np.array([[m >> j & 1 for j in range(width)] for m in masks], dtype=bool)
-
-
-def _walk_support(b: AnyBehavior, walk: tuple) -> np.ndarray:
-    """The support of a cycle behavior, ascending, as closed walks.
-
-    walk is traverse_cycle(b.scenario): position k joins w_k to w_(k+1),
-    and w_n is w_0 again. back[k][x] is the bitmask of start values a such
-    that w_k = x extends through possible cells to w_n = a. The frontier
-    holds, per partial assignment of w_0..w_k, its start value, last value
-    and assignment index, and keeps only those that can still close; each
-    therefore extends to a distinct support member.
-    """
-    s = b.scenario
-    strides = dict(zip(s.measurements, _engine_for(s).strides))
-    verts = [u for _, (u, _) in walk]
-    sizes = [len(s.outcomes[m]) for m in verts]
-    # _walk_rows reads only the tables' truth values, which for a probability
-    # table are those of its possibilistic collapse.
-    rows = _walk_rows(b, walk)
-    back = [[1 << a for a in range(sizes[0])]]
-    for row in reversed(rows):
-        back.append([_image(ys, back[-1]) for ys in row])
-    back.reverse()
-    start = np.array([a for a in range(sizes[0]) if back[0][a] >> a & 1], dtype=np.int64)
-    last, index = start, start * strides[verts[0]]
-    for k in range(1, len(walk)):
-        # step[i, y]: w_k = y is possible after partial i and can still close
-        step = _bits(rows[k - 1], sizes[k])[last] & _bits(back[k], sizes[0]).T[start]
-        kept, last = np.nonzero(step)
-        start = start[kept]
-        index = index[kept] + last * strides[verts[k]]
-    return np.sort(index)
+    yield from grow(np.zeros(1, dtype=np.int64), 0)
 
 
 def _possible(b: AnyBehavior) -> list[np.ndarray]:
@@ -239,25 +227,17 @@ def _scan(b: AnyBehavior, cap: int | None) -> tuple[np.ndarray, list[np.ndarray]
 
     Returns (survivors, possible, covered): the support as ascending
     assignment indices, the possible cells of each context, and the cells of
-    each context that some support member restricts to. Cycles are listed
-    by _walk_support, every other scenario by the chunked scan.
+    each context that some support member restricts to.
     """
-    s = b.scenario
     possible = _possible(b)
-    try:
-        walk = traverse_cycle(s)
-    except NotCycle:
-        survivors = np.concatenate([np.zeros(0, dtype=np.int64), *_survivor_chunks(b, possible, cap)])
-    else:
-        _check_cap(s, cap)
-        survivors = _walk_support(b, walk)
-    eng = _engine_for(s)
+    eng = _engine_for(b.scenario)
     covered = [np.zeros(len(t), dtype=bool) for t in possible]
-    for start in range(0, len(survivors), _CHUNK):
-        arr = survivors[start : start + _CHUNK]
+    chunks = [np.zeros(0, dtype=np.int64)]
+    for arr in _survivor_chunks(b, possible, cap):
+        chunks.append(arr)
         for ci, cov in enumerate(covered):
             cov[eng.cell_codes(arr, ci)] = True
-    return survivors, possible, covered
+    return np.sort(np.concatenate(chunks)), possible, covered
 
 
 def _assignments(s: Scenario, indices: np.ndarray) -> list[GlobalAssignment]:

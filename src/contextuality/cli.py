@@ -17,8 +17,8 @@ from pathlib import Path
 from .behavior import (
     Behavior,
     PossibilisticBehavior,
-    behavior_from_json_dict,
     behavior_to_json_dict,
+    load_behavior,
 )
 from .bundle import build_bundle
 from .classical import hierarchy
@@ -36,8 +36,7 @@ from .quantum import (
 
 
 def _load_behavior(path: str, possibilistic: bool):
-    raw = json.loads(Path(path).read_text())
-    b = behavior_from_json_dict(raw, base_dir=Path(path).parent)
+    b = load_behavior(path)
     if possibilistic and isinstance(b, Behavior):
         raise ValueError(f"{path}: --possibilistic given but the file carries probabilities")
     if not possibilistic and isinstance(b, PossibilisticBehavior):

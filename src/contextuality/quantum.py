@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .behavior import Behavior, require_nondisturbing
+from .behavior import Behavior, joint_outcomes, require_nondisturbing
 from .errors import DegenerateParams, InvalidModel, NegativeProbability
 from .lazy import Deferred
 from .scenario import Scenario, make_n_cycle
@@ -246,18 +246,12 @@ def behavior_from_model(
     """
     validate_model(model, s)
     raw: list[list[float]] = []
-    for ci, c in enumerate(s.contexts):
+    for c in s.contexts:
         vals = []
-        for cell in range(s.context_cells(ci)):
-            labels = []
-            rest = cell
-            for m in reversed(c):
-                rest, k = divmod(rest, len(s.outcomes[m]))
-                labels.append(s.outcomes[m][k])
-            labels.reverse()
-            p = trace_probability(model, s, c, tuple(labels))
+        for labels in joint_outcomes(s, c):
+            p = trace_probability(model, s, c, labels)
             if p < -eps:
-                raise NegativeProbability(f"Born value {p} for {c} {tuple(labels)}")
+                raise NegativeProbability(f"Born value {p} for {c} {labels}")
             vals.append(0.0 if abs(p) <= eps else p)
         raw.append(vals)
 

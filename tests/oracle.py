@@ -50,6 +50,19 @@ def brute_support(b: AnyBehavior) -> list[dict]:
     return out
 
 
+def ref_survivors(b: AnyBehavior) -> np.ndarray:
+    """Support members as int64 mixed-radix assignment indices over the
+    scenario's measurement order (last fastest), ascending."""
+    s = b.scenario
+    tables = [possible_table(b, ci) for ci in range(len(s.contexts))]
+    out = []
+    for index, combo in enumerate(itertools.product(*(s.outcomes[m] for m in s.measurements))):
+        g = dict(zip(s.measurements, combo))
+        if all(tables[ci][_cell_index(b, ci, [g[m] for m in c])] for ci, c in enumerate(s.contexts)):
+            out.append(index)
+    return np.array(out, dtype=np.int64)
+
+
 def brute_witness(b: AnyBehavior):
     """First possible joint outcome (context order, lexicographic cell order)
     reached by no support member, or None."""

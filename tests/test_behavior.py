@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -336,6 +337,21 @@ class TestJson:
         data["tables"][0] = entry
         with pytest.raises(InvalidBehavior):
             behavior_from_json_dict(data)
+
+    @pytest.mark.parametrize("raw", ["1e-100000000", "5E-1", "0.5e0"])
+    def test_exponent_probability_rejected_quickly(self, raw):
+        data = behavior_to_json_dict(fixture("bell"))
+        data["tables"][0]["probs"]["0,0"] = raw
+        start = time.perf_counter()
+        with pytest.raises(InvalidBehavior, match="exponent"):
+            behavior_from_json_dict(data)
+        assert time.perf_counter() - start < 1
+
+    def test_ints_rationals_and_decimals_still_parse(self):
+        s = Scenario(("X",), {"X": ("0", "1", "2")}, (("X",),))
+        table = {"context": ["X"], "probs": {"0": 0, "1": "1/4", "2": "0.75"}}
+        data = {"scenario": s.to_json_dict(), "tables": [table]}
+        assert behavior_from_json_dict(data).tables == ((F(0), F(1, 4), F(3, 4)),)
 
     def test_mixed_probs_and_possible_rejected(self):
         s = make_n_cycle(3)

@@ -15,7 +15,6 @@ from contextuality import (
     EnumerationCapExceeded,
     GlobalAssignment,
     HierarchyReport,
-    NotCycle,
     NotNondisturbing,
     PossibilisticBehavior,
     Scenario,
@@ -35,13 +34,13 @@ from contextuality import (
     make_bipartite_bell,
     make_n_cycle,
     noncontextual_weight,
+    pr_box_behavior,
     random_nd_coupling,
     random_nd_mixture,
     random_pnd,
     random_tree_scenario,
     support,
     support_size,
-    traverse_cycle,
 )
 from contextuality import classical
 
@@ -389,7 +388,7 @@ class TestCaps:
 
 
 # ======================================================================
-# 6. Cycle supports listed by the closed walk
+# 6. The pruned support listing
 # ======================================================================
 
 
@@ -405,18 +404,77 @@ def shuffled_cycle(rng: random.Random, n: int, l: int) -> Scenario:
     return Scenario(tuple(names), outcomes, tuple(contexts))
 
 
-def chunked_route(monkeypatch):
-    """Make _scan treat every scenario as a non-cycle, so it scans."""
+def triple_contexts(rng: random.Random) -> Scenario:
+    """Three three-measurement contexts joined in a ring, 2..3 outcomes each."""
+    names = [f"X{i}" for i in range(6)]
+    outcomes = {m: tuple(str(o) for o in range(rng.randint(2, 3))) for m in names}
+    return Scenario(tuple(names), outcomes, (("X0", "X1", "X2"), ("X2", "X3", "X4"), ("X4", "X5", "X0")))
 
-    def not_a_cycle(s):
-        raise NotCycle("scan route forced")
 
-    monkeypatch.setattr(classical, "traverse_cycle", not_a_cycle)
+def random_possible(s: Scenario, rng: random.Random) -> PossibilisticBehavior:
+    """Each cell possible with probability 1/2, at least one per context."""
+    tables = []
+    for ci in range(len(s.contexts)):
+        cells = [rng.random() < 0.5 for _ in range(s.context_cells(ci))]
+        cells[rng.randrange(len(cells))] = True
+        tables.append(tuple(cells))
+    return PossibilisticBehavior(s, tuple(tables))
+
+
+def listing_draws(rng: random.Random):
+    """Shuffled cycles, then random trees, Bell scenarios and triple-context tables."""
+    for draw in range(30):
+        s = shuffled_cycle(rng, rng.randint(3, 9), rng.randint(2, 4))
+        if enumeration_size(s) > 20000:
+            continue
+        if draw % 3 == 0:
+            yield random_pnd(s, rng)
+        elif draw % 3 == 1 or any(len(o) != 2 for o in s.outcomes.values()):
+            yield random_nd_coupling(s, rng, max_components=rng.randint(1, 6))
+        else:
+            yield random_nd_mixture(s, rng, rng.randint(1, 4), include_pr=rng.random() < 0.7)
+    for k in (2, 3):
+        for l in (2, 3):
+            s = make_bipartite_bell(k, l)
+            yield random_pnd(s, rng)
+            yield random_nd_coupling(s, rng, max_components=rng.randint(1, 6))
+    for _ in range(3):
+        s = random_tree_scenario(rng)
+        yield random_pnd(s, rng)
+        yield random_nd_coupling(s, rng, max_components=rng.randint(1, 6))
+        s = triple_contexts(rng)
+        yield random_possible(s, rng)
+        yield random_nd_mixture(s, rng, rng.randint(1, 4))
+
+
+def reference_listing(monkeypatch):
+    """Make every question read oracle.ref_survivors instead of the listing."""
+
+    def listed(b, possible, cap):
+        survivors = oracle.ref_survivors(b)
+        return iter([survivors] if len(survivors) else [])
+
+    monkeypatch.setattr(classical, "_survivor_chunks", listed)
+
+
+def count_cell_codes(monkeypatch) -> list[int]:
+    """Count the indices passed to _Engine.cell_codes, in the returned cell."""
+    passed = [0]
+    cell_codes = classical._Engine.cell_codes
+
+    def counted(self, arr, ci):
+        passed[0] += len(arr)
+        return cell_codes(self, arr, ci)
+
+    monkeypatch.setattr(classical._Engine, "cell_codes", counted)
+    return passed
 
 
 def outputs(b) -> str:
     """Every output read off the support listing, as one JSON string."""
-    out = {"support": [t.values for t in support(b)], "bundle": build_bundle(b).to_json_dict()}
+    out = {"support": [t.values for t in support(b)], "sc": is_strongly_contextual(b)}
+    if b.scenario.is_simple:
+        out["bundle"] = build_bundle(b).to_json_dict()
     if isinstance(b, Behavior):
         out["levels"] = [hierarchy(b, level=lv).to_json_dict() for lv in ("nd", "nc", "lc", "sc", "all")]
         dist = global_distribution(b)
@@ -427,29 +485,23 @@ def outputs(b) -> str:
 class TestCycleWalk:
     @pytest.mark.parametrize("seed", range(8))
     def test_walk_matches_chunked_scan(self, monkeypatch, seed):
-        rng = random.Random(seed)
+        """The listing equals a plain enumeration, and every output read off
+        it is unchanged when the enumeration is read instead."""
         draws = []
-        for draw in range(30):
-            s = shuffled_cycle(rng, rng.randint(3, 9), rng.randint(2, 4))
-            if enumeration_size(s) > 20000:
-                continue
-            if draw % 3 == 0:
-                b = random_pnd(s, rng)
-            elif draw % 3 == 1 or any(len(o) != 2 for o in s.outcomes.values()):
-                b = random_nd_coupling(s, rng, max_components=rng.randint(1, 6))
-            else:
-                b = random_nd_mixture(s, rng, rng.randint(1, 4), include_pr=rng.random() < 0.7)
-            walked = classical._walk_support(b, traverse_cycle(s))
-            scanned = np.concatenate(
-                [np.zeros(0, dtype=np.int64), *classical._survivor_chunks(b, classical._possible(b), None)]
-            )
-            assert walked.dtype == np.int64 and np.array_equal(walked, scanned), f"draw {draw}"
-            if len(walked) <= 150:
+        for draw, b in enumerate(listing_draws(random.Random(seed))):
+            listed, _, covered = classical._scan(b, None)
+            want = oracle.ref_survivors(b)
+            assert listed.dtype == np.int64 and np.array_equal(listed, want), f"draw {draw}"
+            eng = classical._engine_for(b.scenario)
+            for ci, cov in enumerate(covered):
+                codes = eng.cell_codes(want, ci)
+                assert np.array_equal(np.flatnonzero(cov), np.unique(codes)), f"draw {draw}"
+            if len(listed) <= 150:
                 draws.append(b)
-        assert len(draws) >= 10, len(draws)
-        via_walk = [outputs(b) for b in draws]
-        chunked_route(monkeypatch)
-        assert [outputs(b) for b in draws] == via_walk
+        assert len(draws) >= 40, len(draws)
+        listed = [outputs(b) for b in draws]
+        reference_listing(monkeypatch)
+        assert [outputs(b) for b in draws] == listed
 
     def test_draws_cover_every_verdict(self):
         rng = random.Random(0)
@@ -483,20 +535,26 @@ class TestCycleWalk:
                 assert hierarchy(b, cap=1 << 70) == HierarchyReport(True, True, False, False, None, 1)
                 assert support(b, cap=1 << 70)[0].as_dict() == {m: "3" for m in s.measurements}
 
-    def test_cycle_never_reads_the_chunked_scan(self, monkeypatch):
-        calls = 0
-        chunks = classical._survivor_chunks
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return chunks(*args)
-
-        monkeypatch.setattr(classical, "_survivor_chunks", counted)
+    def test_listing_stays_near_the_support(self, monkeypatch):
         b = random_nd_coupling(make_n_cycle(24), random.Random(4))
+        passed = count_cell_codes(monkeypatch)
+        size = sum(len(arr) for arr in classical._survivor_chunks(b, classical._possible(b), None))
+        # the prototype passed 72,944; a scan of every assignment passes at least 2^24
+        assert size == 13824 and passed[0] <= 8 * size, passed[0]
         # level "lc": the LP over thousands of support columns is not the point here
-        assert hierarchy(b, level="lc").support_size == support_size(b) > 1000
-        build_bundle(b)
-        assert calls == 0
-        hierarchy(random_nd_coupling(make_bipartite_bell(3), random.Random(4)), level="lc")
-        assert calls == 1, "a Bell scenario beyond CHSH is not a cycle and is scanned"
+        assert hierarchy(b, level="lc").support_size == support_size(b) == size
+
+    def test_standalone_sc_on_the_pr_box_stops_early(self, monkeypatch):
+        passed = count_cell_codes(monkeypatch)
+        assert is_strongly_contextual(pr_box_behavior(make_n_cycle(20), 1))
+        assert passed[0] < 1000, f"{passed[0]} indices passed, a scan passes 2^20"
+
+    def test_interleaved_cycle_is_grown_along_the_cycle(self, monkeypatch):
+        # Stored evens then odds: growing in storage order would place all 20
+        # evens, which share no context, before any context could prune.
+        s = make_n_cycle(40)
+        s = Scenario(s.measurements[0::2] + s.measurements[1::2], s.outcomes, s.contexts)
+        b = deterministic_behavior(s, {m: "1" for m in s.measurements})
+        passed = count_cell_codes(monkeypatch)
+        assert support_size(b, cap=1 << 62) == 1
+        assert passed[0] < 1000, f"{passed[0]} indices passed"

@@ -140,6 +140,17 @@ class TestCheck:
         path.write_text("{not json")
         assert run(["check", "--behavior", str(path)]) == 3
 
+    @pytest.mark.parametrize("raw", ["1e-100000000", "1/" + "9" * 5000])
+    def test_unbounded_probability_string_exits_3(self, capsys, tmp_path, raw):
+        payload = {
+            "scenario": {"measurements": ["X"], "outcomes": {"X": ["0", "1"]}, "contexts": [["X"]]},
+            "tables": [{"context": ["X"], "probs": {"0": raw, "1": "1"}}],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        assert run(["check", "--behavior", str(path)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["check"], ["pp", "find"]])
     @pytest.mark.parametrize(
         "entry",
