@@ -17,16 +17,18 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Iterator, Union
 
 from .errors import (
+    EnumerationCapExceeded,
     InvalidBehavior,
     NegativeProbability,
     NotNondisturbing,
     NotPossibilisticallyND,
     SubsetNotInContext,
 )
-from .scenario import Scenario
+from .scenario import Scenario, resolve_cap
 
 
 def joint_outcomes(s: Scenario, context: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
@@ -99,14 +101,7 @@ class Behavior:
 
         :raises SubsetNotInContext: if some measurement is not in the context.
         """
-        c = self.scenario.contexts[context_index]
-        positions = _subset_positions(c, measurements)
-        want = dict(zip(positions, outcomes))
-        total = Fraction(0)
-        for cell, joint in enumerate(joint_outcomes(self.scenario, c)):
-            if all(joint[pos] == o for pos, o in want.items()):
-                total += self.tables[context_index][cell]
-        return total
+        return _project(self, context_index, tuple(measurements)).get(tuple(outcomes), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -131,12 +126,7 @@ class PossibilisticBehavior:
 
     def possible_outcomes(self, context_index: int) -> tuple[tuple[str, ...], ...]:
         """All possible joint outcome tuples of one context, in cell order."""
-        c = self.scenario.contexts[context_index]
-        return tuple(
-            joint
-            for cell, joint in enumerate(joint_outcomes(self.scenario, c))
-            if self.tables[context_index][cell]
-        )
+        return tuple(_project(self, context_index, self.scenario.contexts[context_index]))
 
     def marginal(
         self, context_index: int, measurements: tuple[str, ...], outcomes: tuple[str, ...]
@@ -145,13 +135,7 @@ class PossibilisticBehavior:
 
         :raises SubsetNotInContext: if some measurement is not in the context.
         """
-        c = self.scenario.contexts[context_index]
-        positions = _subset_positions(c, measurements)
-        want = dict(zip(positions, outcomes))
-        for cell, joint in enumerate(joint_outcomes(self.scenario, c)):
-            if self.tables[context_index][cell] and all(joint[pos] == o for pos, o in want.items()):
-                return True
-        return False
+        return tuple(outcomes) in _project(self, context_index, tuple(measurements))
 
 
 AnyBehavior = Union[Behavior, PossibilisticBehavior]
@@ -170,13 +154,27 @@ def _shaped(s: Scenario, tables: tuple) -> Iterator[tuple[tuple[str, ...], tuple
         yield s.contexts[i], t
 
 
-def _subset_positions(context: tuple[str, ...], measurements: tuple[str, ...]) -> tuple[int, ...]:
-    positions = []
-    for m in measurements:
-        if m not in context:
-            raise SubsetNotInContext(f"measurement {m!r} is not in context {context}")
-        positions.append(context.index(m))
-    return tuple(positions)
+def _project(b: AnyBehavior, ci: int, shared: tuple[str, ...]) -> dict:
+    """Nonzero marginals of context ci on the measurements shared, keyed by
+    joint outcome; a possibilistic table maps each possible joint outcome to
+    True.
+
+    :raises SubsetNotInContext: if some measurement is not in the context.
+    """
+    s = b.scenario
+    c = s.contexts[ci]
+    try:
+        pos = [c.index(m) for m in shared]
+    except ValueError:
+        outside = next(m for m in shared if m not in c)
+        raise SubsetNotInContext(f"measurement {outside!r} is not in context {c}") from None
+    possibilistic = isinstance(b, PossibilisticBehavior)
+    marginal: dict[tuple[str, ...], object] = {}
+    for cell, p in zip(joint_outcomes(s, c), b.tables[ci]):
+        if p:
+            key = tuple(map(cell.__getitem__, pos))
+            marginal[key] = p if possibilistic or key not in marginal else marginal[key] + p
+    return marginal
 
 
 def collapse(b: Behavior) -> PossibilisticBehavior:
@@ -227,24 +225,12 @@ def _check_nd(b: AnyBehavior) -> DisturbanceReport:
     """Project each table once per shared measurement set, then compare the
     projections of every overlapping pair in stored order."""
     s = b.scenario
-    possibilistic = isinstance(b, PossibilisticBehavior)
-    zero = False if possibilistic else Fraction(0)
-    projected: dict[tuple[int, tuple[str, ...]], dict] = {}
-
-    def project(ci: int, shared: tuple[str, ...]) -> dict:
-        """Nonzero marginals of context ci on shared, keyed by joint outcome."""
-        if (ci, shared) not in projected:
-            c = s.contexts[ci]
-            pos = [c.index(m) for m in shared]
-            marginal: dict[tuple[str, ...], object] = {}
-            for cell, p in zip(joint_outcomes(s, c), b.tables[ci]):
-                if p:
-                    key = tuple(cell[q] for q in pos)
-                    marginal[key] = True if possibilistic else marginal.get(key, zero) + p
-            projected[ci, shared] = marginal
-        return projected[ci, shared]
-
-    containing = {m: [j for j, c in enumerate(s.contexts) if m in c] for m in s.measurements}
+    zero = False if isinstance(b, PossibilisticBehavior) else Fraction(0)
+    project = lru_cache(maxsize=None)(partial(_project, b))
+    containing: dict[str, list[int]] = {m: [] for m in s.measurements}
+    for j, c in enumerate(s.contexts):
+        for m in c:
+            containing[m].append(j)
     for i, c in enumerate(s.contexts):
         for j in sorted({j for m in c for j in containing[m] if j > i}):
             shared = tuple(m for m in c if j in containing[m])
@@ -281,7 +267,9 @@ def _is_list_of(value, kind: type) -> bool:
     return isinstance(value, list) and all(isinstance(x, kind) for x in value)
 
 
-def behavior_from_json_dict(data: dict, base_dir: str | None = None) -> AnyBehavior:
+def behavior_from_json_dict(
+    data: dict, base_dir: str | None = None, cap: int | None = None
+) -> AnyBehavior:
     """Build a (possibly possibilistic) behavior from its JSON object form.
 
     The "scenario" entry is either an inline scenario object or a path,
@@ -289,7 +277,13 @@ def behavior_from_json_dict(data: dict, base_dir: str | None = None) -> AnyBehav
     measurement set (any member order) and gives either "probs", a map from
     comma-joined outcome labels to rationals with omitted cells read as 0,
     or "possible", a list of outcome label tuples.
+
+    :raises EnumerationCapExceeded: if some context has more joint outcomes
+        than cap (default: default_cap()); checked before its table is
+        allocated.
+    :raises ValueError: if cap is below 1.
     """
+    cap = resolve_cap(cap)
     if not isinstance(data, dict):
         raise InvalidBehavior("behavior JSON must be an object")
     if "scenario" not in data or "tables" not in data:
@@ -331,10 +325,13 @@ def behavior_from_json_dict(data: dict, base_dir: str | None = None) -> AnyBehav
         if entry is None:
             raise InvalidBehavior(f"no table for context {context}")
         stored = tuple(entry["context"])
+        cells = scenario.context_cells(i)
+        if cells > cap:
+            raise EnumerationCapExceeded(f"context {context} has {cells} joint outcomes, more than the cap {cap}")
         if possibilistic:
             if not _is_list_of(entry["possible"], list):
                 raise InvalidBehavior(f"'possible' for context {stored} must be a list of lists")
-            table = [False] * scenario.context_cells(i)
+            table = [False] * cells
             for labels in entry["possible"]:
                 joint = tuple(str(o) for o in labels)
                 if len(joint) != len(stored):
@@ -345,14 +342,14 @@ def behavior_from_json_dict(data: dict, base_dir: str | None = None) -> AnyBehav
         else:
             if not isinstance(entry["probs"], dict):
                 raise InvalidBehavior(f"'probs' for context {stored} must be an object")
-            cells = [Fraction(0)] * scenario.context_cells(i)
+            table = [Fraction(0)] * cells
             for key, raw in entry["probs"].items():
                 joint = tuple(key.split(","))
                 if len(joint) != len(stored):
                     raise InvalidBehavior(f"outcome key {key!r} does not match context {stored}")
                 remapped = tuple(joint[stored.index(m)] for m in context)
-                cells[cell_index(scenario, context, remapped)] = _parse_rational(raw)
-            prob_tables.append(tuple(cells))
+                table[cell_index(scenario, context, remapped)] = _parse_rational(raw)
+            prob_tables.append(tuple(table))
     if by_set:
         extra = [sorted(k) for k in by_set]
         raise InvalidBehavior(f"tables given for unknown contexts: {extra}")
@@ -369,18 +366,11 @@ def behavior_to_json_dict(b: AnyBehavior) -> dict:
     tables = []
     for i, context in enumerate(s.contexts):
         entry: dict = {"context": list(context)}
+        cells = _project(b, i, context)
         if isinstance(b, PossibilisticBehavior):
-            entry["possible"] = [
-                list(joint)
-                for cell, joint in enumerate(joint_outcomes(s, context))
-                if b.tables[i][cell]
-            ]
+            entry["possible"] = [list(joint) for joint in cells]
         else:
-            entry["probs"] = {
-                ",".join(joint): str(b.tables[i][cell])
-                for cell, joint in enumerate(joint_outcomes(s, context))
-                if b.tables[i][cell]
-            }
+            entry["probs"] = {",".join(joint): str(p) for joint, p in cells.items()}
         tables.append(entry)
     out = {"scenario": s.to_json_dict(), "tables": tables}
     if b.metadata is not None:
@@ -388,11 +378,12 @@ def behavior_to_json_dict(b: AnyBehavior) -> dict:
     return out
 
 
-def load_behavior(path: str) -> AnyBehavior:
-    """Read a behavior (probabilistic or possibilistic) from a JSON file."""
+def load_behavior(path: str, cap: int | None = None) -> AnyBehavior:
+    """Read a behavior (probabilistic or possibilistic) from a JSON file;
+    cap bounds each context table as in behavior_from_json_dict."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    return behavior_from_json_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
+    return behavior_from_json_dict(data, base_dir=os.path.dirname(os.path.abspath(path)), cap=cap)
 
 
 def save_behavior(b: AnyBehavior, path: str) -> None:

@@ -31,7 +31,6 @@ possibilistic collapse (cell possible iff p > 0).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,27 +39,12 @@ from . import simplex
 from .behavior import AnyBehavior, Behavior, check_nondisturbance, joint_outcomes, require_nondisturbing
 from .errors import EnumerationCapExceeded
 from .lazy import Deferred
-from .scenario import Scenario
+from .scenario import Scenario, default_cap, resolve_cap  # default_cap is re-exported
 
 np = Deferred("numpy", globals(), "np")
 
-DEFAULT_CAP = 1 << 24
 _CHUNK = 1 << 16
 _MAX_INDEX = (1 << 63) - 1  # assignment indices are int64
-
-
-def default_cap() -> int:
-    """The enumeration cap: CTX_CAP from the environment, else 2^24."""
-    raw = os.environ.get("CTX_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"CTX_CAP must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"CTX_CAP must be positive, got {cap}")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -179,10 +163,9 @@ def _check_cap(s: Scenario, cap: int | None) -> int:
 
     :raises EnumerationCapExceeded: when the assignment count exceeds cap, or
         the int64 range of assignment indices.
+    :raises ValueError: if cap is below 1.
     """
-    cap = default_cap() if cap is None else cap
-    if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
+    cap = resolve_cap(cap)
     total = enumeration_size(s)
     if total > cap:
         raise EnumerationCapExceeded(f"{total} global assignments exceed the cap {cap}")
@@ -192,8 +175,10 @@ def _check_cap(s: Scenario, cap: int | None) -> int:
 
 
 def _survivor_chunks(b: AnyBehavior, possible: list[np.ndarray], cap: int | None):
-    """Yield the support in non-empty chunks, unordered.
+    """A generator of the support in non-empty chunks, unordered.
 
+    The cap is checked here, before the engine's int64 strides are built, so
+    an oversized scenario raises on the call, not on the first chunk.
     Partial assignments grow along eng.order in slices of at most _CHUNK;
     each growth step keeps the partials that every context closing there
     allows, and a slice that reaches full depth is yielded.
@@ -215,7 +200,7 @@ def _survivor_chunks(b: AnyBehavior, possible: list[np.ndarray], cap: int | None
         for start in range(0, len(part), _CHUNK):
             yield from grow(part[start : start + _CHUNK], k + 1)
 
-    yield from grow(np.zeros(1, dtype=np.int64), 0)
+    return grow(np.zeros(1, dtype=np.int64), 0)
 
 
 def _possible(b: AnyBehavior) -> list[np.ndarray]:
@@ -230,10 +215,11 @@ def _scan(b: AnyBehavior, cap: int | None) -> tuple[np.ndarray, list[np.ndarray]
     each context that some support member restricts to.
     """
     possible = _possible(b)
+    listing = _survivor_chunks(b, possible, cap)
     eng = _engine_for(b.scenario)
     covered = [np.zeros(len(t), dtype=bool) for t in possible]
     chunks = [np.zeros(0, dtype=np.int64)]
-    for arr in _survivor_chunks(b, possible, cap):
+    for arr in listing:
         chunks.append(arr)
         for ci, cov in enumerate(covered):
             cov[eng.cell_codes(arr, ci)] = True

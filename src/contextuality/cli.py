@@ -3,8 +3,9 @@ gamma, bundle, and fixtures.
 
 Machine-readable JSON goes to stdout, diagnostics to stderr. Exit codes:
 0 for a decided answer (for `pp find`, a certificate), 1 for `pp find`
-when no paradox exists, 2 when the enumeration cap is exceeded, 3 for
-invalid input of any kind.
+when no paradox exists, 2 when the enumeration cap is exceeded (by the
+global assignments a command enumerates, or at load by a context table with
+more joint outcomes than the cap), 3 for invalid input of any kind.
 """
 from __future__ import annotations
 
@@ -35,8 +36,8 @@ from .quantum import (
 )
 
 
-def _load_behavior(path: str, possibilistic: bool):
-    b = load_behavior(path)
+def _load_behavior(path: str, possibilistic: bool, cap: int | None = None):
+    b = load_behavior(path, cap=cap)
     if possibilistic and isinstance(b, Behavior):
         raise ValueError(f"{path}: --possibilistic given but the file carries probabilities")
     if not possibilistic and isinstance(b, PossibilisticBehavior):
@@ -50,7 +51,7 @@ def _print_json(data) -> None:
 
 
 def _cmd_check(args) -> int:
-    b = _load_behavior(args.behavior, False)
+    b = _load_behavior(args.behavior, False, args.cap)
     report = hierarchy(b, cap=args.cap, level=args.level)
     full = report.to_json_dict()
     keys = {
@@ -143,7 +144,7 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_bundle(args) -> int:
-    b = _load_behavior(args.behavior, args.possibilistic)
+    b = _load_behavior(args.behavior, args.possibilistic, args.cap)
     diagram = build_bundle(b, cap=args.cap)
     if args.format == "dot":
         sys.stdout.write(diagram.to_dot())

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .behavior import AnyBehavior, PossibilisticBehavior, cell_index, collapse, require_nondisturbing
+from .behavior import AnyBehavior, PossibilisticBehavior, collapse, require_nondisturbing
 from .errors import ContextualityError, NotCycle, WrongScenarioShape
 from .scenario import Scenario, chordless_cycles, require_dichotomic, require_pairs, traverse_cycle
 
@@ -94,12 +94,7 @@ def _oriented_possible(
     pb: PossibilisticBehavior, stored_index: int, pair: tuple[str, str], labels: tuple[str, str]
 ) -> bool:
     """Possibility of (u, v) = labels where pair may reverse the stored order."""
-    stored = pb.scenario.contexts[stored_index]
-    if stored == pair:
-        ordered = labels
-    else:
-        ordered = (labels[1], labels[0])
-    return pb.tables[stored_index][cell_index(pb.scenario, stored, ordered)]
+    return pb.is_possible(stored_index, labels if pb.scenario.contexts[stored_index] == pair else labels[::-1])
 
 
 def verify_certificate(b: AnyBehavior, cert: ParadoxCertificate) -> bool:
@@ -120,7 +115,11 @@ def verify_certificate(b: AnyBehavior, cert: ParadoxCertificate) -> bool:
         return by_set.get(frozenset(pair))
 
     base = stored(cert.base_context)
-    if base is None or base + 1 != cert.base_context_index:
+    if base is None or base + 1 != cert.base_context_index or len(cert.base_context) != 2:
+        return False
+    if len(cert.witness_pair) != 2 or any(
+        o not in s.outcomes[m] for m, o in zip(cert.base_context, cert.witness_pair)
+    ):
         return False
     if not _oriented_possible(pb, base, cert.base_context, cert.witness_pair):
         return False
@@ -133,7 +132,7 @@ def verify_certificate(b: AnyBehavior, cert: ParadoxCertificate) -> bool:
     seen = {base}
     for st in cert.chain:
         ci = stored(st.context)
-        if ci is None or ci + 1 != st.context_index or ci in seen:
+        if ci is None or ci + 1 != st.context_index or ci in seen or len(st.context) != 2:
             return False
         seen.add(ci)
         u, v = st.context
@@ -341,34 +340,21 @@ class BellParadox:
 def _bell_parts(s: Scenario) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Split a complete-bipartite simple scenario into (Alice, Bob) parts.
 
-    The part containing the first measurement is Alice's. Raises
-    WrongScenarioShape unless the compatibility graph is K_{k,k} with
-    k >= 2 and contexts are exactly the cross pairs.
+    Bob's part is the neighbourhood of the first measurement and Alice's is
+    every other measurement, so the first measurement is Alice's. Raises
+    WrongScenarioShape unless the parts are equal with k >= 2 and the
+    contexts are exactly the cross pairs, i.e. the compatibility graph is
+    K_{k,k}.
     """
     require_pairs(s, error=WrongScenarioShape)
-    adj: dict[str, set[str]] = {m: set() for m in s.measurements}
-    for u, v in s.contexts:
-        adj[u].add(v)
-        adj[v].add(u)
-    color: dict[str, int] = {}
-    queue = [s.measurements[0]]
-    color[s.measurements[0]] = 0
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if y not in color:
-                color[y] = 1 - color[x]
-                queue.append(y)
-            elif color[y] == color[x]:
-                raise WrongScenarioShape("compatibility graph is not bipartite")
-    if len(color) != len(s.measurements):
-        raise WrongScenarioShape("compatibility graph is not connected")
-    alice = tuple(m for m in s.measurements if color[m] == 0)
-    bob = tuple(m for m in s.measurements if color[m] == 1)
+    first = s.measurements[0]
+    neighbours = {m for c in s.contexts if first in c for m in c if m != first}
+    alice = tuple(m for m in s.measurements if m not in neighbours)
+    bob = tuple(m for m in s.measurements if m in neighbours)
     if len(alice) != len(bob) or len(alice) < 2:
         raise WrongScenarioShape(f"parts have sizes {len(alice)} and {len(bob)}, need equal k >= 2")
-    if len(s.contexts) != len(alice) * len(bob):
-        raise WrongScenarioShape("contexts must be every Alice-Bob pair")
+    if {frozenset(c) for c in s.contexts} != {frozenset((a, b)) for a in alice for b in bob}:
+        raise WrongScenarioShape("compatibility graph is not K_{k,k}: contexts must be every Alice-Bob pair")
     return alice, bob
 
 
@@ -521,28 +507,20 @@ def classify_strong_contextuality(b: AnyBehavior) -> PrBoxForm | None:
     order = traverse_cycle(s)
     require_dichotomic(s)
     require_nondisturbing(pb)
-    types = {}
-    for ci in range(len(s.contexts)):
-        t = _xor_type(pb, ci)
-        if t is None:
-            return None
-        types[ci] = t
-    if sum(1 for t in types.values() if t == "N") % 2 == 0:
+    types = [_xor_type(pb, ci) for ci in range(len(s.contexts))]
+    if None in types or types.count("N") % 2 == 0:
         return None
-    flip = min(ci for ci, t in types.items() if t == "N")
+    flip = types.index("N")
 
+    # traverse_cycle visits the measurements in order, so each bit follows
+    # from the previous one; the last step must return to the first bit.
     measurements = tuple(pair[0] for _, pair in order)
-    bits = {measurements[0]: 0}
-    for walk in range(len(order)):
-        ci, (u, v) = order[walk]
-        t_bit = 1 if types[ci] == "N" else 0
-        nxt = bits[u] ^ t_bit ^ (1 if ci == flip else 0)
-        if v in bits:
-            if bits[v] != nxt:
-                raise ContextualityError("odd-parity walk must close")
-        else:
-            bits[v] = nxt
-    assignment = tuple(s.outcomes[m][bits[m]] for m in measurements)
+    bits = [0]
+    for ci, _ in order:
+        bits.append(bits[-1] ^ ((types[ci] == "N") != (ci == flip)))
+    if bits.pop() != bits[0]:
+        raise ContextualityError("odd-parity walk must close")
+    assignment = tuple(s.outcomes[m][bit] for m, bit in zip(measurements, bits))
     return PrBoxForm(flip_context_index=flip + 1, measurements=measurements, assignment=assignment)
 
 

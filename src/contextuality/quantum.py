@@ -175,7 +175,7 @@ def _exact_pairwise_tables(
                 pins[target] = b
             else:
                 edges[other].append((target, a, b))
-                edges[target].append((other, a, -a * b if a == -1 else -b))
+                edges[target].append((other, a, -a * b))
 
     q: dict[str, Fraction] = {}
     for start in s.measurements:
@@ -187,16 +187,10 @@ def _exact_pairwise_tables(
             m = stack.pop()
             for other, a, b in edges[m]:
                 val = a * q[m] + b
-                if other in q:
-                    if q[other] != val:
-                        raise InvalidModel(
-                            f"zero pattern forces conflicting marginals for {other!r}"
-                        )
-                else:
-                    if other in pins and pins[other] != val:
-                        raise InvalidModel(
-                            f"zero pattern forces conflicting marginals for {other!r}"
-                        )
+                # q already agrees with pins wherever both are set
+                if q.get(other, pins.get(other, val)) != val:
+                    raise InvalidModel(f"zero pattern forces conflicting marginals for {other!r}")
+                if other not in q:
                     q[other] = val
                     stack.append(other)
 
@@ -451,7 +445,14 @@ def hardy_probability(n: int, alpha: float) -> float:
     if n < 4 or n % 2 == 1:
         raise ValueError(f"closed form applies to even n >= 4, got {n}")
     c, s = math.cos(alpha), math.sin(alpha)
-    return ((c * s ** (n - 1) - s * c ** (n - 1)) / (c ** (n - 1) + s ** (n - 1))) ** 2
+    den = c ** (n - 1) + s ** (n - 1)
+    if den == 0.0:
+        # Both powers underflow near alpha = pi/4. The value is symmetric in
+        # (c, s), so divide through by the larger power: t = (lo/hi)^(n-1) <= 1.
+        lo, hi = sorted((c, s))
+        t = (lo / hi) ** (n - 1)
+        return ((hi * t - lo) / (1 + t)) ** 2
+    return ((c * s ** (n - 1) - s * c ** (n - 1)) / den) ** 2
 
 
 def build_even_cycle(params: EvenCycleParams) -> tuple[QuantumModel, Behavior]:

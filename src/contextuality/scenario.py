@@ -15,10 +15,37 @@ module also provides chordless-cycle enumeration and cycle traversal.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidScenario, NonDichotomic, NonSimpleScenario, NotCycle
+
+DEFAULT_CAP = 1 << 24
+
+
+def default_cap() -> int:
+    """The enumeration cap: CTX_CAP from the environment, else 2^24."""
+    raw = os.environ.get("CTX_CAP", str(DEFAULT_CAP))
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"CTX_CAP must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"CTX_CAP must be positive, got {cap}")
+    return cap
+
+
+def resolve_cap(cap: int | None) -> int:
+    """cap itself, or default_cap() when it is None; it bounds the global
+    assignments a listing enumerates and the cells of a loaded context table.
+
+    :raises ValueError: if cap is below 1.
+    """
+    cap = default_cap() if cap is None else cap
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -59,8 +86,9 @@ class Scenario:
                 raise InvalidScenario(f"measurement {m!r} needs >= 2 distinct outcome labels")
         if not self.contexts:
             raise InvalidScenario("scenario has no contexts")
-        seen_sets = []
-        for c in self.contexts:
+        # A context's supersets hold all its measurements: no pair is compared.
+        containing: dict[str, set[int]] = {m: set() for m in self.measurements}
+        for j, c in enumerate(self.contexts):
             if not c:
                 raise InvalidScenario("empty context")
             if len(set(c)) != len(c):
@@ -68,16 +96,16 @@ class Scenario:
             for m in c:
                 if m not in mset:
                     raise InvalidScenario(f"context {c} uses unknown measurement {m!r}")
-            seen_sets.append(frozenset(c))
-        covered = set().union(*seen_sets)
-        if covered != mset:
-            raise InvalidScenario(f"measurements not covered by any context: {sorted(mset - covered)}")
-        for i, a in enumerate(seen_sets):
-            for j, b in enumerate(seen_sets):
-                if i != j and a <= b:
-                    raise InvalidScenario(
-                        f"contexts must form an antichain: {self.contexts[i]} within {self.contexts[j]}"
-                    )
+                containing[m].add(j)
+        uncovered = [m for m in sorted(mset) if not containing[m]]
+        if uncovered:
+            raise InvalidScenario(f"measurements not covered by any context: {uncovered}")
+        for i, c in enumerate(self.contexts):
+            supersets = set.intersection(*(containing[m] for m in c))  # holds i itself
+            if len(supersets) > 1:
+                raise InvalidScenario(
+                    f"contexts must form an antichain: {c} within {self.contexts[min(supersets - {i})]}"
+                )
 
     # -- derived views ----------------------------------------------------
 

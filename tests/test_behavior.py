@@ -1,5 +1,6 @@
 """Behavior tables, marginals, disturbance checks, and JSON round-trips."""
 
+import itertools
 import json
 import random
 import time
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from contextuality import (
     Behavior,
+    EnumerationCapExceeded,
     InvalidBehavior,
     InvalidScenario,
     NegativeProbability,
@@ -45,6 +47,14 @@ def uniform_behavior(s: Scenario) -> Behavior:
             cells *= len(s.outcomes[m])
         tables.append((F(1, cells),) * cells)
     return Behavior(s, tuple(tables))
+
+
+def wide_payload(width: int, possibilistic: bool) -> dict:
+    """JSON for one context of width binary measurements, all mass on one cell."""
+    names = [f"X{i}" for i in range(width)]
+    scenario = {"measurements": names, "outcomes": {m: ["0", "1"] for m in names}, "contexts": [names]}
+    table = {"possible": [["0"] * width]} if possibilistic else {"probs": {",".join("0" * width): "1"}}
+    return {"scenario": scenario, "tables": [{"context": names, **table}]}
 
 
 # ============================================================
@@ -105,6 +115,46 @@ class TestMarginals:
         # context 2 = (B1, A2) misses only (1,0); B1=1 still possible via (1,1)
         assert pb.marginal(1, ("B1",), ("1",)) is True
         assert pb.marginal(1, ("B1",), ("0",)) is True
+
+    def test_marginals_match_reference(self):
+        # Shuffled pair and triple contexts: every ordered measurement subset
+        # and joint outcome, plus a subset reaching outside the context.
+        rng = random.Random(86)
+        names = [f"X{i}" for i in range(6)]
+        checked = 0
+        for draw in range(40):
+            outcomes = {m: tuple(str(o) for o in range(rng.randint(2, 3))) for m in names}
+            if draw % 2:
+                contexts = [("X0", "X1", "X2"), ("X2", "X3", "X4"), ("X4", "X5", "X0")]
+            else:
+                contexts = [(names[i], names[(i + 1) % 6]) for i in range(6)]
+            contexts = [tuple(rng.sample(c, len(c))) for c in contexts]
+            rng.shuffle(contexts)
+            s = Scenario(tuple(names), outcomes, tuple(contexts))
+            tables = [[rng.random() < 0.5 for _ in joint_outcomes(s, c)] for c in s.contexts]
+            for table in tables:
+                table[rng.randrange(len(table))] = True
+            pb = PossibilisticBehavior(s, tuple(map(tuple, tables)))
+            behaviors = [pb]
+            if draw % 2 == 0:
+                b = random_nd_coupling(s, rng)
+                behaviors += [b, collapse(b)]
+            for beh in behaviors:
+                kind = Fraction if isinstance(beh, Behavior) else bool
+                for ci, c in enumerate(s.contexts):
+                    for k in range(1, len(c) + 1):
+                        for sub in itertools.permutations(c, k):
+                            for joint in itertools.product(*(s.outcomes[m] for m in sub)):
+                                got = beh.marginal(ci, sub, joint)
+                                assert type(got) is kind
+                                assert got == oracle.ref_marginal(beh, ci, sub, joint)
+                                checked += 1
+                    outside = next(m for m in names if m not in c)
+                    with pytest.raises(SubsetNotInContext):
+                        beh.marginal(ci, (c[0], outside), (s.outcomes[c[0]][0], s.outcomes[outside][0]))
+            cells = list(joint_outcomes(s, s.contexts[0]))
+            assert pb.possible_outcomes(0) == tuple(j for j, p in zip(cells, pb.tables[0]) if p)
+        assert checked > 3000, checked
 
 
 # ============================================================
@@ -303,6 +353,24 @@ class TestJson:
         (tmp_path / "b.json").write_text(json.dumps(data))
         b = load_behavior(tmp_path / "b.json")
         assert b.scenario == s
+
+    @pytest.mark.parametrize("possibilistic", [False, True])
+    def test_context_table_larger_than_cap_refused(self, tmp_path, possibilistic):
+        # 12 binary measurements make 4096 cells; 50 would not fit in memory.
+        for width, cap, loads in ((12, None, True), (12, 4096, True), (12, 4095, False), (50, None, False)):
+            data = wide_payload(width, possibilistic)
+            if loads:
+                b = behavior_from_json_dict(data, cap=cap)
+                assert len(b.tables[0]) == 4096 and sum(map(bool, b.tables[0])) == 1
+            else:
+                with pytest.raises(EnumerationCapExceeded, match="joint outcomes, more than the cap"):
+                    behavior_from_json_dict(data, cap=cap)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(wide_payload(12, possibilistic)))
+        with pytest.raises(EnumerationCapExceeded):
+            load_behavior(path, cap=100)
+        with pytest.raises(ValueError, match="cap must be positive"):
+            load_behavior(path, cap=0)
 
     def test_metadata_passes_through(self):
         b = fixture("bell")

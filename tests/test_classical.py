@@ -386,6 +386,28 @@ class TestCaps:
         with pytest.raises(ValueError):
             default_cap()
 
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            support,
+            support_size,
+            logical_contextuality_witness,
+            is_logically_contextual,
+            is_strongly_contextual,
+            hierarchy,
+            noncontextual_weight,
+            build_bundle,
+        ],
+    )
+    def test_seventy_cycle_raises_the_cap_error(self, reader):
+        # 2^70 assignments overflow the int64 strides of the listing engine,
+        # so the cap must be checked before the engine is built.
+        b = random_nd_coupling(make_n_cycle(70), random.Random(70))
+        with pytest.raises(EnumerationCapExceeded, match="exceed the cap"):
+            reader(b)
+        with pytest.raises(EnumerationCapExceeded, match="int64 index range"):
+            reader(b, cap=1 << 80)
+
 
 # ======================================================================
 # 6. The pruned support listing

@@ -167,6 +167,52 @@ class TestCheck:
         assert run([*command, "--behavior", str(path)]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_seventy_cycle_exceeds_the_cap_cleanly(self, capsys, tmp_path):
+        # 2^70 assignments: the cap is checked before any int64 index table
+        # is built, so this is exit 2, not an overflow.
+        path = str(tmp_path / "c70.json")
+        assert run(["quantum", "ncycle", "--n", "70", "--alpha", "0.3", "--out", path]) == 0
+        capsys.readouterr()
+        for command in (["check"], ["bundle"]):
+            assert run([*command, "--behavior", path]) == 2
+            err = capsys.readouterr().err
+            assert "exceed the cap" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("form", ["probs", "possible"])
+    def test_wide_context_refused_before_allocation(self, capsys, tmp_path, form):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(wide_context_payload(50, form)))
+        command = ["check"] if form == "probs" else ["pp", "find", "--possibilistic"]
+        assert run([*command, "--behavior", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "joint outcomes, more than the cap" in err and "Traceback" not in err
+
+    def test_context_table_cap_reads_ctx_cap(self, capsys, tmp_path, monkeypatch):
+        # 12 binary measurements in one context: 4096 cells, under the default cap.
+        probs, possible = tmp_path / "w12.json", tmp_path / "w12p.json"
+        probs.write_text(json.dumps(wide_context_payload(12, "probs")))
+        possible.write_text(json.dumps(wide_context_payload(12, "possible")))
+        pp = ["pp", "find", "--possibilistic", "--behavior", str(possible)]
+        assert run(["check", "--behavior", str(probs)]) == 0
+        assert run(pp) == 3  # loads; a single context is not a cycle
+        monkeypatch.setenv("CTX_CAP", "1000")
+        capsys.readouterr()
+        for argv in (["check", "--behavior", str(probs)], pp):
+            assert run(argv) == 2
+            assert "4096 joint outcomes, more than the cap 1000" in capsys.readouterr().err
+        assert run(["check", "--behavior", str(probs), "--cap", "0"]) == 3
+        assert "cap must be positive" in capsys.readouterr().err
+
+
+def wide_context_payload(width: int, form: str) -> dict:
+    """One context holding every one of width binary measurements."""
+    names = [f"X{i}" for i in range(width)]
+    table = {"probs": {",".join("0" * width): "1"}} if form == "probs" else {"possible": [["0"] * width]}
+    return {
+        "scenario": {"measurements": names, "outcomes": {m: ["0", "1"] for m in names}, "contexts": [names]},
+        "tables": [{"context": names, **table}],
+    }
+
 
 # ======================================================================
 # 2. pp find
@@ -349,6 +395,11 @@ class TestGamma:
         assert set(data) == {"n", "gamma", "params", "trace", "notes"}
         assert len(data["trace"]) == 2
         assert data["gamma"] <= 1 / 9 + 1e-9
+
+    def test_long_even_cycle_does_not_underflow(self, capsys):
+        code, data = run_json(capsys, ["gamma", "--n", "3000"])
+        assert code == 0
+        assert 0.49 < data["gamma"] < 0.5
 
     def test_bad_n_exits_3(self, capsys):
         assert run(["gamma", "--n", "3"]) == 3

@@ -33,6 +33,8 @@ from contextuality import (
     verify_certificate,
 )
 
+from contextuality.paradox import _bell_parts
+
 import oracle
 
 HARDY = fixture("hardy")
@@ -161,6 +163,27 @@ class TestVerifyCertificate:
         cert = detect_cycle_paradox(HARDY)
         assert not verify_certificate(fixture("bell"), cert)
 
+    @pytest.mark.parametrize(
+        "witness", [("0", "7"), ("x", "0"), ("0",), ("0", "0", "0"), (), ("0", None)]
+    )
+    def test_malformed_witness_is_rejected_not_raised(self, witness):
+        cert = detect_cycle_paradox(HARDY)
+        assert not verify_certificate(HARDY, replace(cert, witness_pair=witness))
+
+    def test_contexts_that_are_not_pairs_are_rejected_not_raised(self):
+        # A singleton context D beside a PR-box triangle: a certificate naming
+        # it as its base or as a step matches a stored context but no pair.
+        triangle = (("A", "B"), ("B", "C"), ("C", "A"))
+        tables = ((True, False, False, True), (True, False, False, True), (False, True, True, False))
+        tri = Scenario(tuple("ABC"), {m: ("0", "1") for m in "ABC"}, triangle)
+        cert = detect_cycle_paradox(PossibilisticBehavior(tri, tables))
+        s = Scenario(tuple("ABCD"), {m: ("0", "1") for m in "ABCD"}, (*triangle, ("D",)))
+        b = PossibilisticBehavior(s, (*tables, (True, True)))
+        assert verify_certificate(b, cert)
+        assert not verify_certificate(b, replace(cert, base_context=("D",), base_context_index=4))
+        step = replace(cert.chain[0], context=("D",), context_index=4)
+        assert not verify_certificate(b, replace(cert, chain=(step,) + cert.chain[1:]))
+
 
 # ======================================================================
 # 2. Simple scenarios and Bell index form
@@ -252,6 +275,60 @@ class TestBellForm:
         )
         with pytest.raises(WrongScenarioShape):
             detect_bell22_paradox(plant(s, {}))
+
+    @pytest.mark.parametrize(
+        "contexts",
+        [
+            [("M1", "M2"), ("M2", "M3"), ("M3", "M4"), ("M4", "M5"), ("M5", "M6"), ("M6", "M1")],
+            [(a, b) for a in ("A1", "A2", "A3") for b in ("B1", "B2", "B3")][1:],
+            [("A1", "B1"), ("B1", "A2"), ("A2", "B2"), ("B2", "A1"),
+             ("C1", "D1"), ("D1", "C2"), ("C2", "D2"), ("D2", "C1")],
+            [("M1", "M2"), ("M2", "M3"), ("M3", "M1")],
+        ],
+        ids=["6-cycle", "K33-minus-one", "two-4-cycles", "triangle"],
+    )
+    def test_non_complete_bipartite_rejected(self, contexts):
+        names = tuple(dict.fromkeys(m for c in contexts for m in c))
+        s = Scenario(names, {m: ("0", "1") for m in names}, tuple(contexts))
+        with pytest.raises(WrongScenarioShape):
+            detect_bell22_paradox(plant(s, {}))
+
+    def test_parts_under_shuffled_storage(self):
+        rng = random.Random(41)
+        hits = 0
+        for k in (2, 3, 4):
+            for _ in range(40):
+                base = make_bipartite_bell(k, 2)
+                names = list(base.measurements)
+                rng.shuffle(names)
+                contexts = [c[::-1] if rng.random() < 0.5 else c for c in base.contexts]
+                rng.shuffle(contexts)
+                s = Scenario(tuple(names), base.outcomes, tuple(contexts))
+                alice, bob = _bell_parts(s)
+                assert (alice, bob) == two_colouring(s)
+                hit = detect_bell22_paradox(random_pnd(s, rng))
+                if hit is not None:
+                    hits += 1
+                    pair = {alice[hit.i - 1], bob[hit.j - 1]}
+                    assert pair == set(hit.certificate.base_context)
+                    assert {alice[hit.m - 1], bob[hit.l - 1]} == set(hit.cycle) - pair
+        assert 10 < hits < 120, hits
+
+
+def two_colouring(s: Scenario) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The parts of a connected bipartite graph, by search from the first
+    measurement; that measurement's part comes first."""
+    colour = {s.measurements[0]: 0}
+    frontier = [s.measurements[0]]
+    while frontier:
+        x = frontier.pop()
+        for c in s.contexts:
+            if x in c:
+                y = c[1] if c[0] == x else c[0]
+                if y not in colour:
+                    colour[y] = 1 - colour[x]
+                    frontier.append(y)
+    return tuple(m for m in s.measurements if colour[m] == 0), tuple(m for m in s.measurements if colour[m] == 1)
 
 
 # ======================================================================

@@ -215,6 +215,16 @@ class TestExactTables:
         with pytest.raises(InvalidModel):
             _exact_pairwise_tables(s, raw, 1e-10)
 
+    def test_pin_contradicting_propagated_marginal_rejected(self):
+        s = make_n_cycle(3)
+        raw = [
+            [0.5, 0.0, 0.0, 0.5],  # perfect correlation: q(M2) = q(M1) = 1/2
+            [0.0, 0.0, 0.5, 0.5],  # zeros at (0,0),(0,1) pin q(M2) = 1
+            [0.25, 0.25, 0.25, 0.25],
+        ]
+        with pytest.raises(InvalidModel, match="conflicting marginals for 'M2'"):
+            _exact_pairwise_tables(s, raw, 1e-10)
+
     def test_pinned_marginal_making_cell_negative_rejected(self):
         s = make_n_cycle(3)
         raw = [
@@ -335,6 +345,23 @@ class TestHardyProbability:
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
             hardy_probability(5, 0.3)
+
+    def test_closed_form_unchanged_where_finite(self):
+        alphas = [k * math.pi / 64 for k in range(1, 32)] + [math.pi / 4 - 1e-9, 0.3, 1.2]
+        for n in range(4, 65, 2):
+            for a in alphas:
+                c, s = math.cos(a), math.sin(a)
+                old = ((c * s ** (n - 1) - s * c ** (n - 1)) / (c ** (n - 1) + s ** (n - 1))) ** 2
+                assert hardy_probability(n, a) == old, (n, a)
+
+    @pytest.mark.parametrize("n", [2000, 3000, 10**4, 10**5])
+    def test_long_cycles_do_not_underflow(self, n):
+        # cos^(n-1) and sin^(n-1) both underflow near pi/4 for large n
+        for a in [0.3, 0.7, math.pi / 4 - 1e-6, math.pi / 4, 0.9, 1.3]:
+            value = hardy_probability(n, a)
+            assert math.isfinite(value) and 0 <= value <= 1, (n, a, value)
+        assert hardy_probability(n, 0.5) == pytest.approx(math.sin(0.5) ** 2)
+        assert hardy_probability(n, 1.0) == pytest.approx(math.cos(1.0) ** 2)
 
     def test_peak_value_is_the_four_cycle_ceiling(self):
         # max over alpha of the n=4 closed form equals (5*sqrt(5)-11)/2.

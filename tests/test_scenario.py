@@ -60,6 +60,54 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario):
             Scenario(measurements, outcomes, contexts)
 
+    @pytest.mark.parametrize(
+        "contexts, message",
+        [
+            # duplicates in another member order: the first copy names the second
+            ((("C", "D"), ("A", "B"), ("D", "A"), ("B", "A")), "('A', 'B') within ('B', 'A')"),
+            # nested: the first context with a superset, its smallest superset
+            ((("A", "B", "C"), ("D", "C"), ("C", "B"), ("B", "C", "D")), "('D', 'C') within ('B', 'C', 'D')"),
+            ((("B",), ("A", "B", "C", "D"), ("C", "B", "A")), "('B',) within ('A', 'B', 'C', 'D')"),
+        ],
+    )
+    def test_antichain_message_names_first_pair(self, contexts, message):
+        outcomes = {m: ("0", "1") for m in "ABCD"}
+        with pytest.raises(InvalidScenario, match="antichain") as err:
+            Scenario(tuple("ABCD"), outcomes, contexts)
+        assert str(err.value) == f"contexts must form an antichain: {message}"
+        with pytest.raises(InvalidScenario) as err:
+            Scenario(tuple("ABCDEF"), {m: ("0", "1") for m in "ABCDEF"}, contexts)
+        assert str(err.value) == "measurements not covered by any context: ['E', 'F']"
+
+    def test_antichain_check_matches_pairwise_reference(self):
+        rng = random.Random(97)
+        names = tuple("ABCDEF")
+        raised = 0
+        for _ in range(400):
+            contexts = [tuple(rng.sample(names, rng.randint(1, 4))) for _ in range(rng.randint(2, 6))]
+            contexts.append(names[: rng.randint(1, 6)])
+            rng.shuffle(contexts)
+            expected = next(
+                (
+                    f"contexts must form an antichain: {a} within {b}"
+                    for i, a in enumerate(contexts)
+                    for j, b in enumerate(contexts)
+                    if i != j and set(a) <= set(b)
+                ),
+                None,
+            )
+            covered = set().union(*contexts)
+            if covered != set(names):
+                expected = f"measurements not covered by any context: {sorted(set(names) - covered)}"
+            try:
+                Scenario(names, {m: ("0", "1") for m in names}, tuple(contexts))
+            except InvalidScenario as exc:
+                assert str(exc) == expected
+                raised += 1
+            else:
+                assert expected is None
+        assert 100 < raised < 400, raised
+
     def test_context_order_is_preserved(self):
         s = Scenario(
             ("A", "B"), {"A": ("0", "1"), "B": ("0", "1")}, (("B", "A"),)
