@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .errors import (
     NotPossibilisticallyND,
     SubsetNotInContext,
 )
-from .scenario import Scenario, resolve_cap
+from .scenario import Scenario, index_shape, resolve_cap
 
 
 def joint_outcomes(s: Scenario, context: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
@@ -83,10 +84,11 @@ class Behavior:
         tables = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in t) for t in self.tables)
         object.__setattr__(self, "tables", tables)
         for c, t in _shaped(self.scenario, tables):
-            for p in t:
-                if p < 0:
-                    raise NegativeProbability(f"negative probability {p} in context {c}")
-            if sum(t) != 1:
+            nums, den = _numerators(t)
+            if min(nums) < 0:
+                p = next(p for p in t if p < 0)
+                raise NegativeProbability(f"negative probability {p} in context {c}")
+            if sum(nums) != den:
                 raise InvalidBehavior(f"table for context {c} sums to {sum(t)}, not 1")
 
     def probability(self, context_index: int, outcomes: tuple[str, ...]) -> Fraction:
@@ -192,7 +194,8 @@ def check_nondisturbance(b: Behavior) -> DisturbanceReport:
     Compares, for every context pair, the marginal distributions on the full
     intersection of their measurement sets; agreement there implies
     agreement on every smaller common subset. Returns the first violation
-    in stored context order.
+    in stored context order. The comparison runs on integer numerators over
+    each table's lcm; Fractions are made only for a reported violation.
     """
     return _check_nd(b)
 
@@ -222,25 +225,77 @@ def require_nondisturbing(b: AnyBehavior) -> None:
 
 
 def _check_nd(b: AnyBehavior) -> DisturbanceReport:
-    """Project each table once per shared measurement set, then compare the
-    projections of every overlapping pair in stored order."""
+    """Compare every overlapping pair's marginals in stored order: as integers
+    for a Behavior, else projecting each table once per shared set."""
+    if isinstance(b, Behavior):
+        return _check_exact_nd(b)
     s = b.scenario
-    zero = False if isinstance(b, PossibilisticBehavior) else Fraction(0)
     project = lru_cache(maxsize=None)(partial(_project, b))
-    containing: dict[str, list[int]] = {m: [] for m in s.measurements}
-    for j, c in enumerate(s.contexts):
+    for i, j, shared in _overlaps(s.contexts):
+        va, vb = project(i, shared), project(j, shared)
+        if va != vb:
+            joint = next(x for x in joint_outcomes(s, shared) if va.get(x, False) != vb.get(x, False))
+            values = (va.get(joint, False), vb.get(joint, False))
+            return DisturbanceReport(ok=False, violation=Violation(i, j, shared, joint, *values))
+    return DisturbanceReport(ok=True)
+
+
+def _overlaps(contexts: tuple[tuple, ...]) -> Iterator[tuple[int, int, tuple]]:
+    """(i, j, shared) for every pair of contexts i < j sharing a measurement,
+    in stored order; shared lists the common measurements in context i's order."""
+    containing: dict = {}
+    for j, c in enumerate(contexts):
         for m in c:
-            containing[m].append(j)
-    for i, c in enumerate(s.contexts):
+            containing.setdefault(m, set()).add(j)
+    for i, c in enumerate(contexts):
         for j in sorted({j for m in c for j in containing[m] if j > i}):
-            shared = tuple(m for m in c if j in containing[m])
-            va, vb = project(i, shared), project(j, shared)
-            if va != vb:
-                joint = next(
-                    x for x in joint_outcomes(s, shared) if va.get(x, zero) != vb.get(x, zero)
-                )
-                values = (va.get(joint, zero), vb.get(joint, zero))
-                return DisturbanceReport(ok=False, violation=Violation(i, j, shared, joint, *values))
+            yield i, j, tuple(m for m in c if j in containing[m])
+
+
+def _numerators(t: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """A table as numerators over the lcm of its denominators, and that lcm."""
+    den = math.lcm(*{p.denominator for p in t})
+    return [p.numerator * (den // p.denominator) for p in t], den
+
+
+@lru_cache(maxsize=1024)
+def _cell_groups(radices: tuple[int, ...], where: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """A context's cells (outcome counts radices) grouped by their joint
+    outcome at the positions where, groups in that joint outcome's order."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for cell, digits in enumerate(itertools.product(*map(range, radices))):
+        groups.setdefault(tuple(digits[w] for w in where), []).append(cell)
+    return tuple(tuple(groups[key]) for key in sorted(groups))
+
+
+@lru_cache(maxsize=256)
+def _nd_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]) -> tuple:
+    """_overlaps of one shape, as (i, j, shared, groups_i, groups_j) with
+    shared in measurement positions and groups_c context c's cells grouped by
+    their joint outcome on shared (see _cell_groups)."""
+    local = [tuple(radices[q] for q in positions) for positions in ctx_positions]
+    plan = []
+    for i, j, shared in _overlaps(ctx_positions):
+        groups = (_cell_groups(local[c], tuple(map(ctx_positions[c].index, shared))) for c in (i, j))
+        plan.append((i, j, shared, *groups))
+    return tuple(plan)
+
+
+def _check_exact_nd(b: Behavior) -> DisturbanceReport:
+    """Each pair's marginals as sums of numerators, cross-multiplied by the
+    other table's lcm, so equal lists mean equal marginals."""
+    s = b.scenario
+    scaled = [_numerators(t) for t in b.tables]
+    for i, j, shared, groups_i, groups_j in _nd_plan(*index_shape(s)):
+        (ta, da), (tb, db) = scaled[i], scaled[j]
+        va = [sum(map(ta.__getitem__, g)) * db for g in groups_i]
+        vb = [sum(map(tb.__getitem__, g)) * da for g in groups_j]
+        if va != vb:
+            k = next(k for k, (x, y) in enumerate(zip(va, vb)) if x != y)
+            measurements = tuple(s.measurements[q] for q in shared)
+            joint = next(itertools.islice(joint_outcomes(s, measurements), k, None))
+            values = (Fraction(va[k], da * db), Fraction(vb[k], da * db))
+            return DisturbanceReport(ok=False, violation=Violation(i, j, measurements, joint, *values))
     return DisturbanceReport(ok=True)
 
 

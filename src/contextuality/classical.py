@@ -30,6 +30,7 @@ possibilistic collapse (cell possible iff p > 0).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,7 @@ from . import simplex
 from .behavior import AnyBehavior, Behavior, check_nondisturbance, joint_outcomes, require_nondisturbing
 from .errors import EnumerationCapExceeded
 from .lazy import Deferred
-from .scenario import Scenario, default_cap, resolve_cap  # default_cap is re-exported
+from .scenario import Scenario, default_cap, index_shape, resolve_cap  # default_cap is re-exported
 
 np = Deferred("numpy", globals(), "np")
 
@@ -147,10 +148,7 @@ _engine = lru_cache(maxsize=256)(_Engine)
 
 
 def _engine_for(s: Scenario) -> _Engine:
-    index = {m: q for q, m in enumerate(s.measurements)}
-    radices = tuple(len(s.outcomes[m]) for m in s.measurements)
-    ctx_positions = tuple(tuple(index[m] for m in c) for c in s.contexts)
-    return _engine(radices, ctx_positions)
+    return _engine(*index_shape(s))
 
 
 def enumeration_size(s: Scenario) -> int:
@@ -204,7 +202,7 @@ def _survivor_chunks(b: AnyBehavior, possible: list[np.ndarray], cap: int | None
 
 
 def _possible(b: AnyBehavior) -> list[np.ndarray]:
-    return [np.array([p > 0 for p in t], dtype=bool) for t in b.tables]
+    return [np.array(list(map(bool, t)), dtype=bool) for t in b.tables]  # cells are never negative
 
 
 def _scan(b: AnyBehavior, cap: int | None) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -301,17 +299,36 @@ def _lp(b: Behavior, survivors: np.ndarray) -> tuple[Fraction, list[Fraction]]:
     reproducing every table: each context's constraints sum to (total
     weight) <= 1 with slack 1 - total, so optimum 1 makes every constraint
     tight.
+
+    Rows go to simplex.maximize as ints, scaled by the denominator of their
+    right-hand side. Twin rows (rows hit by the same survivors) are passed
+    once: the one with the smallest right-hand side, the first in (context,
+    cell) order on ties, in that order. This is exact: while both slacks are
+    basic, a twin's tableau row is the kept row's with a right-hand side no
+    smaller, so the ratio test with its smallest-label tie-break picks the
+    kept row; after that slack leaves, the twin's row has no positive entry.
+    So the twin's slack never leaves, integer pivots never read its row, and
+    the pivots and (value, x) are the full LP's. A dropped twin's dual is 0.
     """
-    eng = _engine_for(b.scenario)
-    rows: list[list[int]] = []
-    rhs: list[Fraction] = []
-    for ci, table in enumerate(b.tables):
-        codes = eng.cell_codes(survivors, ci).tolist()
-        for cell, p in enumerate(table):
+    radices, ctx_positions = index_shape(b.scenario)
+    digits = np.transpose(np.unravel_index(survivors, radices)).tolist()
+    kept: dict[frozenset, tuple[tuple[int, int], int, int]] = {}  # pattern -> ((ci, cell), num, den)
+    for ci, (table, positions) in enumerate(zip(b.tables, ctx_positions)):
+        members: dict[tuple[int, ...], list[int]] = {}
+        for k, row in enumerate(digits):
+            members.setdefault(tuple(row[q] for q in positions), []).append(k)
+        cells = itertools.product(*(range(radices[q]) for q in positions))
+        for cell, (joint, p) in enumerate(zip(cells, table)):
             if p:
-                rows.append([1 if code == cell else 0 for code in codes])
-                rhs.append(p)
-    return simplex.maximize([1] * len(survivors), rows, rhs)
+                pattern = frozenset(members.get(joint, ()))
+                twin = kept.get(pattern)
+                if twin is None or p.numerator * twin[2] < twin[1] * p.denominator:
+                    kept[pattern] = ((ci, cell), p.numerator, p.denominator)
+    n = len(survivors)
+    rows = sorted(
+        (at, num, [den * (k in pattern) for k in range(n)]) for pattern, (at, num, den) in kept.items()
+    )
+    return simplex.maximize([1] * n, [row for *_, row in rows], [num for _, num, _ in rows])
 
 
 def noncontextual_weight(b: Behavior, cap: int | None = None) -> Fraction:

@@ -112,7 +112,10 @@ def verify_certificate(b: AnyBehavior, cert: ParadoxCertificate) -> bool:
     by_set = {frozenset(c): i for i, c in enumerate(s.contexts)}
 
     def stored(pair: tuple[str, str]) -> int | None:
-        return by_set.get(frozenset(pair))
+        try:
+            return by_set.get(frozenset(pair))
+        except TypeError:  # an unhashable label, such as a list
+            return None
 
     base = stored(cert.base_context)
     if base is None or base + 1 != cert.base_context_index or len(cert.base_context) != 2:
@@ -138,13 +141,16 @@ def verify_certificate(b: AnyBehavior, cert: ParadoxCertificate) -> bool:
         u, v = st.context
         if u != prev_vertex or tuple(st.reachable_in) != prev_reach:
             return False
-        out_set = set(st.reachable_out)
+        try:
+            out_set, forbidden = set(st.reachable_out), set(st.forbidden)
+        except TypeError:  # a label or pair given as a list, as to_json_dict writes pairs
+            return False
         if not out_set <= set(s.outcomes[v]):
             return False
         expect_forbidden = {
             (x, y) for x in st.reachable_in for y in s.outcomes[v] if y not in out_set
         }
-        if set(st.forbidden) != expect_forbidden:
+        if forbidden != expect_forbidden:
             return False
         for x, y in st.forbidden:
             if _oriented_possible(pb, ci, st.context, (x, y)):

@@ -167,6 +167,13 @@ def load_scenario(path: str) -> Scenario:
         return Scenario.from_json_dict(json.load(fh))
 
 
+def index_shape(s: Scenario) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Outcome counts and context positions: the key of every per-shape cache."""
+    index = {m: q for q, m in enumerate(s.measurements)}
+    radices = tuple(len(s.outcomes[m]) for m in s.measurements)
+    return radices, tuple(tuple(map(index.__getitem__, c)) for c in s.contexts)
+
+
 # -- shape guards -----------------------------------------------------------
 
 

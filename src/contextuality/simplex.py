@@ -13,6 +13,7 @@ gives d in row r and -T[i][s] elsewhere, which column s then holds. So every
 entry is the full tableau's (slacks starting as the identity) and the pivots
 are the rational tableau's: scaling a row, c or a slack column by a positive
 constant changes no reduced cost's sign and no cross-multiplied ratio test.
+A row of ints has lcm 1, so rows may arrive prescaled, as classical._lp's do.
 """
 from __future__ import annotations
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from contextuality import (
     Behavior,
+    EvenCycleParams,
+    OddCycleParams,
     EnumerationCapExceeded,
     InvalidBehavior,
     InvalidScenario,
@@ -21,6 +23,8 @@ from contextuality import (
     SubsetNotInContext,
     behavior_from_json_dict,
     behavior_to_json_dict,
+    build_even_cycle,
+    build_odd_cycle,
     check_nondisturbance,
     check_possibilistic_nd,
     collapse,
@@ -30,6 +34,7 @@ from contextuality import (
     make_bipartite_bell,
     make_n_cycle,
     random_nd_coupling,
+    random_nd_mixture,
     random_pnd,
     save_behavior,
 )
@@ -281,6 +286,62 @@ class TestDisturbanceAgainstReference:
                     assert report.ok or type(report.violation.value_a) is Fraction
                     violations += not report.ok
         assert violations > 100, violations
+
+
+    @staticmethod
+    def _exact_draws(rng: random.Random):
+        """Triple-context mixtures, couplings and quantum cycle tables, each
+        also stored in a shuffled context and measurement order."""
+        for _ in range(30):
+            yield random_nd_mixture(TRIPLES, rng, rng.randint(1, 5))
+            yield random_nd_coupling(make_n_cycle(rng.randint(3, 6), rng.randint(2, 3)), rng)
+            yield random_nd_coupling(make_bipartite_bell(rng.randint(2, 3), rng.randint(2, 3)), rng)
+        for n in (4, 6, 8):
+            yield build_even_cycle(EvenCycleParams(n, rng.uniform(0.1, 0.7)))[1]
+        for n in (5, 7):
+            thetas = tuple(rng.uniform(0.5, 2.5) for _ in range((n - 3) // 2))
+            yield build_odd_cycle(OddCycleParams(n, (0.3, -0.2, 0.9), (0.5, 0.8, -0.1), thetas))[1]
+
+    @staticmethod
+    def _restored(b: Behavior, rng: random.Random) -> Behavior:
+        """The same behavior with its contexts, and the measurements inside
+        each context, stored in a shuffled order."""
+        data = behavior_to_json_dict(b)
+        contexts = [rng.sample(c, len(c)) for c in data["scenario"]["contexts"]]
+        rng.shuffle(contexts)
+        data["scenario"]["contexts"] = contexts
+        return behavior_from_json_dict(data)
+
+    def test_exact_triples_shuffled_orders_and_quantum_tables(self):
+        rng = random.Random(1905)
+        draws = violations = 0
+        for b in self._exact_draws(rng):
+            for x in (b, self._restored(b, rng)):
+                for y in (x, _move_mass(x, rng), _move_mass(_move_mass(x, rng), rng)):
+                    report = check_nondisturbance(y)
+                    assert _violation_fields(report) == oracle.ref_nd_violation(y)
+                    assert report.ok or type(report.violation.value_a) is Fraction
+                    draws += 1
+                    violations += not report.ok
+        assert draws == 3 * 2 * 95
+        assert 150 < violations < 380, violations
+
+    def test_nondisturbing_check_builds_no_fraction(self, monkeypatch):
+        """On a nondisturbing Behavior the check runs on ints only."""
+        rng = random.Random(3)
+        behaviors = list(self._exact_draws(rng)) + [fixture(name) for name in ("bell", "hardy", "pr-box")]
+        behaviors.append(self._restored(random_nd_mixture(TRIPLES, rng, 4), rng))
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        assert all(check_nondisturbance(b).ok for b in behaviors)
+        assert made == []
+        assert Fraction(1, 2) and made == [(1, 2)]
 
 
 # ============================================================

@@ -580,3 +580,91 @@ class TestCycleWalk:
         passed = count_cell_codes(monkeypatch)
         assert support_size(b, cap=1 << 62) == 1
         assert passed[0] < 1000, f"{passed[0]} indices passed"
+
+
+# ======================================================================
+# 7. The twin-free LP
+# ======================================================================
+
+
+def full_lp(b: Behavior):
+    """The LP of b with every twin row: one 0/1 row per positive cell, in
+    (context, cell) order, over the support members, built from labels."""
+    members = support(b)
+    rows, rhs = [], []
+    for ci, c in enumerate(b.scenario.contexts):
+        for joint, p in zip(joint_outcomes(b.scenario, c), b.tables[ci]):
+            if p:
+                rows.append([int(t.restrict(c) == joint) for t in members])
+                rhs.append(p)
+    return [1] * len(members), rows, rhs
+
+
+def lp_sizes(monkeypatch) -> list[tuple[int, int]]:
+    """Record (rows, columns) of every LP passed to simplex.maximize."""
+    sizes = []
+    maximize = classical.simplex.maximize
+
+    def counted(c, rows, rhs):
+        sizes.append((len(rows), len(c)))
+        return maximize(c, rows, rhs)
+
+    monkeypatch.setattr(classical.simplex, "maximize", counted)
+    return sizes
+
+
+def shifted_mixture(s: Scenario, rng: random.Random, weights) -> Behavior:
+    """A mixture of len(weights) deterministic behaviors that differ at every
+    measurement: component a gives m its outcome (shift[m] + a) mod l_m."""
+    shift = {m: rng.randrange(len(s.outcomes[m])) for m in s.measurements}
+    parts = [
+        deterministic_behavior(s, {m: o[(shift[m] + a) % len(o)] for m, o in s.outcomes.items()})
+        for a in range(len(weights))
+    ]
+    tables = tuple(
+        tuple(sum(w * t[cell] for w, t in zip(weights, ts)) for cell in range(len(ts[0])))
+        for ts in zip(*(part.tables for part in parts))
+    )
+    return Behavior(s, tables)
+
+
+class TestTwinFreeLP:
+    def test_same_point_as_the_full_lp(self, monkeypatch):
+        """Collapsing twin rows changes no pivot: (value, x) equals the
+        Fraction tableau's on the full rows, contextual or not."""
+        sizes = lp_sizes(monkeypatch)
+        rng = random.Random(11)
+        draws = [b for b in listing_draws(rng) if isinstance(b, Behavior)]
+        draws += [random_nd_mixture(make_n_cycle(n), rng, 3, include_pr=True) for n in (3, 4, 5, 6)]
+        draws += [fixture(name) for name in ("bell", "hardy", "pr-box", "cabello5", "hardy4")]
+        collapsed = 0
+        for b in draws:
+            c, rows, rhs = full_lp(b)
+            if len(c) > 60:
+                continue
+            sizes.clear()
+            assert classical._lp(b, classical._scan(b, None)[0]) == oracle.ref_maximize(c, rows, rhs)
+            assert sizes[0][1] == len(c) and sizes[0][0] <= len(rows)
+            collapsed += sizes[0][0] < len(rows)
+        assert collapsed >= 20, collapsed
+
+    def test_deterministic_cycle_has_one_row(self, monkeypatch):
+        sizes = lp_sizes(monkeypatch)
+        s, rng = make_n_cycle(18), random.Random(18)
+        b = deterministic_behavior(s, {m: rng.choice("01") for m in s.measurements})
+        assert hierarchy(b).nc is True
+        assert sizes == [(1, 1)]
+
+    @pytest.mark.parametrize("scenario", [make_n_cycle(6, 3), make_n_cycle(5, 2), make_bipartite_bell(3, 3)])
+    def test_mixture_of_k_deterministic_behaviors_has_k_rows(self, monkeypatch, scenario):
+        """k components that differ at every measurement leave a support of
+        k members, and every context splits them the same way: n*k positive
+        cells, k row patterns."""
+        sizes = lp_sizes(monkeypatch)
+        k = len(scenario.outcomes[scenario.measurements[0]])
+        weights = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)][:k]
+        weights[-1] += 1 - sum(weights)
+        b = shifted_mixture(scenario, random.Random(k), weights)
+        assert len(full_lp(b)[1]) == len(scenario.contexts) * k
+        assert global_distribution(b) is not None
+        assert sizes == [(k, k)]

@@ -152,6 +152,22 @@ class TestVerifyCertificate:
         bad = replace(cert, chain=cert.chain[:-1])
         assert not verify_certificate(HARDY, bad)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"forbidden": (["1", "0"],)},
+            {"forbidden": (["1", "1"],)},
+            {"reachable_out": (["1"],)},
+            {"context": (["B1"], "A2")},
+        ],
+    )
+    def test_list_shaped_entries_return_false(self, change):
+        """Lists where the step holds labels or pairs, the shape to_json_dict
+        writes, make the certificate invalid instead of raising TypeError."""
+        cert = detect_cycle_paradox(HARDY)
+        bad = replace(cert, chain=(replace(cert.chain[0], **change),) + cert.chain[1:])
+        assert verify_certificate(HARDY, bad) is False
+
     def test_rejects_wrong_forbidden_set(self):
         cert = detect_cycle_paradox(HARDY)
         step = cert.chain[0]

@@ -254,6 +254,45 @@ def classical_lp(draw):
     return [1] * len(columns), rows, rhs
 
 
+@st.composite
+def blocked_lp(draw):
+    """An LP with the row blocks of the classical LPs, on contexts of one to
+    three measurements. Each block is one context and splits the columns
+    (the assignments that reach only positive cells) into 0/1 rows, one per
+    positive cell, with a rational right-hand side summing to 1 per block.
+    Rows with the same pattern (twins) appear in most draws. Most draws take
+    the right-hand sides from one distribution over the assignments, so the
+    optimum is 1 at many degenerate vertices and the ratio test meets many
+    ties; the rest weigh each block's positive cells on their own."""
+    rng = draw(st.randoms(use_true_random=False))
+    m = rng.randint(3, 6)
+    radices = [rng.randint(2, 3 if m < 5 else 2) for _ in range(m)]
+    space = list(itertools.product(*map(range, radices)))
+    if rng.random() < 0.5:
+        contexts = [(i, (i + 1) % m) for i in range(m)]
+    else:
+        contexts = [tuple(rng.sample(range(m), rng.randint(1, 3))) for _ in range(rng.randint(2, m))]
+    mass = Counter()
+    for _ in range(rng.randint(1, 16)):
+        mass[rng.choice(space)] += rng.randint(1, 3)
+    consistent = rng.random() < 0.8
+    blocks = []
+    for ctx in contexts:
+        table = Counter()
+        for point, w in mass.items():
+            table[tuple(point[q] for q in ctx)] += w
+        if not consistent:
+            table = Counter({cell: rng.randint(1, 4) for cell in table})
+        blocks.append((ctx, table))
+    columns = [a for a in space if all(tuple(a[q] for q in ctx) in table for ctx, table in blocks)]
+    rows, rhs = [], []
+    for ctx, table in blocks:
+        for cell in sorted(table):
+            rows.append([int(tuple(a[q] for q in ctx) == cell) for a in columns])
+            rhs.append(Fraction(table[cell], sum(table.values())))
+    return [1] * len(columns), rows, rhs
+
+
 BEALE = (
     [F(3, 4), F(-150), F(1, 50), F(-6)],
     [
@@ -279,6 +318,11 @@ class TestAgainstReference:
     @settings(max_examples=100, deadline=None)
     @given(classical_lp())
     def test_classical_shaped_lps_match(self, lp):
+        assert solve(maximize, lp) == solve(oracle.ref_maximize, lp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocked_lp())
+    def test_blocked_lps_match(self, lp):
         assert solve(maximize, lp) == solve(oracle.ref_maximize, lp)
 
     def test_classical_lps_match(self, monkeypatch):
