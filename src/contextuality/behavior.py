@@ -29,7 +29,7 @@ from .errors import (
     NotPossibilisticallyND,
     SubsetNotInContext,
 )
-from .scenario import Scenario, index_shape, resolve_cap
+from .scenario import Scenario, index_shape, load_scenario, resolve_cap
 
 
 def joint_outcomes(s: Scenario, context: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
@@ -328,10 +328,11 @@ def behavior_from_json_dict(
     """Build a (possibly possibilistic) behavior from its JSON object form.
 
     The "scenario" entry is either an inline scenario object or a path,
-    resolved relative to base_dir. Each table entry names its context by
-    measurement set (any member order) and gives either "probs", a map from
-    comma-joined outcome labels to rationals with omitted cells read as 0,
-    or "possible", a list of outcome label tuples.
+    resolved relative to base_dir. Each table entry names its context by its
+    measurements (any order, none repeated) and gives either "probs", a map
+    from comma-joined outcome labels to rationals with omitted cells read as
+    0, or "possible", a list of outcome label tuples; labels follow the
+    entry's measurement order.
 
     :raises EnumerationCapExceeded: if some context has more joint outcomes
         than cap (default: default_cap()); checked before its table is
@@ -345,9 +346,7 @@ def behavior_from_json_dict(
         raise InvalidBehavior("behavior JSON needs 'scenario' and 'tables'")
     sval = data["scenario"]
     if isinstance(sval, str):
-        path = sval if os.path.isabs(sval) or base_dir is None else os.path.join(base_dir, sval)
-        with open(path, encoding="utf-8") as fh:
-            scenario = Scenario.from_json_dict(json.load(fh))
+        scenario = load_scenario(sval if base_dir is None else os.path.join(base_dir, sval))
     else:
         scenario = Scenario.from_json_dict(sval)
 
@@ -361,63 +360,60 @@ def behavior_from_json_dict(
         if not _is_list_of(entry["context"], str):
             raise InvalidBehavior(f"'context' must be a list of strings, got {entry['context']!r}")
         key = frozenset(entry["context"])
+        if len(key) != len(entry["context"]):
+            raise InvalidBehavior(f"table context {entry['context']} repeats a measurement")
         if key in by_set:
             raise InvalidBehavior(f"duplicate table for context {sorted(key)}")
         by_set[key] = entry
 
     kinds = {("probs" in e, "possible" in e) for e in by_set.values()}
-    if kinds == {(True, False)}:
-        possibilistic = False
-    elif kinds == {(False, True)}:
-        possibilistic = True
-    else:
+    if kinds not in ({(True, False)}, {(False, True)}):
         raise InvalidBehavior("every table entry needs exactly one of 'probs' or 'possible'")
+    possibilistic = kinds == {(False, True)}
 
-    prob_tables: list[tuple[Fraction, ...]] = []
-    bool_tables: list[tuple[bool, ...]] = []
+    zero = False if possibilistic else Fraction(0)
+    tables = []
     for i, context in enumerate(scenario.contexts):
         entry = by_set.pop(frozenset(context), None)
         if entry is None:
             raise InvalidBehavior(f"no table for context {context}")
-        stored = tuple(entry["context"])
+        given = tuple(entry["context"])
         cells = scenario.context_cells(i)
         if cells > cap:
             raise EnumerationCapExceeded(f"context {context} has {cells} joint outcomes, more than the cap {cap}")
         if possibilistic:
             if not _is_list_of(entry["possible"], list):
-                raise InvalidBehavior(f"'possible' for context {stored} must be a list of lists")
-            table = [False] * cells
-            for labels in entry["possible"]:
-                joint = tuple(str(o) for o in labels)
-                if len(joint) != len(stored):
-                    raise InvalidBehavior(f"outcome tuple {joint} does not match context {stored}")
-                remapped = tuple(joint[stored.index(m)] for m in context)
-                table[cell_index(scenario, context, remapped)] = True
-            bool_tables.append(tuple(table))
+                raise InvalidBehavior(f"'possible' for context {given} must be a list of lists")
+            pairs = ((tuple(map(str, labels)), True) for labels in entry["possible"])
         else:
             if not isinstance(entry["probs"], dict):
-                raise InvalidBehavior(f"'probs' for context {stored} must be an object")
-            table = [Fraction(0)] * cells
-            for key, raw in entry["probs"].items():
-                joint = tuple(key.split(","))
-                if len(joint) != len(stored):
-                    raise InvalidBehavior(f"outcome key {key!r} does not match context {stored}")
-                remapped = tuple(joint[stored.index(m)] for m in context)
-                table[cell_index(scenario, context, remapped)] = _parse_rational(raw)
-            prob_tables.append(tuple(table))
+                raise InvalidBehavior(f"'probs' for context {given} must be an object")
+            pairs = ((tuple(key.split(",")), _parse_rational(raw)) for key, raw in entry["probs"].items())
+        order = tuple(map(given.index, context))
+        table = [zero] * cells
+        for joint, value in pairs:
+            if len(joint) != len(given):
+                raise InvalidBehavior(f"outcome tuple {joint} does not match context {given}")
+            table[cell_index(scenario, context, tuple(map(joint.__getitem__, order)))] = value
+        tables.append(tuple(table))
     if by_set:
         extra = [sorted(k) for k in by_set]
         raise InvalidBehavior(f"tables given for unknown contexts: {extra}")
 
-    metadata = data.get("metadata")
-    if possibilistic:
-        return PossibilisticBehavior(scenario, tuple(bool_tables), metadata=metadata)
-    return Behavior(scenario, tuple(prob_tables), metadata=metadata)
+    cls = PossibilisticBehavior if possibilistic else Behavior
+    return cls(scenario, tuple(tables), metadata=data.get("metadata"))
 
 
 def behavior_to_json_dict(b: AnyBehavior) -> dict:
-    """Serialize a behavior with an inline scenario; zero cells are omitted."""
+    """Serialize a behavior with an inline scenario; zero cells are omitted.
+
+    :raises InvalidBehavior: if b is a Behavior with an outcome label that
+        contains ',', which comma-joined "probs" keys cannot hold.
+    """
     s = b.scenario
+    comma = [o for labels in s.outcomes.values() for o in labels if "," in o]
+    if comma and isinstance(b, Behavior):
+        raise InvalidBehavior(f"outcome label {comma[0]!r} contains ',', which a 'probs' key cannot hold")
     tables = []
     for i, context in enumerate(s.contexts):
         entry: dict = {"context": list(context)}
@@ -442,7 +438,7 @@ def load_behavior(path: str, cap: int | None = None) -> AnyBehavior:
 
 
 def save_behavior(b: AnyBehavior, path: str) -> None:
-    """Write a behavior to a JSON file with an inline scenario."""
+    """Serialize a behavior with an inline scenario, then write it to a JSON file."""
+    text = json.dumps(behavior_to_json_dict(b), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(behavior_to_json_dict(b), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

@@ -13,13 +13,13 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 from .behavior import (
     Behavior,
     PossibilisticBehavior,
     behavior_to_json_dict,
     load_behavior,
+    save_behavior,
 )
 from .bundle import build_bundle
 from .classical import hierarchy
@@ -48,6 +48,16 @@ def _load_behavior(path: str, possibilistic: bool, cap: int | None = None):
 def _print_json(data) -> None:
     json.dump(data, sys.stdout, indent=2)
     sys.stdout.write("\n")
+
+
+def _emit_behavior(b, out: str | None, summary: dict) -> int:
+    """Write b to out and print a summary of what was written, or print b."""
+    if out:
+        save_behavior(b, out)
+        _print_json({"written": out, **summary})
+    else:
+        _print_json(behavior_to_json_dict(b))
+    return 0
 
 
 def _cmd_check(args) -> int:
@@ -128,13 +138,7 @@ def _cmd_quantum(args) -> int:
         _, behavior = build_odd_cycle(OddCycleParams(n, eta, v3, thetas))
     witness_cell = ("1", "1") if n % 2 == 0 else ("0", "1")
     witness = float(behavior.probability(0, witness_cell))
-    payload = behavior_to_json_dict(behavior)
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        _print_json({"written": args.out, "n": n, "witness": witness})
-    else:
-        _print_json(payload)
-    return 0
+    return _emit_behavior(behavior, args.out, {"n": n, "witness": witness})
 
 
 def _cmd_gamma(args) -> int:
@@ -154,13 +158,7 @@ def _cmd_bundle(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    payload = behavior_to_json_dict(fixture(args.name))
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        _print_json({"written": args.out, "name": args.name})
-    else:
-        _print_json(payload)
-    return 0
+    return _emit_behavior(fixture(args.name), args.out, {"name": args.name})
 
 
 def _build_parser() -> argparse.ArgumentParser:

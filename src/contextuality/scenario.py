@@ -114,10 +114,6 @@ class Scenario:
         """True when every context has exactly two measurements."""
         return all(len(c) == 2 for c in self.contexts)
 
-    def outcomes_of(self, measurement: str) -> tuple[str, ...]:
-        """Outcome label tuple of one measurement."""
-        return self.outcomes[measurement]
-
     def outcome_index(self, measurement: str, label: str) -> int:
         """Position of an outcome label in its measurement's outcome list."""
         try:

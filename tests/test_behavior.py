@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from contextuality import (
     Behavior,
+    ContextualityError,
     EvenCycleParams,
     OddCycleParams,
     EnumerationCapExceeded,
@@ -348,6 +349,75 @@ class TestDisturbanceAgainstReference:
 # 4. JSON round-trips
 # ============================================================
 
+def _random_behavior(s: Scenario, rng: random.Random, possibilistic: bool):
+    """Random tables (not necessarily nondisturbing) with some zero cells."""
+    tables = []
+    for ci in range(len(s.contexts)):
+        w = [rng.randint(0, 3) for _ in range(s.context_cells(ci))]
+        w[rng.randrange(len(w))] += 1
+        tables.append(tuple(x > 0 for x in w) if possibilistic else tuple(F(x, sum(w)) for x in w))
+    return (PossibilisticBehavior if possibilistic else Behavior)(s, tuple(tables))
+
+
+def _reordered(data: dict, rng: random.Random, k: int) -> dict:
+    """data with entry i's context written in its (k + i)-th permutation
+    (cyclically), its keys remapped to match and shuffled, and the entries
+    shuffled."""
+    tables = []
+    for i, entry in enumerate(data["tables"]):
+        perms = list(itertools.permutations(range(len(entry["context"]))))
+        perm = perms[(k + i) % len(perms)]
+        out = {"context": [entry["context"][p] for p in perm]}
+        if "probs" in entry:
+            items = [(",".join(key.split(",")[p] for p in perm), v) for key, v in entry["probs"].items()]
+            rng.shuffle(items)
+            out["probs"] = dict(items)
+        else:
+            out["possible"] = [[row[p] for p in perm] for row in entry["possible"]]
+            rng.shuffle(out["possible"])
+        tables.append(out)
+    rng.shuffle(tables)
+    return {**data, "tables": tables}
+
+
+def _first(**fields):
+    """Replace fields of the first table entry."""
+    return lambda t: [{**t[0], **fields}, *t[1:]]
+
+
+# Malformed payloads and the exception class each raises, as (id, possibilistic,
+# tables -> tables, cap, class) over the bell fixture, whose first entry is
+# context ["A1", "B1"] with mass on "0,0" and "1,1".
+MALFORMED = [
+    ("entry-without-context", False, lambda t: [{"probs": t[0]["probs"]}, *t[1:]], None, InvalidBehavior),
+    ("context-without-table", False, lambda t: t[1:], None, InvalidBehavior),
+    ("unknown-context", False, lambda t: [*t, {"context": ["A1", "A2"], "probs": {"0,0": "1"}}], None, InvalidBehavior),
+    ("duplicate-table", False, lambda t: [*t, {**t[0], "context": ["B1", "A1"]}], None, InvalidBehavior),
+    ("mixed-kinds", False, lambda t: [t[0], {"context": t[1]["context"], "possible": [["0", "0"]]}, *t[2:]],
+     None, InvalidBehavior),
+    ("both-kinds-in-one-entry", False, _first(possible=[["0", "0"], ["1", "1"]]), None, InvalidBehavior),
+    ("probs-as-list", False, _first(probs=["1/2", "1/2"]), None, InvalidBehavior),
+    ("key-too-short", False, _first(probs={"0": "1"}), None, InvalidBehavior),
+    ("key-too-long", False, _first(probs={"0,0,0": "1"}), None, InvalidBehavior),
+    ("unknown-label", False, _first(probs={"0,7": "1/2", "1,1": "1/2"}), None, InvalidScenario),
+    ("exponent", False, _first(probs={"0,0": "5e-1", "1,1": "1/2"}), None, InvalidBehavior),
+    ("boolean-value", False, _first(probs={"0,0": True}), None, InvalidBehavior),
+    ("negative-value", False, _first(probs={"0,0": "-1/2", "1,1": "3/2"}), None, NegativeProbability),
+    ("sum-below-one", False, _first(probs={"0,0": "1/2"}), None, InvalidBehavior),
+    ("probs-over-cap", False, lambda t: t, 3, EnumerationCapExceeded),
+    ("repeated-measurement", False, _first(context=["A1", "B1", "B1"], probs={"0,0,0": "1/2", "1,1,1": "1/2"}),
+     None, InvalidBehavior),
+    ("possible-as-object", True, _first(possible={"0": "0"}), None, InvalidBehavior),
+    ("possible-row-a-string", True, _first(possible=[["0", "0"], "11"]), None, InvalidBehavior),
+    ("possible-row-too-short", True, _first(possible=[["0"]]), None, InvalidBehavior),
+    ("possible-unknown-label", True, _first(possible=[["0", "7"]]), None, InvalidScenario),
+    ("possible-empty", True, _first(possible=[]), None, InvalidBehavior),
+    ("possible-over-cap", True, lambda t: t, 3, EnumerationCapExceeded),
+    ("possible-repeated-measurement", True, _first(context=["A1", "B1", "A1"], possible=[["0", "0", "0"]]),
+     None, InvalidBehavior),
+]
+
+
 class TestJson:
     @pytest.mark.parametrize("name", ["bell", "hardy", "pr-box", "cabello5"])
     def test_probabilistic_round_trip_is_exact(self, name):
@@ -494,6 +564,42 @@ class TestJson:
         }
         with pytest.raises(InvalidBehavior):
             behavior_from_json_dict(data)
+
+    def test_probs_writer_refuses_comma_labels(self, tmp_path):
+        # (p, "q,r") and ("p,q", r) would both be written as the key "p,q,r".
+        s = Scenario(("A", "B"), {"A": ("p", "p,q"), "B": ("q,r", "r")}, (("A", "B"),))
+        b = Behavior(s, ((F(1, 2), F(0), F(0), F(1, 2)),))
+        with pytest.raises(InvalidBehavior, match="contains ','"):
+            behavior_to_json_dict(b)
+        path = tmp_path / "b.json"
+        path.write_text("kept")
+        with pytest.raises(InvalidBehavior):
+            save_behavior(b, path)
+        assert path.read_text() == "kept"
+        pb = collapse(b)
+        assert behavior_from_json_dict(behavior_to_json_dict(pb)) == pb
+
+    @pytest.mark.parametrize("possibilistic", [False, True])
+    @pytest.mark.parametrize(
+        "s", [make_n_cycle(4, 2), make_n_cycle(5, 3), TRIPLES], ids=["4-cycle", "5-cycle-l3", "triples"]
+    )
+    def test_any_context_order_and_key_order_loads_equal(self, s, possibilistic):
+        rng = random.Random(len(s.contexts) + possibilistic)
+        for _ in range(8):
+            b = _random_behavior(s, rng, possibilistic)
+            data = behavior_to_json_dict(b)
+            for k in range(6):  # every permutation of a triple context
+                assert behavior_from_json_dict(_reordered(data, rng, k)) == b
+
+    @pytest.mark.parametrize(
+        "possibilistic, mutate, cap, error", [pytest.param(*case[1:], id=case[0]) for case in MALFORMED]
+    )
+    def test_malformed_payload_raises_its_class(self, possibilistic, mutate, cap, error):
+        data = behavior_to_json_dict(collapse(fixture("bell")) if possibilistic else fixture("bell"))
+        data["tables"] = mutate(data["tables"])
+        with pytest.raises(ContextualityError) as info:
+            behavior_from_json_dict(data, cap=cap)
+        assert type(info.value) is error, info.value
 
 
 # ============================================================

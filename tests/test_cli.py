@@ -157,6 +157,7 @@ class TestCheck:
         [
             {"context": ["A1", "B1"], "probs": [0.5, 0.5]},
             {"context": 5, "probs": {"0,0": "1/2", "1,1": "1/2"}},
+            {"context": ["A1", "B1", "B1"], "probs": {"0,0,0": "1/2", "1,1,1": "1/2"}},
         ],
     )
     def test_malformed_table_entry_exits_3(self, capsys, tmp_path, command, entry):
