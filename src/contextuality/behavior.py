@@ -195,14 +195,49 @@ def check_nondisturbance(b: Behavior) -> DisturbanceReport:
     intersection of their measurement sets; agreement there implies
     agreement on every smaller common subset. Returns the first violation
     in stored context order. The comparison runs on integer numerators over
-    each table's lcm; Fractions are made only for a reported violation.
+    each table's lcm, each pair's marginals cross-multiplied by the other
+    table's lcm, so equal lists mean equal marginals; Fractions are made
+    only for a reported violation.
+
+    :raises InvalidBehavior: if b is a PossibilisticBehavior.
     """
-    return _check_nd(b)
+    require_probabilistic(b)
+    s = b.scenario
+    scaled = [_numerators(t) for t in b.tables]
+    for i, j, shared, groups_i, groups_j in _nd_plan(*index_shape(s)):
+        (ta, da), (tb, db) = scaled[i], scaled[j]
+        va = [sum(map(ta.__getitem__, g)) * db for g in groups_i]
+        vb = [sum(map(tb.__getitem__, g)) * da for g in groups_j]
+        if va != vb:
+            k = next(k for k, (x, y) in enumerate(zip(va, vb)) if x != y)
+            measurements = tuple(s.measurements[q] for q in shared)
+            joint = next(itertools.islice(joint_outcomes(s, measurements), k, None))
+            values = (Fraction(va[k], da * db), Fraction(vb[k], da * db))
+            return DisturbanceReport(ok=False, violation=Violation(i, j, measurements, joint, *values))
+    return DisturbanceReport(ok=True)
 
 
-def check_possibilistic_nd(pb: PossibilisticBehavior) -> DisturbanceReport:
-    """Possibilistic nondisturbance: OR-marginals agree across contexts."""
-    return _check_nd(pb)
+def check_possibilistic_nd(pb: AnyBehavior) -> DisturbanceReport:
+    """Possibilistic nondisturbance: OR-marginals agree across contexts. A
+    Behavior is read through its collapse, so only supports are compared."""
+    if isinstance(pb, Behavior):
+        pb = collapse(pb)
+    s = pb.scenario
+    project = lru_cache(maxsize=None)(partial(_project, pb))
+    for i, j, shared in _overlaps(s.contexts):
+        va, vb = project(i, shared), project(j, shared)
+        if va != vb:
+            joint = next(x for x in joint_outcomes(s, shared) if va.get(x, False) != vb.get(x, False))
+            values = (va.get(joint, False), vb.get(joint, False))
+            return DisturbanceReport(ok=False, violation=Violation(i, j, shared, joint, *values))
+    return DisturbanceReport(ok=True)
+
+
+def require_probabilistic(b: AnyBehavior) -> None:
+    """Raise InvalidBehavior if b is a PossibilisticBehavior, which carries no
+    probabilities for a question to read."""
+    if isinstance(b, PossibilisticBehavior):
+        raise InvalidBehavior("this question needs probability tables, not a possibilistic behavior")
 
 
 def require_nondisturbing(b: AnyBehavior) -> None:
@@ -222,22 +257,6 @@ def require_nondisturbing(b: AnyBehavior) -> None:
             f"contexts {c[v.context_a]} and {c[v.context_b]} disagree "
             f"on {v.measurements}={v.outcomes}{values}"
         )
-
-
-def _check_nd(b: AnyBehavior) -> DisturbanceReport:
-    """Compare every overlapping pair's marginals in stored order: as integers
-    for a Behavior, else projecting each table once per shared set."""
-    if isinstance(b, Behavior):
-        return _check_exact_nd(b)
-    s = b.scenario
-    project = lru_cache(maxsize=None)(partial(_project, b))
-    for i, j, shared in _overlaps(s.contexts):
-        va, vb = project(i, shared), project(j, shared)
-        if va != vb:
-            joint = next(x for x in joint_outcomes(s, shared) if va.get(x, False) != vb.get(x, False))
-            values = (va.get(joint, False), vb.get(joint, False))
-            return DisturbanceReport(ok=False, violation=Violation(i, j, shared, joint, *values))
-    return DisturbanceReport(ok=True)
 
 
 def _overlaps(contexts: tuple[tuple, ...]) -> Iterator[tuple[int, int, tuple]]:
@@ -279,24 +298,6 @@ def _nd_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...
         groups = (_cell_groups(local[c], tuple(map(ctx_positions[c].index, shared))) for c in (i, j))
         plan.append((i, j, shared, *groups))
     return tuple(plan)
-
-
-def _check_exact_nd(b: Behavior) -> DisturbanceReport:
-    """Each pair's marginals as sums of numerators, cross-multiplied by the
-    other table's lcm, so equal lists mean equal marginals."""
-    s = b.scenario
-    scaled = [_numerators(t) for t in b.tables]
-    for i, j, shared, groups_i, groups_j in _nd_plan(*index_shape(s)):
-        (ta, da), (tb, db) = scaled[i], scaled[j]
-        va = [sum(map(ta.__getitem__, g)) * db for g in groups_i]
-        vb = [sum(map(tb.__getitem__, g)) * da for g in groups_j]
-        if va != vb:
-            k = next(k for k, (x, y) in enumerate(zip(va, vb)) if x != y)
-            measurements = tuple(s.measurements[q] for q in shared)
-            joint = next(itertools.islice(joint_outcomes(s, measurements), k, None))
-            values = (Fraction(va[k], da * db), Fraction(vb[k], da * db))
-            return DisturbanceReport(ok=False, violation=Violation(i, j, measurements, joint, *values))
-    return DisturbanceReport(ok=True)
 
 
 # -- JSON -------------------------------------------------------------------

@@ -37,7 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import simplex
-from .behavior import AnyBehavior, Behavior, check_nondisturbance, joint_outcomes, require_nondisturbing
+from .behavior import AnyBehavior, Behavior, check_nondisturbance, joint_outcomes
+from .behavior import require_nondisturbing, require_probabilistic
 from .errors import EnumerationCapExceeded
 from .lazy import Deferred
 from .scenario import Scenario, default_cap, index_shape, resolve_cap  # default_cap is re-exported
@@ -331,6 +332,15 @@ def _lp(b: Behavior, survivors: np.ndarray) -> tuple[Fraction, list[Fraction]]:
     return simplex.maximize([1] * n, [row for *_, row in rows], [num for _, num, _ in rows])
 
 
+def _solve(b: Behavior, cap: int | None) -> tuple[np.ndarray, Fraction, list[Fraction]]:
+    """The support of b and the LP's (value, x) over it, after checking that b
+    carries probabilities (InvalidBehavior) and is nondisturbing."""
+    require_probabilistic(b)
+    require_nondisturbing(b)
+    survivors = _scan(b, cap)[0]
+    return (survivors, *_lp(b, survivors))
+
+
 def noncontextual_weight(b: Behavior, cap: int | None = None) -> Fraction:
     """Largest total weight of a subnormalized global distribution dominated
     by b. Equals 1 iff b is noncontextual; 1 minus it is the contextual
@@ -338,8 +348,7 @@ def noncontextual_weight(b: Behavior, cap: int | None = None) -> Fraction:
 
     :raises NotNondisturbing: if b's overlapping marginals disagree.
     """
-    require_nondisturbing(b)
-    return _lp(b, _scan(b, cap)[0])[0]
+    return _solve(b, cap)[1]
 
 
 def is_noncontextual(b: Behavior, cap: int | None = None) -> bool:
@@ -351,9 +360,7 @@ def global_distribution(
     b: Behavior, cap: int | None = None
 ) -> dict[GlobalAssignment, Fraction] | None:
     """A global distribution reproducing b by marginals, or None if contextual."""
-    require_nondisturbing(b)
-    survivors = _scan(b, cap)[0]
-    opt, x = _lp(b, survivors)
+    survivors, opt, x = _solve(b, cap)
     if opt != 1:
         return None
     return {t: w for t, w in zip(_assignments(b.scenario, survivors), x) if w > 0}

@@ -61,7 +61,7 @@ def _emit_behavior(b, out: str | None, summary: dict) -> int:
 
 
 def _cmd_check(args) -> int:
-    b = _load_behavior(args.behavior, False, args.cap)
+    b = load_behavior(args.behavior, cap=args.cap)
     report = hierarchy(b, cap=args.cap, level=args.level)
     full = report.to_json_dict()
     keys = {
@@ -105,7 +105,7 @@ def _cmd_pp(args) -> int:
 
 
 def _cmd_ineq(args) -> int:
-    b = _load_behavior(args.behavior, False)
+    b = load_behavior(args.behavior)
     _print_json(evaluate_all(b).to_json_dict())
     return 0
 

@@ -165,36 +165,22 @@ def random_nd_mixture(
     dichotomic cycle is mixed in, which can leave the classical polytope."""
     if components is None:
         components = rng.randint(2, 5)
-    parts = [
-        deterministic_behavior(
-            s, {m: rng.choice(s.outcomes[m]) for m in s.measurements}
-        )
-        for _ in range(components)
-    ]
+    parts = []  # per component, each context's possible cells
+    for _ in range(components):
+        a = {m: rng.choice(s.outcomes[m]) for m in s.measurements}
+        parts.append([[cell == tuple(map(a.get, c)) for cell in joint_outcomes(s, c)] for c in s.contexts])
     if include_pr:
         flip = rng.randint(1, len(s.contexts))
         cycle_order = tuple(pair[0] for _, pair in traverse_cycle(s))
-        assignment = tuple(rng.choice(s.outcomes[m]) for m in cycle_order)
-        box = pr_box_behavior(s, flip, assignment)
-        # uniform weight on each possible cell: the standard extremal box
-        parts.append(
-            Behavior(
-                s,
-                tuple(
-                    tuple(Fraction(1, sum(t)) if x else Fraction(0) for x in t)
-                    for t in box.tables
-                ),
-            )
-        )
+        parts.append(pr_box_behavior(s, flip, tuple(rng.choice(s.outcomes[m]) for m in cycle_order)).tables)
     weights = _random_distribution(len(parts), rng)
-    tables = []
-    for ci in range(len(s.contexts)):
-        cells = [Fraction(0)] * len(parts[0].tables[ci])
-        for w, part in zip(weights, parts):
-            for k, val in enumerate(part.tables[ci]):
-                cells[k] += w * val
-        tables.append(tuple(cells))
-    return Behavior(s, tuple(tables))
+    tables = [[Fraction(0)] * s.context_cells(ci) for ci in range(len(s.contexts))]
+    for w, part in zip(weights, parts):
+        # uniform weight on each possible cell: a point mass, or the standard extremal box
+        for table, possible in zip(tables, part):
+            share = w / sum(possible)
+            table[:] = [p + share if x else p for p, x in zip(table, possible)]
+    return Behavior(s, tuple(map(tuple, tables)))
 
 
 # -- scenarios -----------------------------------------------------------------

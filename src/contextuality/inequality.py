@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .behavior import Behavior, require_nondisturbing
+from .behavior import Behavior, require_nondisturbing, require_probabilistic
 from .scenario import require_dichotomic, require_pairs, traverse_cycle
 
 
@@ -50,7 +50,9 @@ def correlator(b: Behavior, i: int) -> Fraction:
 
     :raises ValueError: if i is out of range or context i is not a pair.
     :raises NonDichotomic: if either measurement has more than 2 outcomes.
+    :raises InvalidBehavior: if b is a PossibilisticBehavior.
     """
+    require_probabilistic(b)
     s = b.scenario
     if not 1 <= i <= len(s.contexts):
         raise ValueError(f"context index must be in 1..{len(s.contexts)}, got {i}")

@@ -24,12 +24,13 @@ contexts agree by construction rather than by rounding luck.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .behavior import Behavior, joint_outcomes, require_nondisturbing
-from .errors import DegenerateParams, InvalidModel, NegativeProbability
+from .errors import DegenerateParams, InvalidModel, NegativeProbability, NotNondisturbing
 from .lazy import Deferred
 from .scenario import Scenario, make_n_cycle
 
@@ -125,26 +126,9 @@ def _snap(x: float, eps: float) -> Fraction:
     return Fraction(x).limit_denominator(SNAP_DENOMINATOR)
 
 
-def _pair_relations(zeros: set[str]) -> list[tuple[str, int, Fraction]]:
-    """Affine facts forced on (q_u, q_v) by a context's zero cells.
-
-    Returns a list of ("u"/"v", a, b) items meaning q_that = a * q_other + b
-    for a = +-1, or q_that = b for a = 0. Cells are named by bit pairs.
-    """
-    facts = []
-    if "00" in zeros and "11" in zeros:
-        facts.append(("v", -1, Fraction(1)))
-    if "01" in zeros and "10" in zeros:
-        facts.append(("v", 1, Fraction(0)))
-    if "00" in zeros and "01" in zeros:
-        facts.append(("u", 0, Fraction(1)))
-    if "10" in zeros and "11" in zeros:
-        facts.append(("u", 0, Fraction(0)))
-    if "00" in zeros and "10" in zeros:
-        facts.append(("v", 0, Fraction(1)))
-    if "01" in zeros and "11" in zeros:
-        facts.append(("v", 0, Fraction(0)))
-    return facts
+# A dichotomic pair table is (1 - q_u - q_v + e, q_v - e, q_u - e, e) with
+# e = p(1,1), so a zero at cell k forces e = c + a*q_u + b*q_v, (c, a, b) = _ZERO_FORMS[k].
+_ZERO_FORMS = ((-1, 1, 1), (0, 0, 1), (0, 1, 0), (0, 0, 0))
 
 
 def _exact_pairwise_tables(
@@ -153,29 +137,27 @@ def _exact_pairwise_tables(
     """Rebuild dichotomic pairwise tables exactly from per-measurement
     marginals, honoring every structural zero, so nondisturbance is exact."""
     float_marginal: dict[str, float] = {}
-    for ci, (u, v) in enumerate(s.contexts):
-        p = raw[ci]
-        if u not in float_marginal:
-            float_marginal[u] = p[2] + p[3]
-        if v not in float_marginal:
-            float_marginal[v] = p[1] + p[3]
+    for (u, v), p in zip(s.contexts, raw):
+        float_marginal.setdefault(u, p[2] + p[3])
+        float_marginal.setdefault(v, p[1] + p[3])
 
-    # Constraint graph between marginals: pins (q_m = const) and invertible
-    # edges (q_v = a q_u + b with a = +-1) from double-zero contexts.
+    # Constraint graph between marginals: two zero cells of one context equate
+    # their forms, c + a q_u + b q_v = 0, which pins q_u or q_v when b or a is 0
+    # and is an invertible edge (a, b = +-1) otherwise.
+    zeros = [[_ZERO_FORMS[k] for k, val in enumerate(p) if val <= eps] for p in raw]
     pins: dict[str, Fraction] = {}
-    edges: dict[str, list[tuple[str, int, Fraction]]] = {m: [] for m in s.measurements}
-    for ci, (u, v) in enumerate(s.contexts):
-        p = raw[ci]
-        zeros = {name for name, val in zip(("00", "01", "10", "11"), p) if val <= eps}
-        for side, a, b in _pair_relations(zeros):
-            target, other = (u, v) if side == "u" else (v, u)
-            if a == 0:
-                if target in pins and pins[target] != b:
+    edges: dict[str, list[tuple[str, int, int]]] = {m: [] for m in s.measurements}
+    for (u, v), forms in zip(s.contexts, zeros):
+        for (c1, a1, b1), (c2, a2, b2) in itertools.combinations(forms, 2):
+            c, a, b = c1 - c2, a1 - a2, b1 - b2
+            if a == 0 or b == 0:
+                target, value = (v, Fraction(-c, b)) if a == 0 else (u, Fraction(-c, a))
+                if target in pins and pins[target] != value:
                     raise InvalidModel(f"inconsistent forced marginals for {target!r}")
-                pins[target] = b
+                pins[target] = value
             else:
-                edges[other].append((target, a, b))
-                edges[target].append((other, a, -a * b))
+                edges[u].append((v, -a * b, -b * c))
+                edges[v].append((u, -a * b, -a * c))
 
     q: dict[str, Fraction] = {}
     for start in s.measurements:
@@ -196,19 +178,10 @@ def _exact_pairwise_tables(
 
     tables = []
     for ci, (u, v) in enumerate(s.contexts):
-        p00, p01, p10, p11 = raw[ci]
         qu, qv = q[u], q[v]
-        if p11 <= eps:
-            e11 = Fraction(0)
-        elif p10 <= eps:
-            e11 = qu
-        elif p01 <= eps:
-            e11 = qv
-        elif p00 <= eps:
-            e11 = qu + qv - 1
-        else:
-            e11 = _snap(p11, eps)
-        cells = (1 - qu - qv + e11, qv - e11, qu - e11, e11)
+        c, a, b = zeros[ci][-1] if zeros[ci] else (_snap(raw[ci][3], eps), 0, 0)
+        e = c + a * qu + b * qv
+        cells = (1 - qu - qv + e, qv - e, qu - e, e)
         for val, flo in zip(cells, raw[ci]):
             if val < 0:
                 raise NegativeProbability(
@@ -260,7 +233,10 @@ def behavior_from_model(
             raise InvalidModel(f"context {s.contexts[ci]} has no probability mass")
         tables.append(tuple(x / total for x in cells))
     behavior = Behavior(s, tuple(tables), metadata=metadata)
-    require_nondisturbing(behavior)
+    try:
+        require_nondisturbing(behavior)
+    except NotNondisturbing as e:
+        raise NotNondisturbing(f"{e}; exact tables are rebuilt only for dichotomic pair contexts") from None
     return behavior
 
 
@@ -367,25 +343,32 @@ def build_odd_cycle(params: OddCycleParams) -> tuple[QuantumModel, Behavior]:
         fire = np.outer(vec, vec)
         projectors[f"M{i + 1}"] = (eye - fire, fire)
     model = QuantumModel(dimension=3, state=eta.astype(complex), projectors=projectors)
-    s = make_n_cycle(n, 2)
-    behavior = behavior_from_model(
-        model,
-        s,
-        metadata={
-            "construction": "odd-cycle",
-            "n": n,
-            "eta": list(np.round(eta, 15)),
-            "v3": list(np.round(vecs[2], 15)),
-            "thetas": list(params.thetas),
-        },
-    )
-    for ci in range(n):
-        if behavior.tables[ci][3] != 0:
-            raise InvalidModel(f"expected zero at (1,1) of context {ci + 1}")
-    for j in range(3, n + 1, 2):
-        if behavior.tables[j - 1][0] != 0:
-            raise InvalidModel(f"expected zero at (0,0) of context {j}")
-    if behavior.tables[0][1] == 0:
+    metadata = {
+        "construction": "odd-cycle",
+        "n": n,
+        "eta": list(np.round(eta, 15)),
+        "v3": list(np.round(vecs[2], 15)),
+        "thetas": list(params.thetas),
+    }
+    zeros = [(i, 3) for i in range(1, n + 1)] + [(j, 0) for j in range(3, n + 1, 2)]
+    return _cycle_behavior(model, metadata, zeros, witness=1)
+
+
+def _cycle_behavior(
+    model: QuantumModel, metadata: dict, zeros: list[tuple[int, int]], witness: int
+) -> tuple[QuantumModel, Behavior]:
+    """The model's behavior on the dichotomic n-cycle, checked on the way out:
+    zeros lists the promised zero cells as (1-based context, cell) in check
+    order, and witness is the paradox cell of context 1, which must not be 0.
+
+    :raises InvalidModel: at the first promised zero cell that is not 0.
+    :raises DegenerateParams: if the witness cell rationalized to 0.
+    """
+    behavior = behavior_from_model(model, make_n_cycle(metadata["n"], 2), metadata=metadata)
+    for i, cell in zeros:
+        if behavior.tables[i - 1][cell] != 0:
+            raise InvalidModel(f"expected zero at ({cell >> 1},{cell & 1}) of context {i}")
+    if behavior.tables[0][witness] == 0:
         raise DegenerateParams(
             "paradox probability underflows the zero clamp at these parameters"
         )
@@ -487,28 +470,12 @@ def build_even_cycle(params: EvenCycleParams) -> tuple[QuantumModel, Behavior]:
         fire = np.kron(rank1, eye2) if party == "A" else np.kron(eye2, rank1)
         projectors[f"M{i}"] = (fire, eye4 - fire)
     model = QuantumModel(dimension=4, state=eta, projectors=projectors)
-    s_cycle = make_n_cycle(n, 2)
-    behavior = behavior_from_model(
-        model,
-        s_cycle,
-        metadata={"construction": "even-cycle", "n": n, "alpha": params.alpha},
-    )
-    for i in range(2, half + 1):
-        if behavior.tables[i - 1][2] != 0:
-            raise InvalidModel(f"expected zero at (1,0) of context {i}")
-    if behavior.tables[half][3] != 0:
-        raise InvalidModel(f"expected zero at (1,1) of context {half + 1}")
-    for i in range(half + 2, n + 1):
-        if behavior.tables[i - 1][1] != 0:
-            raise InvalidModel(f"expected zero at (0,1) of context {i}")
-    witness = trace_probability(model, s_cycle, s_cycle.contexts[0], ("1", "1"))
+    witness = trace_probability(model, make_n_cycle(n, 2), ("M1", "M2"), ("1", "1"))
     if abs(witness - hardy_probability(n, params.alpha)) > 1e-10:
         raise InvalidModel("witness does not match its closed form")
-    if behavior.tables[0][3] == 0:
-        raise DegenerateParams(
-            "paradox probability underflows the zero clamp at these parameters"
-        )
-    return model, behavior
+    metadata = {"construction": "even-cycle", "n": n, "alpha": params.alpha}
+    zeros = [(i, 2) for i in range(2, half + 1)] + [(half + 1, 3)] + [(i, 1) for i in range(half + 2, n + 1)]
+    return _cycle_behavior(model, metadata, zeros, witness=3)
 
 
 # -- gamma optimization --------------------------------------------------------

@@ -201,6 +201,15 @@ class TestDisturbance:
         for name in ("bell", "hardy", "pr-box"):
             assert check_possibilistic_nd(collapse(fixture(name))).ok
 
+    def test_possibilistic_nd_of_a_behavior_compares_supports(self):
+        # B's marginal is 1/2 in (A, B) and 1/3 in (B, C), but both supports
+        # are {0, 1}; the exact check sees the difference, this one must not.
+        s = Scenario(("A", "B", "C"), {m: ("0", "1") for m in "ABC"}, (("A", "B"), ("B", "C")))
+        b = Behavior(s, ((F(1, 2), F(0), F(0), F(1, 2)), (F(1, 3), F(0), F(0), F(2, 3))))
+        assert not check_nondisturbance(b).ok
+        assert check_possibilistic_nd(b) == check_possibilistic_nd(collapse(b))
+        assert check_possibilistic_nd(b).ok
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_nd_couplings_pass_by_construction(self, seed):

@@ -309,6 +309,15 @@ class TestIneq:
         assert code == 0
         assert data["violates_classical"] is False
 
+    @pytest.mark.parametrize("command", [["check"], ["ineq"]])
+    def test_possible_lists_exit_3_without_a_missing_flag_hint(self, capsys, command, tmp_path):
+        path = tmp_path / "pr_pp.json"
+        path.write_text(json.dumps(behavior_to_json_dict(collapse(fixture("pr-box")))))
+        assert run([*command, "--behavior", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "probability tables" in captured.err and "--possibilistic" not in captured.err
+
     def test_non_cycle_exits_3(self, capsys, tmp_path):
         payload = {
             "scenario": {

@@ -23,8 +23,10 @@ from contextuality import (
     Scenario,
     WrongScenarioShape,
     build_bundle,
+    check_nondisturbance,
     chordless_cycles,
     classify_strong_contextuality,
+    collapse,
     contextual_fraction,
     correlator,
     detect_bell22_paradox,
@@ -32,7 +34,9 @@ from contextuality import (
     detect_cycle_paradox,
     detect_simple_scenario_paradox,
     evaluate_all,
+    fixture,
     global_distribution,
+    hierarchy,
     is_noncontextual,
     make_bipartite_bell,
     make_n_cycle,
@@ -113,6 +117,13 @@ CASES = [
     case("cycle/disturbing", detect_cycle_paradox, DISTURBING4, NotPossibilisticallyND),
     case("simple/disturbing", detect_simple_scenario_paradox, DISTURBING4, NotPossibilisticallyND),
     case("classify_sc/disturbing", classify_strong_contextuality, DISTURBING4, NotPossibilisticallyND),
+    # probabilities: possible-lists carry none
+    case("hierarchy/possibilistic", hierarchy, collapse(fixture("bell")), InvalidBehavior),
+    case("check_nondisturbance/possibilistic", check_nondisturbance, collapse(fixture("bell")), InvalidBehavior),
+    case("noncontextual_weight/possibilistic", noncontextual_weight, collapse(fixture("bell")), InvalidBehavior),
+    case("global_distribution/possibilistic", global_distribution, collapse(fixture("bell")), InvalidBehavior),
+    case("correlator/possibilistic", lambda b: correlator(b, 1), collapse(fixture("bell")), InvalidBehavior),
+    case("evaluate_all/possibilistic", evaluate_all, collapse(fixture("pr-box")), InvalidBehavior),
     # cycle and shape
     case("cycle/path+disturbing", detect_cycle_paradox, disturbing(PATH), NotCycle),
     case("classify_sc/path", classify_strong_contextuality, full(PATH), NotCycle),

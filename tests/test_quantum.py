@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 
 import contextuality
 from contextuality import (
+    Behavior,
     DegenerateParams,
     EvenCycleParams,
     GammaResult,
@@ -32,10 +34,11 @@ from contextuality import (
     make_n_cycle,
     optimize_gamma,
     quantum_bound,
+    random_nd_coupling,
     trace_probability,
     validate_model,
 )
-from contextuality.quantum import HARDY_TSIRELSON, _exact_pairwise_tables
+from contextuality.quantum import HARDY_TSIRELSON, _cycle_behavior, _exact_pairwise_tables
 
 CABELLO = OddCycleParams(
     n=5,
@@ -190,7 +193,7 @@ class TestExactTables:
         model = QuantumModel(9, psi / np.linalg.norm(psi), projectors)
         labels = ("0", "1", "2")
         s = Scenario(("A", "B", "C"), {m: labels for m in "ABC"}, (("A", "B"), ("B", "C")))
-        with pytest.raises(NotNondisturbing):
+        with pytest.raises(NotNondisturbing, match="exact tables are rebuilt only for dichotomic pair contexts"):
             behavior_from_model(model, s)
 
     def test_conflicting_pins_rejected(self):
@@ -234,6 +237,57 @@ class TestExactTables:
         ]
         with pytest.raises(NegativeProbability):
             _exact_pairwise_tables(s, raw, 1e-10)
+
+    def test_seeded_raw_tables_rebuild_exactly_or_raise(self):
+        # Random zero patterns over shuffled n-cycles whose pairs are stored
+        # in either order. Raw tables come from an exact coupling (floated,
+        # with noise far below eps), from shared float marginals, or from
+        # nothing shared at all.
+        eps = 1e-10
+        rebuilt = 0
+        for seed in range(2000):
+            rng = random.Random(seed)
+            n = rng.randint(3, 7)
+            names = tuple(f"M{i}" for i in range(1, n + 1))
+            pairs = [(names[i], names[(i + 1) % n]) for i in range(n)]
+            pairs = [p if rng.random() < 0.5 else p[::-1] for p in pairs]
+            rng.shuffle(pairs)
+            s = Scenario(names, {m: ("0", "1") for m in names}, tuple(pairs))
+            mode = rng.randrange(3)
+            if mode == 0:
+                coupling = random_nd_coupling(s, rng)
+                raw = [[float(x) + rng.uniform(0, 1e-13) if x else 0.0 for x in t] for t in coupling.tables]
+            else:
+                q = {m: rng.choice([0.0, 0.5, 1.0, rng.random()]) for m in names}
+                raw = []
+                for u, v in pairs:
+                    qu, qv = q[u], q[v]
+                    e = rng.uniform(max(0.0, qu + qv - 1), min(qu, qv))
+                    cells = [1 - qu - qv + e, qv - e, qu - e, e] if mode == 1 else [rng.random() for _ in "0123"]
+                    raw.append([0.0 if rng.random() < 0.3 or abs(c) <= eps else c for c in cells])
+            try:
+                tables = _exact_pairwise_tables(s, raw, eps)
+            except (InvalidModel, NegativeProbability):
+                assert mode != 0, f"seed {seed}: an exact coupling must rebuild"
+                continue
+            rebuilt += 1
+            for t, flo in zip(tables, raw):
+                assert sum(t) == 1 and min(t) >= 0, f"seed {seed}: {t}"
+                assert all(x == 0 for x, f in zip(t, flo) if f <= eps), f"seed {seed}: {t} vs {flo}"
+            assert check_nondisturbance(Behavior(s, tables)).ok, f"seed {seed}"
+        assert rebuilt > 600
+
+
+class TestCycleBehavior:
+    def test_promised_zero_that_is_not_zero_names_cell_and_context(self):
+        model, _ = build_odd_cycle(CABELLO)
+        with pytest.raises(InvalidModel, match=r"expected zero at \(0,1\) of context 2"):
+            _cycle_behavior(model, {"n": 5}, [(1, 3), (2, 1)], witness=1)
+
+    def test_witness_cell_of_zero_is_degenerate(self):
+        model, _ = build_odd_cycle(CABELLO)
+        with pytest.raises(DegenerateParams, match="underflows"):
+            _cycle_behavior(model, {"n": 5}, [(1, 3)], witness=3)
 
 
 # ======================================================================
