@@ -162,7 +162,13 @@ def random_nd_mixture(
 ) -> Behavior:
     """A random convex mixture of deterministic behaviors, so noncontextual
     by construction; with include_pr an extremal-box component on a
-    dichotomic cycle is mixed in, which can leave the classical polytope."""
+    dichotomic cycle is mixed in, which can leave the classical polytope.
+
+    :raises ValueError: if components is negative, or 0 without include_pr.
+    """
+    least = 0 if include_pr else 1
+    if components is not None and components < least:
+        raise ValueError(f"components must be at least {least}, got {components}")
     if components is None:
         components = rng.randint(2, 5)
     parts = []  # per component, each context's possible cells

@@ -286,11 +286,18 @@ def _gram_schmidt(eta: np.ndarray, v: np.ndarray, what: str) -> np.ndarray:
     return w / norm
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors, with its roundings but not its axis handling."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
 def _rotate(theta: float, axis: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Right-handed rotation of v by theta about the unit vector axis."""
     return (
         v * math.cos(theta)
-        + np.cross(axis, v) * math.sin(theta)
+        + _cross(axis, v) * math.sin(theta)
         + axis * np.dot(axis, v) * (1 - math.cos(theta))
     )
 
@@ -310,7 +317,7 @@ def _odd_vectors(params: OddCycleParams) -> tuple[list[np.ndarray], np.ndarray]:
         if k < n:
             v[k + 1] = _gram_schmidt(eta, v[k], f"vector {k}")
     v[1] = _gram_schmidt(eta, v[n], f"vector {n}")
-    cross = np.cross(v[1], v[3])
+    cross = _cross(v[1], v[3])
     norm = np.linalg.norm(cross)
     if norm < 1e-9:
         raise DegenerateParams("first and third vectors are parallel; no common orthogonal")
@@ -518,6 +525,58 @@ def _odd_witness(n: int, phi: float, thetas: np.ndarray) -> float:
     return float(np.dot(vecs[1], eta) ** 2)
 
 
+def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float, maxiter: int) -> tuple[np.ndarray, float]:
+    """Minimize f from x0 by Nelder-Mead; return (x, f(x)).
+
+    Replays scipy's minimize(method="Nelder-Mead") without bounds, adaptive
+    coefficients or maxfev, float operation for float operation: the start
+    simplex scales each coordinate by 1.05 (a 0 becomes 0.00025); reflection 1,
+    expansion 2, contraction and shrink 1/2; stop once all vertices are within
+    xatol and all values within fatol of the best, or after maxiter iterations.
+    """
+    n = len(x0)
+    sim = np.empty((n + 1, n), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    for _ in range(2):  # scipy sorts twice here, and argsort need not be stable
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fxc = f(xc)
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
 GAMMA_NINE_NOTE = (
     "best found for n=9 exceeds the alternative closed-form candidate "
     "(1+16/sqrt(27))^(-1) ~ 0.245146"
@@ -531,11 +590,11 @@ def optimize_gamma(n: int, restarts: int = 40, tol: float = 1e-10, seed: int = 0
     golden-section search of the closed form over (0, pi/4) down to an
     interval of width tol; deterministic, restarts and seed unused.
 
-    Odd n: multi-start Nelder-Mead over (phi, theta_5, theta_7, ..., theta_n),
-    the state-seed angle plus the (n-3)/2 rotation angles, with start points
-    drawn from a generator seeded by seed. Degenerate parameter sets score 0.
-    Best value wins; ties keep the earliest restart. Best-effort: the result
-    is the largest value found, with no convergence guarantee.
+    Odd n: multi-start Nelder-Mead (the in-library _nelder_mead, which takes
+    scipy's iterates) over (phi, theta_5, ..., theta_n), the state-seed angle
+    and the (n-3)/2 rotation angles, from starts drawn by a generator seeded by
+    seed. Degenerate parameters score 0; the best value wins, ties keep the
+    earliest restart. Best-effort: the largest value found, no convergence guarantee.
 
     :raises ValueError: if n < 4 or restarts < 1.
     """
@@ -569,8 +628,6 @@ def optimize_gamma(n: int, restarts: int = 40, tol: float = 1e-10, seed: int = 0
             trace=((0, gamma),),
         )
 
-    from scipy.optimize import minimize  # here, so importing the package does not load scipy
-
     rng = np.random.default_rng(seed)
     m = (n - 3) // 2
     best_val = -1.0
@@ -578,17 +635,14 @@ def optimize_gamma(n: int, restarts: int = 40, tol: float = 1e-10, seed: int = 0
     trace = []
     for r in range(restarts):
         x0 = np.concatenate([[rng.uniform(0.1, math.pi / 2)], rng.uniform(-math.pi, math.pi, m)])
-        res = minimize(
-            lambda x: -_odd_witness(n, x[0], x[1:]),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": tol * 1e-2, "fatol": tol * 1e-4, "maxiter": 4000},
+        x, fun = _nelder_mead(
+            lambda x: -_odd_witness(n, x[0], x[1:]), x0, xatol=tol * 1e-2, fatol=tol * 1e-4, maxiter=4000
         )
-        val = -res.fun
+        val = -fun
         trace.append((r, float(val)))
         if val > best_val:
             best_val = float(val)
-            best_x = res.x
+            best_x = x
     phi = float(best_x[0])
     params = OddCycleParams(
         n, (0.0, 0.0, 1.0), (math.sin(phi), 0.0, math.cos(phi)), tuple(float(t) for t in best_x[1:])

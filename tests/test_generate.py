@@ -167,6 +167,14 @@ class TestRandomMixture:
         b = random_nd_mixture(make_n_cycle(4), random.Random(3), include_pr=True)
         assert noncontextual_weight(b) == Fraction(11, 12)
 
+    @pytest.mark.parametrize("components, include_pr", [(0, False), (-1, False), (-2, True)])
+    def test_bad_component_count_named_before_any_draw(self, components, include_pr):
+        rng = random.Random(9)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="components"):
+            random_nd_mixture(make_n_cycle(4), rng, components, include_pr=include_pr)
+        assert rng.getstate() == state
+
     def test_component_count_respected(self):
         s = make_n_cycle(3)
         b = random_nd_mixture(s, random.Random(5), components=1)

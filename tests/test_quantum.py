@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import contextuality
 from contextuality import (
@@ -38,7 +39,15 @@ from contextuality import (
     trace_probability,
     validate_model,
 )
-from contextuality.quantum import HARDY_TSIRELSON, _cycle_behavior, _exact_pairwise_tables
+from contextuality.quantum import (
+    GAMMA_NINE_NOTE,
+    HARDY_TSIRELSON,
+    _cross,
+    _cycle_behavior,
+    _exact_pairwise_tables,
+    _nelder_mead,
+    _odd_witness,
+)
 
 CABELLO = OddCycleParams(
     n=5,
@@ -463,13 +472,49 @@ class TestOptimizeGamma:
             optimize_gamma(3)
 
     def test_package_import_leaves_scipy_unloaded(self):
-        code = "import sys, contextuality; print('scipy.optimize' in sys.modules)"
+        code = (
+            "import sys, contextuality as c\n"
+            "loaded = ['scipy' in sys.modules]\n"
+            "c.optimize_gamma(5, restarts=1)\n"
+            "c.build_odd_cycle(c.OddCycleParams(5, (0, 0, 1), (0.6, 0, 0.8), (0.7,)))\n"
+            "loaded.append('scipy' in sys.modules)\n"
+            "print(loaded)\n"
+        )
         src = str(Path(contextuality.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False", "only optimize_gamma may import scipy.optimize"
+        assert out.stdout.strip() == "[False, False]", (
+            "scipy loaded by: import contextuality, optimize_gamma or build_odd_cycle"
+        )
+
+    # optimize_gamma(n, restarts, seed).to_json_dict(), as computed by scipy's Nelder-Mead
+    PINNED = {
+        (5, 2, 7): {
+            "n": 5, "gamma": 0.1111111111111114,
+            "params": {"n": 5, "eta": [0.0, 0.0, 1.0], "v3": [0.5773502719192347, 0.0, 0.816496578997601],
+                       "thetas": [-2.3561944963024066]},
+            "trace": [[0, 0.11111111111111133], [1, 0.1111111111111114]], "notes": [],
+        },
+        (7, 1, 3): {
+            "n": 7, "gamma": 0.20000000000000048,
+            "params": {"n": 7, "eta": [0.0, 0.0, 1.0], "v3": [0.5773502633907297, 0.0, 0.8164965850281647],
+                       "thetas": [-2.617993889473621, 3.7570723537123936]},
+            "trace": [[0, 0.20000000000000048]], "notes": [],
+        },
+        (9, 1, 11): {
+            "n": 9, "gamma": 0.25737122778180616,
+            "params": {"n": 9, "eta": [0.0, 0.0, 1.0], "v3": [0.5883835540626806, 0.0, 0.8085819644962213],
+                       "thetas": [0.40397412334531124, 0.4522784437248786, -2.6463188563128037]},
+            "trace": [[0, 0.25737122778180616]], "notes": [GAMMA_NINE_NOTE],
+        },
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_pinned_odd_results(self, key):
+        n, restarts, seed = key
+        assert optimize_gamma(n, restarts=restarts, seed=seed).to_json_dict() == self.PINNED[key]
 
     def test_import_and_numpy_free_commands_leave_numpy_unloaded(self, tmp_path):
         hardy = str(tmp_path / "hardy.json")
@@ -499,3 +544,62 @@ class TestOptimizeGamma:
         assert not check_hardy_tsirelson(HARDY_TSIRELSON + 1e-6)
         with pytest.raises(ValueError):
             check_hardy_tsirelson(0.1, n=5)
+
+
+class TestNelderMead:
+    """_nelder_mead replays scipy's Nelder-Mead bit for bit."""
+
+    @staticmethod
+    def _scipy(f, x0, options):
+        res = minimize(f, x0, method="Nelder-Mead", options=options)
+        return res.x, res.fun
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gamma_objective_matches_scipy(self, n, seed):
+        rng = np.random.default_rng(seed)
+        x0 = np.concatenate([[rng.uniform(0.1, math.pi / 2)], rng.uniform(-math.pi, math.pi, (n - 3) // 2)])
+        f = lambda x: -_odd_witness(n, x[0], x[1:])  # noqa: E731
+        options = {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000}
+        x, fun = _nelder_mead(f, x0, **options)
+        want_x, want_fun = self._scipy(f, x0, options)
+        assert x.tobytes() == want_x.tobytes() and fun == want_fun
+
+    @staticmethod
+    def _terrace(x):
+        return float(np.floor(10 * np.sum((x - 0.3) ** 2))) + 1e-3 * float(np.sum(x**2))
+
+    @staticmethod
+    def _stepped_bowl(x):
+        return float(np.floor(4 * np.sum(np.abs(x - 0.3)))) + float(np.sum((x - 0.1) ** 2))
+
+    # From [0, -0.2, -0.4] the terrace takes expansions, rejected expansions,
+    # reflections, both contractions and shrinks after each; maxiter=25 stops
+    # on the count. The other two starts meet a shrink whose rounding matters
+    # and an expansion that ties its reflection.
+    @pytest.mark.parametrize(
+        "f, x0, maxiter",
+        [
+            ("_terrace", [0.0, -0.2, -0.4], 4000),
+            ("_terrace", [0.0, -0.2, -0.4], 25),
+            ("_terrace", [1.1, 0.0, -0.1], 4000),
+            ("_stepped_bowl", [0.0, 1.6, 0.9, -0.4], 4000),
+        ],
+    )
+    def test_every_step_matches_scipy(self, f, x0, maxiter):
+        f, x0 = getattr(self, f), np.array(x0)
+        options = {"xatol": 1e-8, "fatol": 1e-10, "maxiter": maxiter}
+        x, fun = _nelder_mead(f, x0, **options)
+        want_x, want_fun = self._scipy(f, x0, options)
+        assert x.tobytes() == want_x.tobytes() and fun == want_fun
+
+    def test_cross_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for scale in (1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300):
+            a = rng.standard_normal((400, 3)) * scale
+            b = rng.standard_normal((400, 3)) * scale
+            a[::7, rng.integers(3)] = 0.0
+            b[::5, rng.integers(3)] = -0.0
+            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at 1e300
+                for u, v in zip(a, b):
+                    assert _cross(u, v).tobytes() == np.cross(u, v).tobytes(), (u, v)
