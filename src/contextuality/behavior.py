@@ -434,7 +434,10 @@ def load_behavior(path: str, cap: int | None = None) -> AnyBehavior:
     """Read a behavior (probabilistic or possibilistic) from a JSON file;
     cap bounds each context table as in behavior_from_json_dict."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise InvalidBehavior(f"{path}: JSON nests too deeply to parse") from None
     return behavior_from_json_dict(data, base_dir=os.path.dirname(os.path.abspath(path)), cap=cap)
 
 

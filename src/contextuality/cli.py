@@ -5,7 +5,8 @@ Machine-readable JSON goes to stdout, diagnostics to stderr. Exit codes:
 0 for a decided answer (for `pp find`, a certificate), 1 for `pp find`
 when no paradox exists, 2 when the enumeration cap is exceeded (by the
 global assignments a command enumerates, or at load by a context table with
-more joint outcomes than the cap), 3 for invalid input of any kind.
+more joint outcomes than the cap), 3 for invalid input of any kind, 4 for
+an internal error (an exception no other code covers).
 """
 from __future__ import annotations
 
@@ -233,6 +234,9 @@ def run(argv=None) -> int:
     except (ContextualityError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"ctx: {e}", file=sys.stderr)
         return 3
+    except Exception as e:
+        print(f"ctx: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -23,20 +23,20 @@ class SubsetNotInContext(ContextualityError):
     """A marginal was requested for measurements outside the chosen context."""
 
 
-class NonSimpleScenario(ContextualityError):
+class WrongScenarioShape(ContextualityError):
+    """The scenario lies outside the shape class an operation is defined on."""
+
+
+class NonSimpleScenario(WrongScenarioShape):
     """An operation requires every context to have exactly two measurements."""
 
 
-class NonDichotomic(ContextualityError):
+class NonDichotomic(WrongScenarioShape):
     """An operation requires every measurement to have exactly two outcomes."""
 
 
-class NotCycle(ContextualityError):
+class NotCycle(WrongScenarioShape):
     """An operation requires the compatibility graph to be a single n-cycle."""
-
-
-class WrongScenarioShape(ContextualityError):
-    """The scenario does not match the shape a specialized detector expects."""
 
 
 class NotNondisturbing(ContextualityError):

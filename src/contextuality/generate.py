@@ -21,15 +21,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .behavior import Behavior, PossibilisticBehavior, joint_outcomes
-from .errors import NonSimpleScenario
 from .paradox import pr_box_behavior
-from .scenario import Scenario, traverse_cycle
-
-
-def _check_small_contexts(s: Scenario, who: str) -> None:
-    for c in s.contexts:
-        if len(c) > 2:
-            raise NonSimpleScenario(f"{who} needs contexts of size at most 2, got {c}")
+from .scenario import Scenario, require_pairs, traverse_cycle
 
 
 # -- possibilistic -------------------------------------------------------------
@@ -45,7 +38,7 @@ def random_pnd(s: Scenario, rng: random.Random) -> PossibilisticBehavior:
     sampling fixes relations with a missing row or column, falling back to
     the full rectangle after 50 tries.
     """
-    _check_small_contexts(s, "random_pnd")
+    require_pairs(s)
     possible: dict[str, tuple[str, ...]] = {}
     for m in s.measurements:
         labels = s.outcomes[m]
@@ -55,12 +48,7 @@ def random_pnd(s: Scenario, rng: random.Random) -> PossibilisticBehavior:
             kept = set(rng.sample(labels, rng.randint(1, len(labels))))
             possible[m] = tuple(x for x in labels if x in kept)
     tables = []
-    for ci, c in enumerate(s.contexts):
-        if len(c) == 1:
-            allowed = set(possible[c[0]])
-            tables.append(tuple((o,) in {(x,) for x in allowed} for o in s.outcomes[c[0]]))
-            continue
-        u, v = c
+    for u, v in s.contexts:
         vu, vv = possible[u], possible[v]
         chosen: set[tuple[str, str]] | None = None
         for _ in range(50):
@@ -70,7 +58,7 @@ def random_pnd(s: Scenario, rng: random.Random) -> PossibilisticBehavior:
                 break
         if chosen is None:
             chosen = {(x, y) for x in vu for y in vv}
-        tables.append(tuple(cell in chosen for cell in joint_outcomes(s, c)))
+        tables.append(tuple(cell in chosen for cell in joint_outcomes(s, (u, v))))
     return PossibilisticBehavior(s, tuple(tables))
 
 
@@ -120,14 +108,10 @@ def random_nd_coupling(
     mixture of 1..max_components transportation-plan vertices of the two
     marginals, so every context reproduces the shared marginals exactly.
     """
-    _check_small_contexts(s, "random_nd_coupling")
+    require_pairs(s)
     q = {m: _random_distribution(len(s.outcomes[m]), rng) for m in s.measurements}
     tables = []
-    for c in s.contexts:
-        if len(c) == 1:
-            tables.append(q[c[0]])
-            continue
-        u, v = c
+    for u, v in s.contexts:
         parts = rng.randint(1, max_components)
         weights = _random_distribution(parts, rng)
         cells = [Fraction(0)] * (len(s.outcomes[u]) * len(s.outcomes[v]))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .behavior import Behavior, require_nondisturbing, require_probabilistic
-from .scenario import require_dichotomic, require_pairs, traverse_cycle
+from .scenario import require_dichotomic, traverse_cycle
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,8 @@ def correlator(b: Behavior, i: int) -> Fraction:
     if not 1 <= i <= len(s.contexts):
         raise ValueError(f"context index must be in 1..{len(s.contexts)}, got {i}")
     c = s.contexts[i - 1]
-    require_pairs(s, [c], error=ValueError)
+    if len(c) != 2:
+        raise ValueError(f"context {c} has {len(c)} measurements, need exactly 2")
     require_dichotomic(s, c)
     t = b.tables[i - 1]
     return 2 * (t[0] + t[3]) - 1

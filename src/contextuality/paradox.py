@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .behavior import AnyBehavior, PossibilisticBehavior, collapse, require_nondisturbing
-from .errors import ContextualityError, NotCycle, WrongScenarioShape
+from .errors import ContextualityError, WrongScenarioShape
 from .scenario import Scenario, chordless_cycles, require_dichotomic, require_pairs, traverse_cycle
 
 
@@ -352,7 +352,7 @@ def _bell_parts(s: Scenario) -> tuple[tuple[str, ...], tuple[str, ...]]:
     contexts are exactly the cross pairs, i.e. the compatibility graph is
     K_{k,k}.
     """
-    require_pairs(s, error=WrongScenarioShape)
+    require_pairs(s)
     first = s.measurements[0]
     neighbours = {m for c in s.contexts if first in c for m in c if m != first}
     alice = tuple(m for m in s.measurements if m not in neighbours)
@@ -374,7 +374,7 @@ def detect_bell22_paradox(b: AnyBehavior) -> BellParadox | None:
     pb = _as_possibilistic(b)
     s = pb.scenario
     alice, bob = _bell_parts(s)
-    require_dichotomic(s, error=WrongScenarioShape)
+    require_dichotomic(s)
     hit = detect_simple_scenario_paradox(pb)
     if hit is None:
         return None
@@ -431,10 +431,7 @@ def detect_chen_paradox(b: AnyBehavior) -> ChenParadox | None:
     """
     pb = _as_possibilistic(b)
     s = pb.scenario
-    try:
-        order = traverse_cycle(s)
-    except NotCycle as exc:
-        raise WrongScenarioShape(str(exc)) from exc
+    order = traverse_cycle(s)
     if len(order) != 4:
         raise WrongScenarioShape(f"need a 4-cycle, got {len(order)} contexts")
     sizes = {len(s.outcomes[m]) for m in s.measurements}

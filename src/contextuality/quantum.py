@@ -596,12 +596,14 @@ def optimize_gamma(n: int, restarts: int = 40, tol: float = 1e-10, seed: int = 0
     seed. Degenerate parameters score 0; the best value wins, ties keep the
     earliest restart. Best-effort: the largest value found, no convergence guarantee.
 
-    :raises ValueError: if n < 4 or restarts < 1.
+    :raises ValueError: if n < 4, restarts < 1, or tol is not finite and positive.
     """
     if n < 4:
         raise ValueError(f"cycle constructions need n >= 4, got {n}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if n % 2 == 0:
         lo, hi = 1e-9, math.pi / 4 - 1e-9
         golden = (math.sqrt(5) - 1) / 2

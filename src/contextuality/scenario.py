@@ -160,7 +160,11 @@ class Scenario:
 def load_scenario(path: str) -> Scenario:
     """Read a scenario from a JSON file."""
     with open(path, encoding="utf-8") as fh:
-        return Scenario.from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise InvalidScenario(f"{path}: JSON nests too deeply to parse") from None
+    return Scenario.from_json_dict(data)
 
 
 def index_shape(s: Scenario) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -173,27 +177,19 @@ def index_shape(s: Scenario) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ..
 # -- shape guards -----------------------------------------------------------
 
 
-def require_pairs(
-    s: Scenario,
-    contexts: Iterable[tuple[str, ...]] | None = None,
-    error: type[Exception] = NonSimpleScenario,
-) -> None:
-    """Raise error unless every context (default: all of s's) is a pair."""
-    for c in s.contexts if contexts is None else contexts:
+def require_pairs(s: Scenario) -> None:
+    """Raise NonSimpleScenario unless every context of s is a pair."""
+    for c in s.contexts:
         if len(c) != 2:
-            raise error(f"context {c} has {len(c)} measurements, need exactly 2")
+            raise NonSimpleScenario(f"context {c} has {len(c)} measurements, need exactly 2")
 
 
-def require_dichotomic(
-    s: Scenario,
-    measurements: Iterable[str] | None = None,
-    error: type[Exception] = NonDichotomic,
-) -> None:
-    """Raise error unless every measurement (default: all of s's) has
+def require_dichotomic(s: Scenario, measurements: Iterable[str] | None = None) -> None:
+    """Raise NonDichotomic unless every measurement (default: all of s's) has
     exactly two outcomes."""
     for m in s.measurements if measurements is None else measurements:
         if len(s.outcomes[m]) != 2:
-            raise error(f"measurement {m!r} has {len(s.outcomes[m])} outcomes, need 2")
+            raise NonDichotomic(f"measurement {m!r} has {len(s.outcomes[m])} outcomes, need 2")
 
 
 # -- standard families ------------------------------------------------------

@@ -494,6 +494,16 @@ class TestJson:
         b = load_behavior(tmp_path / "b.json")
         assert b.scenario == s
 
+    def test_deeply_nested_json_is_invalid_input(self, tmp_path):
+        # json.load recurses per nesting level and overflows near 1000 levels
+        deep = "[" * 200000 + "]" * 200000
+        (tmp_path / "deep.json").write_text(deep)
+        with pytest.raises(InvalidBehavior, match="deep.json: JSON nests too deeply"):
+            load_behavior(tmp_path / "deep.json")
+        (tmp_path / "b.json").write_text(json.dumps({"scenario": "deep.json", "tables": []}))
+        with pytest.raises(InvalidScenario, match="deep.json: JSON nests too deeply"):
+            load_behavior(tmp_path / "b.json")
+
     @pytest.mark.parametrize("possibilistic", [False, True])
     def test_context_table_larger_than_cap_refused(self, tmp_path, possibilistic):
         # 12 binary measurements make 4096 cells; 50 would not fit in memory.

@@ -140,6 +140,15 @@ class TestCheck:
         path.write_text("{not json")
         assert run(["check", "--behavior", str(path)]) == 3
 
+    @pytest.mark.parametrize("command", [["check"], ["pp", "find", "--possibilistic"]])
+    def test_deeply_nested_json_exits_3(self, capsys, tmp_path, command):
+        # for pp find, exit 1 would claim "no paradox"
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert run([*command, "--behavior", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "nests too deeply" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("raw", ["1e-100000000", "1/" + "9" * 5000])
     def test_unbounded_probability_string_exits_3(self, capsys, tmp_path, raw):
         payload = {
@@ -418,6 +427,11 @@ class TestGamma:
         assert run(["gamma", "--n", "5", "--restarts", "0"]) == 3
         assert "restarts" in capsys.readouterr().err
 
+    def test_nan_tol_exits_3(self, capsys):
+        # the even-n golden-section loop never runs when b - a > nan is False
+        assert run(["gamma", "--n", "4", "--tol", "nan"]) == 3
+        assert capsys.readouterr().err == "ctx: tol must be finite and positive, got nan\n"
+
 
 # ======================================================================
 # 5. bundle and fixtures
@@ -491,6 +505,16 @@ class TestArgHandling:
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
         assert "check" in capsys.readouterr().out
+
+    def test_internal_error_exits_4_on_one_line(self, capsys, monkeypatch, pr_file):
+        def broken(b):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr("contextuality.cli.evaluate_all", broken)
+        assert run(["ineq", "--behavior", pr_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ctx: internal error: TypeError: unsupported operand\n"
 
 
 # ======================================================================

@@ -7,6 +7,7 @@ in which the entry point checks them.
 """
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -42,6 +43,8 @@ from contextuality import (
     make_n_cycle,
     noncontextual_weight,
     pr_box_behavior,
+    random_nd_coupling,
+    random_pnd,
 )
 
 BIT = ("0", "1")
@@ -71,6 +74,8 @@ TRIPLE3 = Scenario(("A", "B", "C"), {m: TRIT for m in "ABC"}, (("A", "B", "C"),)
 # the pair (A, B) is dichotomic; C, in the other context, has three outcomes
 MIXED = Scenario(("A", "B", "C"), {"A": BIT, "B": BIT, "C": TRIT}, (("A", "B"), ("B", "C")))
 PATH = Scenario(("A", "B", "C"), {m: BIT for m in "ABC"}, (("A", "B"), ("B", "C")))
+# a pair and a one-measurement context: not pairs either
+SINGLE = Scenario(("A", "B", "C"), {m: BIT for m in "ABC"}, (("A", "B"), ("C",)))
 CYCLE4_MIXED = Scenario(
     ("M1", "M2", "M3", "M4"),
     {"M1": TRIT, "M2": BIT, "M3": BIT, "M4": BIT},
@@ -99,11 +104,13 @@ CASES = [
     case("chordless_cycles/non-pair", chordless_cycles, TRIPLE2, NonSimpleScenario),
     case("build_bundle/non-pair", build_bundle, full(TRIPLE2), NonSimpleScenario),
     case("simple/non-pair+3-outcome", detect_simple_scenario_paradox, full(TRIPLE3), NonSimpleScenario),
-    case("bell22/non-pair", detect_bell22_paradox, full(TRIPLE2), WrongScenarioShape),
+    case("bell22/non-pair", detect_bell22_paradox, full(TRIPLE2), NonSimpleScenario),
+    case("random_pnd/one-measurement", lambda s: random_pnd(s, Random(0)), SINGLE, NonSimpleScenario),
+    case("random_nd_coupling/one-measurement", lambda s: random_nd_coupling(s, Random(0)), SINGLE, NonSimpleScenario),
     case("correlator/non-pair", lambda b: correlator(b, 1), UNIFORM_TRIPLE2, ValueError),
     # two outcomes
     case("simple/3-outcome", detect_simple_scenario_paradox, full(make_n_cycle(4, 3)), NonDichotomic),
-    case("bell22/3-outcome", detect_bell22_paradox, full(make_bipartite_bell(2, 3)), WrongScenarioShape),
+    case("bell22/3-outcome", detect_bell22_paradox, full(make_bipartite_bell(2, 3)), NonDichotomic),
     case("correlator/3-outcome", lambda b: correlator(b, 1), DISTURBING3_L3, NonDichotomic),
     case("pr_box/3-outcome", lambda s: pr_box_behavior(s, 1), make_n_cycle(4, 3), NonDichotomic),
     case("classify_sc/3-outcome+disturbing", classify_strong_contextuality, DISTURBING3_L3, NonDichotomic),
@@ -129,7 +136,7 @@ CASES = [
     case("classify_sc/path", classify_strong_contextuality, full(PATH), NotCycle),
     case("bell22/not-bipartite", detect_bell22_paradox, full(make_n_cycle(3)), WrongScenarioShape),
     case("chen/5-cycle", detect_chen_paradox, full(make_n_cycle(5)), WrongScenarioShape),
-    case("chen/path", detect_chen_paradox, full(PATH), WrongScenarioShape),
+    case("chen/path", detect_chen_paradox, full(PATH), NotCycle),
     case("chen/mixed-outcomes", detect_chen_paradox, full(CYCLE4_MIXED), WrongScenarioShape),
     # table shape, checked context by context before each table's contents
     case("Behavior/table-count", on_path, ((Q,) * 4,), InvalidBehavior),
@@ -150,3 +157,8 @@ def test_correlator_checks_only_its_own_context():
     assert correlator(b, 1) == 0
     with pytest.raises(NonDichotomic):
         correlator(b, 2)
+
+
+def test_shape_errors_form_one_family():
+    for error in (NonSimpleScenario, NonDichotomic, NotCycle):
+        assert issubclass(error, WrongScenarioShape)

@@ -471,6 +471,12 @@ class TestOptimizeGamma:
         with pytest.raises(ValueError):
             optimize_gamma(3)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, n, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            optimize_gamma(n, restarts=1, tol=tol)
+
     def test_package_import_leaves_scipy_unloaded(self):
         code = (
             "import sys, contextuality as c\n"
