@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterator, Union
 
 from .errors import (
@@ -28,6 +28,7 @@ from .errors import (
     NotNondisturbing,
     NotPossibilisticallyND,
     SubsetNotInContext,
+    shown,
 )
 from .scenario import Scenario, index_shape, load_scenario, resolve_cap
 
@@ -40,7 +41,7 @@ def joint_outcomes(s: Scenario, context: tuple[str, ...]) -> Iterator[tuple[str,
 def cell_index(s: Scenario, context: tuple[str, ...], labels: tuple[str, ...]) -> int:
     """Cell position of a joint outcome inside its context's table."""
     if len(labels) != len(context):
-        raise InvalidBehavior(f"outcome tuple {labels} does not match context {context}")
+        raise InvalidBehavior(f"outcome tuple {shown(labels)} does not match context {shown(context)}")
     idx = 0
     for m, o in zip(context, labels):
         idx = idx * len(s.outcomes[m]) + s.outcome_index(m, o)
@@ -87,9 +88,9 @@ class Behavior:
             nums, den = _numerators(t)
             if min(nums) < 0:
                 p = next(p for p in t if p < 0)
-                raise NegativeProbability(f"negative probability {p} in context {c}")
+                raise NegativeProbability(f"negative probability {shown(p)} in context {shown(c)}")
             if sum(nums) != den:
-                raise InvalidBehavior(f"table for context {c} sums to {sum(t)}, not 1")
+                raise InvalidBehavior(f"table for context {shown(c)} sums to {shown(sum(t))}, not 1")
 
     def probability(self, context_index: int, outcomes: tuple[str, ...]) -> Fraction:
         """Probability of one joint outcome of one context."""
@@ -119,7 +120,7 @@ class PossibilisticBehavior:
         object.__setattr__(self, "tables", tables)
         for c, t in _shaped(self.scenario, tables):
             if not any(t):
-                raise InvalidBehavior(f"context {c} has no possible outcome")
+                raise InvalidBehavior(f"context {shown(c)} has no possible outcome")
 
     def is_possible(self, context_index: int, outcomes: tuple[str, ...]) -> bool:
         """Whether one joint outcome of one context is possible."""
@@ -151,7 +152,7 @@ def _shaped(s: Scenario, tables: tuple) -> Iterator[tuple[tuple[str, ...], tuple
     for i, t in enumerate(tables):
         if len(t) != s.context_cells(i):
             raise InvalidBehavior(
-                f"table for context {s.contexts[i]} has {len(t)} cells, expected {s.context_cells(i)}"
+                f"table for context {shown(s.contexts[i])} has {len(t)} cells, expected {s.context_cells(i)}"
             )
         yield s.contexts[i], t
 
@@ -169,7 +170,7 @@ def _project(b: AnyBehavior, ci: int, shared: tuple[str, ...]) -> dict:
         pos = [c.index(m) for m in shared]
     except ValueError:
         outside = next(m for m in shared if m not in c)
-        raise SubsetNotInContext(f"measurement {outside!r} is not in context {c}") from None
+        raise SubsetNotInContext(f"measurement {shown(outside)} is not in context {shown(c)}") from None
     possibilistic = isinstance(b, PossibilisticBehavior)
     marginal: dict[tuple[str, ...], object] = {}
     for cell, p in zip(joint_outcomes(s, c), b.tables[ci]):
@@ -219,17 +220,24 @@ def check_nondisturbance(b: Behavior) -> DisturbanceReport:
 
 def check_possibilistic_nd(pb: AnyBehavior) -> DisturbanceReport:
     """Possibilistic nondisturbance: OR-marginals agree across contexts. A
-    Behavior is read through its collapse, so only supports are compared."""
+    Behavior is read through its collapse, so only supports are compared.
+
+    Walks the same per-shape plan as check_nondisturbance, with an OR over
+    each cell group in place of a sum; the first violation is reported in
+    the same order."""
     if isinstance(pb, Behavior):
         pb = collapse(pb)
     s = pb.scenario
-    project = lru_cache(maxsize=None)(partial(_project, pb))
-    for i, j, shared in _overlaps(s.contexts):
-        va, vb = project(i, shared), project(j, shared)
+    tables = pb.tables
+    for i, j, shared, groups_i, groups_j in _nd_plan(*index_shape(s)):
+        ta, tb = tables[i], tables[j]
+        va = [any(map(ta.__getitem__, g)) for g in groups_i]
+        vb = [any(map(tb.__getitem__, g)) for g in groups_j]
         if va != vb:
-            joint = next(x for x in joint_outcomes(s, shared) if va.get(x, False) != vb.get(x, False))
-            values = (va.get(joint, False), vb.get(joint, False))
-            return DisturbanceReport(ok=False, violation=Violation(i, j, shared, joint, *values))
+            k = next(k for k, (x, y) in enumerate(zip(va, vb)) if x != y)
+            measurements = tuple(s.measurements[q] for q in shared)
+            joint = next(itertools.islice(joint_outcomes(s, measurements), k, None))
+            return DisturbanceReport(ok=False, violation=Violation(i, j, measurements, joint, va[k], vb[k]))
     return DisturbanceReport(ok=True)
 
 
@@ -305,18 +313,20 @@ def _nd_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...
 
 def _parse_rational(raw) -> Fraction:
     if isinstance(raw, bool):
-        raise InvalidBehavior(f"probability {raw!r} is not a number or rational string")
+        raise InvalidBehavior(f"probability {shown(raw)} is not a number or rational string")
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
         # Fraction builds 10**exponent exactly, so one short string could stall the loader.
         if "e" in raw or "E" in raw:
-            raise InvalidBehavior(f"probability {raw!r} has an exponent; write it as 'num/den' or a decimal")
+            raise InvalidBehavior(f"probability {shown(raw)} has an exponent; write it as 'num/den' or a decimal")
         try:
             return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidBehavior(f"cannot parse probability {raw!r}: {exc}") from exc
-    raise InvalidBehavior(f"probability {raw!r} must be an int or a 'num/den' string")
+        except ValueError:
+            raise InvalidBehavior(f"cannot parse probability {shown(raw)}") from None
+        except ZeroDivisionError:
+            raise InvalidBehavior(f"probability {shown(raw)} has a zero denominator") from None
+    raise InvalidBehavior(f"probability {shown(raw)} must be an int or a 'num/den' string")
 
 
 def _is_list_of(value, kind: type) -> bool:
@@ -359,12 +369,12 @@ def behavior_from_json_dict(
         if not isinstance(entry, dict) or "context" not in entry:
             raise InvalidBehavior("each table entry needs a 'context'")
         if not _is_list_of(entry["context"], str):
-            raise InvalidBehavior(f"'context' must be a list of strings, got {entry['context']!r}")
+            raise InvalidBehavior(f"'context' must be a list of strings, got {shown(entry['context'])}")
         key = frozenset(entry["context"])
         if len(key) != len(entry["context"]):
-            raise InvalidBehavior(f"table context {entry['context']} repeats a measurement")
+            raise InvalidBehavior(f"table context {shown(entry['context'])} repeats a measurement")
         if key in by_set:
-            raise InvalidBehavior(f"duplicate table for context {sorted(key)}")
+            raise InvalidBehavior(f"duplicate table for context {shown(sorted(key))}")
         by_set[key] = entry
 
     kinds = {("probs" in e, "possible" in e) for e in by_set.values()}
@@ -377,29 +387,29 @@ def behavior_from_json_dict(
     for i, context in enumerate(scenario.contexts):
         entry = by_set.pop(frozenset(context), None)
         if entry is None:
-            raise InvalidBehavior(f"no table for context {context}")
+            raise InvalidBehavior(f"no table for context {shown(context)}")
         given = tuple(entry["context"])
         cells = scenario.context_cells(i)
         if cells > cap:
-            raise EnumerationCapExceeded(f"context {context} has {cells} joint outcomes, more than the cap {cap}")
+            raise EnumerationCapExceeded(f"context {shown(context)} has {cells} joint outcomes, more than the cap {cap}")
         if possibilistic:
             if not _is_list_of(entry["possible"], list):
-                raise InvalidBehavior(f"'possible' for context {given} must be a list of lists")
+                raise InvalidBehavior(f"'possible' for context {shown(given)} must be a list of lists")
             pairs = ((tuple(map(str, labels)), True) for labels in entry["possible"])
         else:
             if not isinstance(entry["probs"], dict):
-                raise InvalidBehavior(f"'probs' for context {given} must be an object")
+                raise InvalidBehavior(f"'probs' for context {shown(given)} must be an object")
             pairs = ((tuple(key.split(",")), _parse_rational(raw)) for key, raw in entry["probs"].items())
         order = tuple(map(given.index, context))
         table = [zero] * cells
         for joint, value in pairs:
             if len(joint) != len(given):
-                raise InvalidBehavior(f"outcome tuple {joint} does not match context {given}")
+                raise InvalidBehavior(f"outcome tuple {shown(joint)} does not match context {shown(given)}")
             table[cell_index(scenario, context, tuple(map(joint.__getitem__, order)))] = value
         tables.append(tuple(table))
     if by_set:
         extra = [sorted(k) for k in by_set]
-        raise InvalidBehavior(f"tables given for unknown contexts: {extra}")
+        raise InvalidBehavior(f"tables given for unknown contexts: {shown(extra)}")
 
     cls = PossibilisticBehavior if possibilistic else Behavior
     return cls(scenario, tuple(tables), metadata=data.get("metadata"))
@@ -414,7 +424,7 @@ def behavior_to_json_dict(b: AnyBehavior) -> dict:
     s = b.scenario
     comma = [o for labels in s.outcomes.values() for o in labels if "," in o]
     if comma and isinstance(b, Behavior):
-        raise InvalidBehavior(f"outcome label {comma[0]!r} contains ',', which a 'probs' key cannot hold")
+        raise InvalidBehavior(f"outcome label {shown(comma[0])} contains ',', which a 'probs' key cannot hold")
     tables = []
     for i, context in enumerate(s.contexts):
         entry: dict = {"context": list(context)}

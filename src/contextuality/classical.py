@@ -11,18 +11,25 @@ a global distribution whose marginals reproduce every context table; its
 existence is decided by one exact rational LP, whose optimum also yields the
 contextual fraction.
 
-Every question reads one listing of the support as int64 assignment
-indices, ascending in mixed-radix order over the scenario's measurement
-order (last fastest), made after checking the assignment count against the
-enumeration cap. The listing grows partial assignments depth first, one
-measurement at a time, each next measurement sharing a context with one
-already placed where it can; a context prunes the partials as soon as its
-last measurement is placed, so on a cycle or a tree the partials stay close
-to the support instead of the l^n assignments. is_strongly_contextual stops
-at the first listed chunk; every other question reads the whole support
-with each context's possible cells and covered cells (restrictions of
-support members). Only the public outputs turn indices into labelled
-GlobalAssignments.
+Every question first checks the assignment count against the enumeration
+cap. All but the lc witness then read one listing of the support as int64
+assignment indices, ascending in mixed-radix order over the scenario's
+measurement order (last fastest). The listing grows partial assignments
+depth first, one measurement at a time, each next measurement sharing a
+context with one already placed where it can; a context prunes the partials
+as soon as its last measurement is placed, so on a cycle or a tree the
+partials stay close to the support instead of the l^n assignments.
+is_strongly_contextual stops at the first listed chunk; every other
+question reads the whole support with each context's possible cells and
+covered cells (restrictions of support members). Only the public outputs
+turn indices into labelled GlobalAssignments.
+
+logical_contextuality_witness needs only the covered cells. Where every
+bag of the same placement order (the measurements still open in some
+context, plus the one being placed) has at most _MAX_STATES digit states,
+as on cycles, trees and small Bell scenarios, it finds them in pure Python
+by forward and backward boolean elimination along that order, with no
+listing and no numpy; past that bound it reads the listing.
 
 support / is_logically_contextual / is_strongly_contextual accept a Behavior
 or a PossibilisticBehavior; probability tables are read through their
@@ -103,11 +110,8 @@ class _Engine:
     Assignment index -> context cell code is an affine digit map; the
     arrays here let a whole array of indices be mapped at once. A partial
     assignment is the index with its unplaced digits 0, so a context's cell
-    codes are read off it once the context's measurements are placed. order
-    places each measurement after the first in scenario order among those
-    sharing a context with one already placed (the first unplaced one when
-    none does); closing[k] lists the contexts whose last measurement is
-    order[k].
+    codes are read off it once the context's measurements are placed, in
+    the order _placement gives.
     """
 
     def __init__(self, radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]):
@@ -124,18 +128,7 @@ class _Engine:
             for k in range(len(positions) - 2, -1, -1):
                 cell_strides[k] = cell_strides[k + 1] * radices[positions[k + 1]]
             self.contexts.append((pos_strides, pos_radices, cell_strides))
-        rank: dict[int, int] = {}
-        touched: set[int] = set()
-        for _ in radices:
-            q = min(touched - rank.keys(), default=None)
-            if q is None:
-                q = min(set(range(len(radices))) - rank.keys())
-            rank[q] = len(rank)
-            touched.update(*(p for p in ctx_positions if q in p))
-        self.order = tuple(rank)
-        self.closing = tuple([] for _ in radices)
-        for ci, positions in enumerate(ctx_positions):
-            self.closing[max(rank[q] for q in positions)].append(ci)
+        self.order, self.closing = _placement(radices, ctx_positions)
 
     def cell_codes(self, arr: np.ndarray, ci: int) -> np.ndarray:
         pos_strides, pos_radices, cell_strides = self.contexts[ci]
@@ -146,6 +139,27 @@ class _Engine:
 
 
 _engine = lru_cache(maxsize=256)(_Engine)
+
+
+def _placement(
+    radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(order, closing) of one shape: order places each measurement after the
+    first in scenario order among those sharing a context with one already
+    placed (the first unplaced one when none does); closing[k] lists the
+    contexts whose last measurement is order[k]."""
+    rank: dict[int, int] = {}
+    touched: set[int] = set()
+    for _ in radices:
+        q = min(touched - rank.keys(), default=None)
+        if q is None:
+            q = min(set(range(len(radices))) - rank.keys())
+        rank[q] = len(rank)
+        touched.update(*(p for p in ctx_positions if q in p))
+    closing: tuple[list[int], ...] = tuple([] for _ in radices)
+    for ci, positions in enumerate(ctx_positions):
+        closing[max(rank[q] for q in positions)].append(ci)
+    return tuple(rank), tuple(map(tuple, closing))
 
 
 def _engine_for(s: Scenario) -> _Engine:
@@ -267,6 +281,77 @@ def _witness(s: Scenario, possible: list[np.ndarray], covered: list[np.ndarray])
     return None
 
 
+# Largest bag, in digit states, that the lc witness eliminates over; a scenario
+# with a larger bag has its support listed instead.
+_MAX_STATES = 4096
+
+
+@lru_cache(maxsize=256)
+def _elimination_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]) -> tuple | None:
+    """The steps of a boolean elimination along the placement order, or None
+    when some bag has more than _MAX_STATES digit states.
+
+    Step k places order[k]. Its bag is the frontier before it (the placed
+    measurements that a context not yet closed holds) then order[k], and a
+    state is the bag's digits in that order. A step is (radix of order[k],
+    checks, keep): checks gives each context closing at k with the (bag
+    slot, cell stride) of each of its measurements, and keep lists the bag
+    slots of the frontier after the step.
+    """
+    order, closing = _placement(radices, ctx_positions)
+    last = {q: k for k, cis in enumerate(closing) for ci in cis for q in ctx_positions[ci]}
+    steps = []
+    frontier: tuple[int, ...] = ()
+    for k, q in enumerate(order):
+        bag = frontier + (q,)
+        if math.prod(radices[x] for x in bag) > _MAX_STATES:
+            return None
+        checks = []
+        for ci in closing[k]:
+            slots, stride = [], 1
+            for x in reversed(ctx_positions[ci]):
+                slots.append((bag.index(x), stride))
+                stride *= radices[x]
+            checks.append((ci, tuple(slots)))
+        frontier = tuple(x for x in bag if last[x] > k)
+        steps.append((radices[q], tuple(checks), tuple(map(bag.index, frontier))))
+    return tuple(steps)
+
+
+def _covered_cells(tables: tuple, plan: tuple) -> list[set[int]]:
+    """Each context's cells that some support member restricts to.
+
+    The forward pass lists, step by step, the moves (state, cells, next
+    state) from a frontier state some partial assignment reaches through a
+    digit every closing context allows. The backward pass keeps the moves
+    into a state that extends to a whole support member: their cells are
+    covered, and their states extend in turn.
+    """
+    moves = []
+    reached: set[tuple[int, ...]] = {()}
+    for radix, checks, keep in plan:
+        step = []
+        for state in reached:
+            for d in range(radix):
+                bag = state + (d,)
+                cells = [sum(bag[i] * stride for i, stride in slots) for _, slots in checks]
+                if all(tables[ci][c] for (ci, _), c in zip(checks, cells)):
+                    step.append((state, cells, tuple(bag[i] for i in keep)))
+        moves.append(step)
+        reached = {after for _, _, after in step}
+    covered: list[set[int]] = [set() for _ in tables]
+    extends = reached  # {()} unless the support is empty
+    for (_, checks, _), step in zip(reversed(plan), reversed(moves)):
+        before = set()
+        for state, cells, after in step:
+            if after in extends:
+                before.add(state)
+                for (ci, _), c in zip(checks, cells):
+                    covered[ci].add(c)
+        extends = before
+    return covered
+
+
 def logical_contextuality_witness(
     b: AnyBehavior, cap: int | None = None
 ) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
@@ -274,10 +359,24 @@ def logical_contextuality_witness(
 
     Returns (context labels, outcome labels), scanning contexts in stored
     order and cells in table order, or None when every possible outcome
-    extends (the behavior is then not LC).
+    extends (the behavior is then not LC). The cap is checked first. When
+    every bag of the placement order holds at most _MAX_STATES states, the
+    covered cells come from a pure-Python elimination; otherwise from the
+    support listing.
+
+    :raises EnumerationCapExceeded: when the assignment count exceeds cap.
     """
-    _, possible, covered = _scan(b, cap)
-    return _witness(b.scenario, possible, covered)
+    s = b.scenario
+    _check_cap(s, cap)
+    plan = _elimination_plan(*index_shape(s))
+    if plan is None:
+        _, possible, covered = _scan(b, cap)
+        return _witness(s, possible, covered)
+    for ci, (table, cov) in enumerate(zip(b.tables, _covered_cells(b.tables, plan))):
+        cell = next((k for k, p in enumerate(table) if p and k not in cov), None)
+        if cell is not None:
+            return (s.contexts[ci], list(joint_outcomes(s, s.contexts[ci]))[cell])
+    return None
 
 
 def is_logically_contextual(b: AnyBehavior, cap: int | None = None) -> bool:

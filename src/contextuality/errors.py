@@ -7,6 +7,16 @@ algorithms raise the more specific classes below.
 """
 
 
+def shown(value) -> str:
+    """value as an error message echoes it: repr for a string, str otherwise,
+    cut to 80 characters and followed by its full length when longer, so
+    input of any length makes a short message."""
+    text = repr(value) if isinstance(value, str) else str(value)
+    if len(text) <= 80:
+        return text
+    return f"{text[:80]}... ({len(text)} characters)"
+
+
 class ContextualityError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -7,12 +7,15 @@ assignment extending it. The detectors find such paradoxes by reachable-set
 propagation: starting from {b}, push the set of attainable outcomes through
 each context's possibility relation; a paradox exists exactly when a is not
 reachable after going all the way around. One index-level kernel does this
-for every detector. It builds each oriented context of the walk once as
-per-row bitmasks, so a step is an OR of the rows the reachable set selects,
-and it propagates {b} once per base context and b, O(n l) row ORs shared by
-every witness (a, b). Only the hit is turned into labels: its chain records
-each impossibility used, so every certificate can be re-validated directly
-against the tables with no trust in the detector.
+for every detector. It reads each oriented context of the walk as per-row
+bitmasks, a relation whose composition with another is an OR of the rows
+each reachable set selects. Suffix products (each position to the end of the
+walk) and prefix products (the start to each position) are built once, so
+the walk around after any base is one composition of a suffix and a prefix,
+O(l^2) row ORs: a whole walk costs O(n l^2), linear in n. Only the hit is
+turned into labels: its chain records each impossibility used, so every
+certificate can be re-validated directly against the tables with no trust in
+the detector. Equal chain steps are one shared immutable object.
 
 On dichotomic simple scenarios, scanning the chordless cycles of the
 compatibility graph, each in place on the scenario's own tables, decides
@@ -27,6 +30,7 @@ positions into the scenario's stored context list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .behavior import AnyBehavior, PossibilisticBehavior, collapse, require_nondisturbing
 from .errors import ContextualityError, WrongScenarioShape
@@ -173,42 +177,62 @@ def _scan_walk(pb: PossibilisticBehavior, walk: tuple, bases) -> ParadoxCertific
     s = pb.scenario
     n = len(walk)
     rows = _walk_rows(pb, walk)
+    # suffix[k] composes walk positions k..n-1 and prefix[k] positions 0..k-1,
+    # so the walk once around after base p is suffix[p + 1] then prefix[p].
+    # Prefixes are built only as far as the bases tried need them.
+    suffix = [None] * n + [[1 << x for x in range(len(rows[0]))]]  # suffix[n]: the identity
+    for j in range(n - 1, 0, -1):
+        suffix[j] = _compose(rows[j], suffix[j + 1])
+    prefix = [suffix[n]]
     for p in bases:
-        lv = len(s.outcomes[walk[p][1][1]])
-        reach_from: dict[int, int] = {}  # b_out -> set reached from {b_out}
-        for a, row in enumerate(rows[p]):
-            for b_out in range(lv):
-                if not row >> b_out & 1:
-                    continue
-                reach = reach_from.get(b_out)
-                if reach is None:
-                    reach = 1 << b_out
-                    for j in range(p + 1, p + n):
-                        reach = _image(reach, rows[j % n])
-                    reach_from[b_out] = reach
-                if not reach >> a & 1:
-                    return _certificate(pb, walk, rows, p, a, b_out)
+        while len(prefix) <= p:
+            prefix.append(_compose(prefix[-1], rows[len(prefix) - 1]))
+        around = _compose(suffix[p + 1], prefix[p])  # b -> the a reachable back from b
+        ci, (u, v) = walk[p]
+        cols = _rows(pb.tables[ci], s.contexts[ci] != (u, v), len(s.outcomes[v]))  # b -> a with (a, b) possible
+        # miss[b]: the a with (a, b) possible that the walk around from b misses;
+        # the first witness in (a, b) order has the smallest such a
+        miss = [col & ~reach for col, reach in zip(cols, around)]
+        if any(miss):
+            a = min((m & -m).bit_length() - 1 for m in miss if m)
+            b_out = next(b for b, m in enumerate(miss) if m >> a & 1)
+            return _certificate(pb, walk, rows, p, a, b_out)
     return None
 
 
-def _walk_rows(pb: PossibilisticBehavior, walk: tuple) -> list[list[int]]:
+def _walk_rows(pb: PossibilisticBehavior, walk: tuple) -> list[tuple[int, ...]]:
     """rows[p][x]: bitmask of the y with (u=x, v=y) possible at walk position p."""
     s = pb.scenario
-    rows = []
-    for ci, (u, v) in walk:
-        table = pb.tables[ci]
-        lu, lv = len(s.outcomes[u]), len(s.outcomes[v])
-        sx, sy = (lv, 1) if s.contexts[ci] == (u, v) else (1, lu)
-        rows.append([sum(1 << y for y in range(lv) if table[x * sx + y * sy]) for x in range(lu)])
-    return rows
+    return [_rows(pb.tables[ci], s.contexts[ci] == uv, len(s.outcomes[uv[0]])) for ci, uv in walk]
 
 
-def _image(reach: int, context_rows: list[int]) -> int:
-    """Outcomes reachable in one step from the outcome set reach."""
-    out = 0
-    for x, ys in enumerate(context_rows):
-        if reach >> x & 1:
-            out |= ys
+def _rows(table: tuple[bool, ...], forward: bool, lu: int) -> tuple[int, ...]:
+    """A pair table as per-row bitmasks over u's lu outcomes, stored as (u, v)
+    when forward and as (v, u) otherwise. Tables of at most 64 cells are
+    cached; the cache holds the tables it is keyed by, so larger ones are not."""
+    return (_small_rows if len(table) <= 64 else _table_rows)(table, forward, lu)
+
+
+def _table_rows(table: tuple[bool, ...], forward: bool, lu: int) -> tuple[int, ...]:
+    lv = len(table) // lu
+    sx, sy = (lv, 1) if forward else (1, lu)
+    return tuple(sum(1 << y for y in range(lv) if table[x * sx + y * sy]) for x in range(lu))
+
+
+_small_rows = lru_cache(maxsize=1024)(_table_rows)
+
+
+def _compose(first, then) -> list[int]:
+    """The relation first followed by then, both as per-row bitmasks: row x
+    of the result is the OR of then's rows at the bits of first's row x."""
+    out = []
+    for reach in first:
+        image = 0
+        for ys in then:
+            if reach & 1:
+                image |= ys
+            reach >>= 1
+        out.append(image)
     return out
 
 
@@ -216,31 +240,38 @@ def _certificate(pb: PossibilisticBehavior, walk, rows, p, a, b_out) -> ParadoxC
     """Label the chain of the hit (a, b_out) at walk position p."""
     s = pb.scenario
     n = len(walk)
-    base_ci, (u, v) = walk[p]
+    base_ci, base_context = walk[p]
+    u, v = base_context
     reach = 1 << b_out
     steps = []
     for j in range(p + 1, p + n):
         ci, (x_m, y_m) = walk[j % n]
-        image = _image(reach, rows[j % n])
-        reach_in = tuple(o for k, o in enumerate(s.outcomes[x_m]) if reach >> k & 1)
-        outs = s.outcomes[y_m]
-        steps.append(
-            ChainStep(
-                context_index=ci + 1,
-                context=(x_m, y_m),
-                reachable_in=reach_in,
-                forbidden=tuple(
-                    (x, y) for x in reach_in for k, y in enumerate(outs) if not image >> k & 1
-                ),
-                reachable_out=tuple(y for k, y in enumerate(outs) if image >> k & 1),
-            )
-        )
+        (image,) = _compose((reach,), rows[j % n])
+        steps.append(_chain_step(ci + 1, (x_m, y_m), s.outcomes[x_m], s.outcomes[y_m], reach, image))
         reach = image
     return ParadoxCertificate(
         base_context_index=base_ci + 1,
-        base_context=(u, v),
+        base_context=base_context,
         witness_pair=(s.outcomes[u][a], s.outcomes[v][b_out]),
         chain=tuple(steps),
+    )
+
+
+@lru_cache(maxsize=4096)
+def _chain_step(
+    context_index: int, context: tuple[str, str], ins: tuple[str, ...], outs: tuple[str, ...], reach: int, image: int
+) -> ChainStep:
+    """The step from the outcome set reach of ins to image of outs, labelled.
+
+    Keyed by labels and masks only, so equal steps of different certificates
+    are one immutable object."""
+    reach_in = tuple(x for k, x in enumerate(ins) if reach >> k & 1)
+    return ChainStep(
+        context_index=context_index,
+        context=context,
+        reachable_in=reach_in,
+        forbidden=tuple((x, y) for x in reach_in for k, y in enumerate(outs) if not image >> k & 1),
+        reachable_out=tuple(y for k, y in enumerate(outs) if image >> k & 1),
     )
 
 

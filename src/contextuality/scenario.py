@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InvalidScenario, NonDichotomic, NonSimpleScenario, NotCycle
+from .errors import InvalidScenario, NonDichotomic, NonSimpleScenario, NotCycle, shown
 
 DEFAULT_CAP = 1 << 24
 
@@ -79,11 +79,11 @@ class Scenario:
         mset = set(self.measurements)
         if set(self.outcomes) != mset:
             missing = sorted(mset - set(self.outcomes)) or sorted(set(self.outcomes) - mset)
-            raise InvalidScenario(f"outcome map does not match measurements: {missing}")
+            raise InvalidScenario(f"outcome map does not match measurements: {shown(missing)}")
         for m in self.measurements:
             labels = self.outcomes[m]
             if len(labels) < 2 or len(set(labels)) != len(labels):
-                raise InvalidScenario(f"measurement {m!r} needs >= 2 distinct outcome labels")
+                raise InvalidScenario(f"measurement {shown(m)} needs >= 2 distinct outcome labels")
         if not self.contexts:
             raise InvalidScenario("scenario has no contexts")
         # A context's supersets hold all its measurements: no pair is compared.
@@ -92,19 +92,19 @@ class Scenario:
             if not c:
                 raise InvalidScenario("empty context")
             if len(set(c)) != len(c):
-                raise InvalidScenario(f"context {c} repeats a measurement")
+                raise InvalidScenario(f"context {shown(c)} repeats a measurement")
             for m in c:
                 if m not in mset:
-                    raise InvalidScenario(f"context {c} uses unknown measurement {m!r}")
+                    raise InvalidScenario(f"context {shown(c)} uses unknown measurement {shown(m)}")
                 containing[m].add(j)
         uncovered = [m for m in sorted(mset) if not containing[m]]
         if uncovered:
-            raise InvalidScenario(f"measurements not covered by any context: {uncovered}")
+            raise InvalidScenario(f"measurements not covered by any context: {shown(uncovered)}")
         for i, c in enumerate(self.contexts):
             supersets = set.intersection(*(containing[m] for m in c))  # holds i itself
             if len(supersets) > 1:
                 raise InvalidScenario(
-                    f"contexts must form an antichain: {c} within {self.contexts[min(supersets - {i})]}"
+                    f"contexts must form an antichain: {shown(c)} within {shown(self.contexts[min(supersets - {i})])}"
                 )
 
     # -- derived views ----------------------------------------------------
@@ -119,7 +119,7 @@ class Scenario:
         try:
             return self.outcomes[measurement].index(label)
         except ValueError:
-            raise InvalidScenario(f"unknown outcome {label!r} for measurement {measurement!r}") from None
+            raise InvalidScenario(f"unknown outcome {shown(label)} for measurement {shown(measurement)}") from None
 
     def context_cells(self, context_index: int) -> int:
         """Number of joint outcomes of one context."""
@@ -181,7 +181,7 @@ def require_pairs(s: Scenario) -> None:
     """Raise NonSimpleScenario unless every context of s is a pair."""
     for c in s.contexts:
         if len(c) != 2:
-            raise NonSimpleScenario(f"context {c} has {len(c)} measurements, need exactly 2")
+            raise NonSimpleScenario(f"context {shown(c)} has {len(c)} measurements, need exactly 2")
 
 
 def require_dichotomic(s: Scenario, measurements: Iterable[str] | None = None) -> None:
@@ -189,7 +189,7 @@ def require_dichotomic(s: Scenario, measurements: Iterable[str] | None = None) -
     exactly two outcomes."""
     for m in s.measurements if measurements is None else measurements:
         if len(s.outcomes[m]) != 2:
-            raise NonDichotomic(f"measurement {m!r} has {len(s.outcomes[m])} outcomes, need 2")
+            raise NonDichotomic(f"measurement {shown(m)} has {len(s.outcomes[m])} outcomes, need 2")
 
 
 # -- standard families ------------------------------------------------------
@@ -315,7 +315,7 @@ def traverse_cycle(s: Scenario) -> tuple[tuple[int, tuple[str, str]], ...]:
         incident[v].append(pos)
     for m, lst in incident.items():
         if len(lst) != 2:
-            raise NotCycle(f"measurement {m!r} lies in {len(lst)} contexts, need exactly 2")
+            raise NotCycle(f"measurement {shown(m)} lies in {len(lst)} contexts, need exactly 2")
     order: list[tuple[int, tuple[str, str]]] = []
     pos, (u, v) = 0, s.contexts[0]
     prev_pos = 0

@@ -263,7 +263,7 @@ class TestDisturbanceAgainstReference:
 
     def test_possibilistic_flipped_cells(self):
         rng = random.Random(2024)
-        draws = violations = 0
+        draws = violations = triple_violations = 0
         for _ in range(100):
             for s in self.SCENARIOS:
                 pb = random_pnd(s, rng)
@@ -281,8 +281,16 @@ class TestDisturbanceAgainstReference:
             b = PossibilisticBehavior(TRIPLES, tuple(tables))
             assert _violation_fields(check_possibilistic_nd(b)) == oracle.ref_nd_violation(b)
             draws += 1
-        assert draws == 2500
+            # supports of nondisturbing triple-context tables, then disturbed
+            nd = collapse(random_nd_mixture(TRIPLES, rng, rng.randint(1, 4)))
+            for b in (nd, _flip_cells(nd, rng, 1), _flip_cells(nd, rng, 3)):
+                report = check_possibilistic_nd(b)
+                assert _violation_fields(report) == oracle.ref_nd_violation(b)
+                draws += 1
+                triple_violations += not report.ok
+        assert draws == 2800
         assert 500 < violations < 2000, violations
+        assert 100 < triple_violations < 200, triple_violations  # the 100 unflipped draws never disturb
 
     def test_exact_moved_mass(self):
         rng = random.Random(7)

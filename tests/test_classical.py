@@ -19,6 +19,7 @@ from contextuality import (
     PossibilisticBehavior,
     Scenario,
     build_bundle,
+    collapse,
     contextual_fraction,
     default_cap,
     deterministic_behavior,
@@ -43,6 +44,7 @@ from contextuality import (
     support_size,
 )
 from contextuality import classical
+from contextuality.scenario import index_shape
 
 import oracle
 
@@ -580,6 +582,81 @@ class TestCycleWalk:
         passed = count_cell_codes(monkeypatch)
         assert support_size(b, cap=1 << 62) == 1
         assert passed[0] < 1000, f"{passed[0]} indices passed"
+
+
+class TestEliminationWitness:
+    """The lc witness by forward and backward elimination along the
+    placement order: no support listing, and no numpy."""
+
+    @staticmethod
+    def forbid_scan(monkeypatch):
+        def scan(*args):
+            raise AssertionError("the lc witness listed the support")
+
+        monkeypatch.setattr(classical, "_scan", scan)
+
+    @staticmethod
+    def draws(rng: random.Random):
+        for _ in range(40):
+            s = shuffled_cycle(rng, rng.randint(3, 7), rng.randint(2, 4))
+            if enumeration_size(s) <= 5000:
+                yield random_pnd(s, rng)
+                yield random_possible(s, rng)  # most of these disturb
+        for n, l in ((3, 4), (5, 3), (6, 4)):
+            yield random_pnd(make_n_cycle(n, l), rng)
+        for k, l in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+            s = make_bipartite_bell(k, l)
+            for _ in range(4):
+                yield random_pnd(s, rng)
+                yield random_nd_coupling(s, rng, max_components=rng.randint(1, 4))
+                yield random_possible(s, rng)
+        for _ in range(8):
+            yield random_pnd(random_tree_scenario(rng), rng)
+            s = triple_contexts(rng)
+            yield random_possible(s, rng)
+            yield random_nd_mixture(s, rng, rng.randint(1, 4))
+        for name in ("bell", "hardy", "pr-box", "cabello5", "hardy4"):
+            yield fixture(name)
+
+    def test_matches_brute_witness(self, monkeypatch):
+        rng = random.Random(2013)
+        cases = list(self.draws(rng))
+        want = [oracle.brute_witness(b) for b in cases]
+        self.forbid_scan(monkeypatch)
+        got = [logical_contextuality_witness(b) for b in cases]
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"draw {k}: {g} != {w}"
+        assert len(cases) > 150 and 40 < sum(w is not None for w in want) < len(cases) - 40
+
+    def test_a_bag_past_the_state_bound_is_listed(self, monkeypatch):
+        # Bell (3, 2) with 13 outcomes for each Alice measurement: a bag holds
+        # all three of them and a Bob measurement, 13^3 * 2 = 4394 states.
+        bell = make_bipartite_bell(3, 2)
+        outcomes = {m: tuple(map(str, range(13 if m[0] == "A" else 2))) for m in bell.measurements}
+        s = Scenario(bell.measurements, outcomes, bell.contexts)
+        assert classical._elimination_plan(*index_shape(s)) is None
+        assert classical._elimination_plan(*index_shape(make_bipartite_bell(4, 2))) is not None
+        calls = []
+        real = classical._scan
+        monkeypatch.setattr(classical, "_scan", lambda *args: calls.append(1) or real(*args))
+        rng = random.Random(13)
+        verdicts = set()
+        for b in [random_pnd(s, rng) for _ in range(3)] + [random_possible(s, rng) for _ in range(3)]:
+            witness = logical_contextuality_witness(b)
+            assert witness == oracle.brute_witness(b)
+            verdicts.add(witness is None)
+        assert calls == [1] * 6 and verdicts == {True, False}
+
+    def test_cap_is_checked_before_any_work(self, monkeypatch):
+        b = collapse(random_nd_coupling(make_bipartite_bell(3, 2), random.Random(3)))
+        assert enumeration_size(b.scenario) == 64
+        for name in ("_elimination_plan", "_covered_cells", "_scan"):
+            monkeypatch.setattr(classical, name, lambda *args: pytest.fail("work before the cap check"))
+        for reader in (logical_contextuality_witness, is_logically_contextual):
+            with pytest.raises(EnumerationCapExceeded, match=r"^64 global assignments exceed the cap 63$"):
+                reader(b, cap=63)
+            with pytest.raises(ValueError, match="cap must be positive"):
+                reader(b, cap=0)
 
 
 # ======================================================================

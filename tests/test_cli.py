@@ -160,6 +160,24 @@ class TestCheck:
         assert run(["check", "--behavior", str(path)]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["probability", "measurement", "outcome"])
+    def test_megabyte_value_is_echoed_short(self, capsys, tmp_path, where):
+        big = "7" * 1_000_000
+        scenario = {"measurements": ["A", "B"], "outcomes": {"A": ["0", "1"], "B": ["0", "1"]},
+                    "contexts": [["A", "B"]]}
+        probs = {"0,0": "1"}
+        if where == "probability":
+            probs = {"0,0": big}
+        elif where == "measurement":  # the outcome map lacks a listed measurement
+            scenario["measurements"] = ["A", big]
+        else:  # a label no measurement has
+            probs = {big + ",0": "1"}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"scenario": scenario, "tables": [{"context": ["A", "B"], "probs": probs}]}))
+        assert run(["check", "--behavior", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024 and " characters)" in err, err[:200]
+
     @pytest.mark.parametrize("command", [["check"], ["pp", "find"]])
     @pytest.mark.parametrize(
         "entry",

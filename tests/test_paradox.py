@@ -542,6 +542,45 @@ class TestCanonicalOrder:
         assert draws == 1620
         assert 200 < hits < 1400, hits
 
+    @staticmethod
+    def _sparse_pnd(s: Scenario, rng: random.Random) -> PossibilisticBehavior:
+        """The restrictions of two global assignments that differ everywhere,
+        and sometimes of a third random one, plus one cell whose two outcomes
+        are already possible: still nondisturbing, and the added cell often
+        extends to no assignment."""
+        first = {m: rng.randrange(len(s.outcomes[m])) for m in s.measurements}
+        assignments = [first, {m: (x + 1) % len(s.outcomes[m]) for m, x in first.items()}]
+        if rng.random() < 0.5:
+            assignments.append({m: rng.randrange(len(s.outcomes[m])) for m in s.measurements})
+        tables = []
+        for u, v in s.contexts:
+            cells = [False] * (len(s.outcomes[u]) * len(s.outcomes[v]))
+            for g in assignments:
+                cells[g[u] * len(s.outcomes[v]) + g[v]] = True
+            tables.append(cells)
+        ci = rng.randrange(len(tables))
+        u, v = s.contexts[ci]
+        a, b = rng.choice(assignments)[u], rng.choice(assignments)[v]
+        tables[ci][a * len(s.outcomes[v]) + b] = True
+        return PossibilisticBehavior(s, tuple(map(tuple, tables)))
+
+    def test_long_cycle_certificates_match_reference(self):
+        """Up to n = 64, stored shuffled and reversed: the prefix and suffix
+        products give the quadratic reference's first certificate."""
+        rng = random.Random(64)
+        hits = misses = 0
+        for n in (12, 16, 24, 32, 48, 64):
+            for l in (2, 3, 4):
+                draws = [random_pnd(scrambled_cycle(n, l, rng), rng)]
+                draws += [self._sparse_pnd(scrambled_cycle(n, l, rng), rng) for _ in range(4)]
+                for k, b in enumerate(draws):
+                    cert = detect_cycle_paradox(b)
+                    got = cert.to_json_dict() if cert is not None else None
+                    assert got == oracle.ref_cycle_paradox(b), f"n={n} l={l} draw {k}"
+                    hits += cert is not None
+                    misses += cert is None
+        assert hits > 15 and misses > 18, (hits, misses)
+
     def test_chen_paradox_matches_reference(self):
         rng = random.Random(33)
         draws = hits = 0

@@ -545,6 +545,35 @@ class TestOptimizeGamma:
             "numpy loaded by: import contextuality, fixtures, pp find, ineq"
         )
 
+    def test_lc_witness_and_bell_pp_find_leave_numpy_unloaded(self, tmp_path):
+        bell = str(tmp_path / "bell.json")
+        code = (
+            "import contextlib, io, random, sys\n"
+            "import contextuality as c\n"
+            "from contextuality import cli\n"
+            "rng = random.Random(0)\n"
+            "loaded = []\n"
+            "for k in (2, 3, 4):\n"
+            "    b = c.collapse(c.random_nd_coupling(c.make_bipartite_bell(k, 2), rng))\n"
+            "    c.is_logically_contextual(b)\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "c.is_logically_contextual(c.random_pnd(c.make_n_cycle(14, 3), rng))\n"
+            "loaded.append('numpy' in sys.modules)\n"
+            f"c.save_behavior(c.random_nd_coupling(c.make_bipartite_bell(3, 2), rng), {bell!r})\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.run(['pp', 'find', '--behavior', {bell!r}]) in (0, 1)\n"
+            "loaded.append('numpy' in sys.modules)\n"
+            "print(loaded)\n"
+        )
+        src = str(Path(contextuality.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[False, False, False, False, False]", (
+            "numpy loaded by: lc on Bell (2, 2), (3, 2), (4, 2), lc on a 14-cycle, pp find on Bell (3, 2)"
+        )
+
     def test_tsirelson_check_rejects_excess(self):
         assert check_hardy_tsirelson(HARDY_TSIRELSON)
         assert not check_hardy_tsirelson(HARDY_TSIRELSON + 1e-6)
