@@ -77,21 +77,13 @@ def build_bundle(b: AnyBehavior, cap: int | None = None) -> BundleDiagram:
     """
     s = b.scenario
     require_pairs(s)
-    _, possible, covered = _scan(b, cap)
+    found = _scan(b, cap)
     edges = []
     for ci, c in enumerate(s.contexts):
         u, v = c
         for k, cell in enumerate(joint_outcomes(s, c)):
-            if not possible[ci][k]:
-                continue
-            edges.append(
-                BundleEdge(
-                    context_index=ci + 1,
-                    left=(u, cell[0]),
-                    right=(v, cell[1]),
-                    in_some_loop=bool(covered[ci][k]),
-                )
-            )
+            if k in found.possible[ci]:
+                edges.append(BundleEdge(ci + 1, (u, cell[0]), (v, cell[1]), k in found.covered[ci]))
     return BundleDiagram(
         base=s.measurements,
         fibers={m: s.outcomes[m] for m in s.measurements},

@@ -11,25 +11,20 @@ a global distribution whose marginals reproduce every context table; its
 existence is decided by one exact rational LP, whose optimum also yields the
 contextual fraction.
 
-Every question first checks the assignment count against the enumeration
-cap. All but the lc witness then read one listing of the support as int64
-assignment indices, ascending in mixed-radix order over the scenario's
-measurement order (last fastest). The listing grows partial assignments
-depth first, one measurement at a time, each next measurement sharing a
-context with one already placed where it can; a context prunes the partials
-as soon as its last measurement is placed, so on a cycle or a tree the
-partials stay close to the support instead of the l^n assignments.
-is_strongly_contextual stops at the first listed chunk; every other
-question reads the whole support with each context's possible cells and
-covered cells (restrictions of support members). Only the public outputs
-turn indices into labelled GlobalAssignments.
-
-logical_contextuality_witness needs only the covered cells. Where every
-bag of the same placement order (the measurements still open in some
-context, plus the one being placed) has at most _MAX_STATES digit states,
-as on cycles, trees and small Bell scenarios, it finds them in pure Python
-by forward and backward boolean elimination along that order, with no
-listing and no numpy; past that bound it reads the listing.
+Every question reads the support through _scan, which first checks the
+assignment count against the enumeration cap. Measurements are placed one at
+a time, each sharing a context with one already placed where it can, and a
+context is checked once its last measurement is placed. Where every bag of
+that order (the placed measurements an open context still holds, plus the
+one being placed) has at most _MAX_STATES digit states, as on cycles, trees
+and small Bell scenarios, _scan eliminates in pure Python: a forward pass
+finds the moves between states that every closing context allows, and a
+backward pass counts each state's extensions over the Python ints, giving
+the support size and each context's covered cells (restrictions of members)
+with no listing. Members are listed, as digit rows over the measurement
+order ascending, only for support, the LP and global_distribution;
+is_strongly_contextual reads the forward pass alone. Past the bound, _scan
+reads a numpy listing grown along the same order; numpy loads only there.
 
 support / is_logically_contextual / is_strongly_contextual accept a Behavior
 or a PossibilisticBehavior; probability tables are read through their
@@ -37,11 +32,11 @@ possibilistic collapse (cell possible iff p > 0).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 from . import simplex
 from .behavior import AnyBehavior, Behavior, check_nondisturbance, joint_outcomes
@@ -101,11 +96,138 @@ class HierarchyReport:
         }
 
 
-# -- vectorized support listing ---------------------------------------------------
+# -- the support kernel ----------------------------------------------------------
+
+# Largest bag, in digit states, that the kernel eliminates over; a scenario with
+# a larger bag has its support listed instead.
+_MAX_STATES = 4096
+
+
+def _placement(
+    radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(order, closing) of one shape: order places each measurement after the
+    first in scenario order among those sharing a context with one already
+    placed (the first unplaced one when none does); closing[k] lists the
+    contexts whose last measurement is order[k]."""
+    rank: dict[int, int] = {}
+    touched: set[int] = set()
+    for _ in radices:
+        q = min(touched - rank.keys(), default=None)
+        if q is None:
+            q = min(set(range(len(radices))) - rank.keys())
+        rank[q] = len(rank)
+        touched.update(*(p for p in ctx_positions if q in p))
+    closing: tuple[list[int], ...] = tuple([] for _ in radices)
+    for ci, positions in enumerate(ctx_positions):
+        closing[max(rank[q] for q in positions)].append(ci)
+    return tuple(rank), tuple(map(tuple, closing))
+
+
+@lru_cache(maxsize=256)
+def _elimination_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]) -> tuple | None:
+    """(order, steps) of an elimination along the placement order, or None
+    when some bag has more than _MAX_STATES digit states.
+
+    Step k places order[k]. Its bag is the frontier before it (the placed
+    measurements that a context not yet closed holds) then order[k], and a
+    state is the bag's digits in that order. A step is (radix of order[k],
+    checks, keep): checks gives each context closing at k as (ci, (bag slot,
+    cell stride) of its other measurements, cell stride of order[k]), and
+    keep lists the bag slots of the frontier after the step.
+    """
+    order, closing = _placement(radices, ctx_positions)
+    last = {q: k for k, cis in enumerate(closing) for ci in cis for q in ctx_positions[ci]}
+    steps = []
+    frontier: tuple[int, ...] = ()
+    for k, q in enumerate(order):
+        bag = frontier + (q,)
+        if math.prod(radices[x] for x in bag) > _MAX_STATES:
+            return None
+        checks = []
+        for ci in closing[k]:
+            positions = ctx_positions[ci]
+            strides = {x: math.prod(radices[y] for y in positions[j + 1 :]) for j, x in enumerate(positions)}
+            own = strides.pop(q)
+            checks.append((ci, tuple((bag.index(x), st) for x, st in strides.items()), own))
+        frontier = tuple(x for x in bag if last[x] > k)
+        steps.append((radices[q], tuple(checks), tuple(map(bag.index, frontier))))
+    return order, tuple(steps)
+
+
+def _forward(possible: list[set[int]], steps: tuple) -> tuple[list[dict], set]:
+    """The moves of each step and the states reached after the last.
+
+    moves[k] maps each frontier state some partial assignment reaches to its
+    moves (cells, digit, next state): the digits of order[k] that every
+    context closing at k allows, with the cell each such context reads. The
+    pass stops at the first step that reaches no state.
+    """
+    moves = []
+    reached: set[tuple[int, ...]] = {()}
+    for radix, checks, keep in steps:
+        step = {}
+        for state in reached:
+            options = [((), d) for d in range(radix)]
+            for ci, others, own in checks:
+                base = sum(state[i] * st for i, st in others)
+                cells = possible[ci]
+                options = [(read + (base + d * own,), d) for read, d in options if base + d * own in cells]
+            step[state] = [(read, d, tuple(map((state + (d,)).__getitem__, keep))) for read, d in options]
+        moves.append(step)
+        reached = {after for outs in step.values() for *_, after in outs}
+        if not reached:
+            break
+    return moves, reached
+
+
+def _backward(steps: tuple, moves: list[dict], reached: set, contexts: int):
+    """(support size, covered cells of each context, extends) from the
+    forward pass, counting in the Python ints.
+
+    extends[k] maps each state before step k that some support member passes
+    through to its number of extensions; a move is live when its next state
+    extends, and a live move's cells are covered.
+    """
+    counts = dict.fromkeys(reached, 1)  # {(): 1} unless the support is empty
+    covered: list[set[int]] = [set() for _ in range(contexts)]
+    extends = [counts]
+    for (_, checks, _), step in reversed(list(zip(steps, moves))):
+        before = {}
+        for state, outs in step.items():
+            total = 0
+            for read, _, after in outs:
+                n = counts.get(after)
+                if n:
+                    total += n
+                    for (ci, *_), c in zip(checks, read):
+                        covered[ci].add(c)
+            if total:
+                before[state] = total
+        counts = before
+        extends.append(counts)
+    return counts.get((), 0), covered, extends[::-1]
+
+
+def _rows(order: tuple[int, ...], moves: list[dict], extends: list[dict]) -> list[tuple[int, ...]]:
+    """The support members as digit rows over the measurement order,
+    ascending. Walking back, each extending state gets its completions in
+    order: its live moves by digit, each followed by the next state's own."""
+    tails = dict.fromkeys(extends[-1], [()])
+    for step, states in zip(reversed(moves), reversed(extends[:-1])):
+        tails = {s: [(d,) + t for _, d, after in step[s] if after in tails for t in tails[after]] for s in states}
+    rows = tails.get((), [])
+    rank = sorted(range(len(order)), key=order.__getitem__)
+    if rank != sorted(rank):  # placed out of measurement order
+        rows = sorted(tuple(map(row.__getitem__, rank)) for row in rows)
+    return rows
+
+
+# -- the listing past the state bound ---------------------------------------------
 
 
 class _Engine:
-    """Per-shape tables for listing the support of a scenario.
+    """Per-shape tables for listing the support of a scenario with numpy.
 
     Assignment index -> context cell code is an affine digit map; the
     arrays here let a whole array of indices be mapped at once. A partial
@@ -141,31 +263,6 @@ class _Engine:
 _engine = lru_cache(maxsize=256)(_Engine)
 
 
-def _placement(
-    radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(order, closing) of one shape: order places each measurement after the
-    first in scenario order among those sharing a context with one already
-    placed (the first unplaced one when none does); closing[k] lists the
-    contexts whose last measurement is order[k]."""
-    rank: dict[int, int] = {}
-    touched: set[int] = set()
-    for _ in radices:
-        q = min(touched - rank.keys(), default=None)
-        if q is None:
-            q = min(set(range(len(radices))) - rank.keys())
-        rank[q] = len(rank)
-        touched.update(*(p for p in ctx_positions if q in p))
-    closing: tuple[list[int], ...] = tuple([] for _ in radices)
-    for ci, positions in enumerate(ctx_positions):
-        closing[max(rank[q] for q in positions)].append(ci)
-    return tuple(rank), tuple(map(tuple, closing))
-
-
-def _engine_for(s: Scenario) -> _Engine:
-    return _engine(*index_shape(s))
-
-
 def enumeration_size(s: Scenario) -> int:
     """Number of global assignments, prod of outcome counts."""
     return math.prod(len(s.outcomes[m]) for m in s.measurements)
@@ -187,8 +284,9 @@ def _check_cap(s: Scenario, cap: int | None) -> int:
     return total
 
 
-def _survivor_chunks(b: AnyBehavior, possible: list[np.ndarray], cap: int | None):
-    """A generator of the support in non-empty chunks, unordered.
+def _survivor_chunks(b: AnyBehavior, possible: list[set[int]], cap: int | None):
+    """A generator of the support in non-empty chunks of int64 assignment
+    indices (mixed radix over the measurement order, last fastest), unordered.
 
     The cap is checked here, before the engine's int64 strides are built, so
     an oversized scenario raises on the call, not on the first chunk.
@@ -199,13 +297,14 @@ def _survivor_chunks(b: AnyBehavior, possible: list[np.ndarray], cap: int | None
     :raises EnumerationCapExceeded: when the assignment count exceeds cap.
     """
     _check_cap(b.scenario, cap)
-    eng = _engine_for(b.scenario)
+    eng = _engine(*index_shape(b.scenario))
+    masks = [np.array([k in cells for k in range(len(t))], dtype=bool) for cells, t in zip(possible, b.tables)]
 
     def grow(part: np.ndarray, k: int):
         q = eng.order[k]
         part = (part[:, None] + np.arange(eng.radices[q], dtype=np.int64) * eng.strides[q]).ravel()
         for ci in eng.closing[k]:
-            part = part[possible[ci][eng.cell_codes(part, ci)]]
+            part = part[masks[ci][eng.cell_codes(part, ci)]]
         if k + 1 == len(eng.order):
             if len(part):
                 yield part
@@ -216,36 +315,56 @@ def _survivor_chunks(b: AnyBehavior, possible: list[np.ndarray], cap: int | None
     return grow(np.zeros(1, dtype=np.int64), 0)
 
 
-def _possible(b: AnyBehavior) -> list[np.ndarray]:
-    return [np.array(list(map(bool, t)), dtype=bool) for t in b.tables]  # cells are never negative
+# -- the one support entry --------------------------------------------------------
 
 
-def _scan(b: AnyBehavior, cap: int | None) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """The support of b, listed once, with the cell sets every question reads.
+class _Support(NamedTuple):
+    """What every classical question reads off the support: its size, each
+    context's possible cells and covered cells (restrictions of members),
+    and rows(), the members as digit rows over the measurement order,
+    ascending."""
 
-    Returns (survivors, possible, covered): the support as ascending
-    assignment indices, the possible cells of each context, and the cells of
-    each context that some support member restricts to.
+    size: int
+    possible: list[set[int]]
+    covered: list[set[int]]
+    rows: Callable[[], list[tuple[int, ...]]]
+
+
+def _possible(b: AnyBehavior) -> list[set[int]]:
+    return [{k for k, p in enumerate(t) if p} for t in b.tables]  # cells are never negative
+
+
+def _scan(b: AnyBehavior, cap: int | None) -> _Support:
+    """The support of b, after checking the cap: by elimination where every
+    bag has at most _MAX_STATES states, else off the numpy listing.
+
+    :raises EnumerationCapExceeded: when the assignment count exceeds cap.
     """
+    _check_cap(b.scenario, cap)
     possible = _possible(b)
-    listing = _survivor_chunks(b, possible, cap)
-    eng = _engine_for(b.scenario)
-    covered = [np.zeros(len(t), dtype=bool) for t in possible]
-    chunks = [np.zeros(0, dtype=np.int64)]
-    for arr in listing:
-        chunks.append(arr)
-        for ci, cov in enumerate(covered):
-            cov[eng.cell_codes(arr, ci)] = True
-    return np.sort(np.concatenate(chunks)), possible, covered
+    shape = index_shape(b.scenario)
+    plan = _elimination_plan(*shape)
+    if plan is None:  # the listing's members become digit rows once
+        eng = _engine(*shape)
+        covered = [np.zeros(len(t), dtype=bool) for t in b.tables]
+        chunks = [np.zeros(0, dtype=np.int64)]
+        for arr in _survivor_chunks(b, possible, cap):
+            chunks.append(arr)
+            for ci, cov in enumerate(covered):
+                cov[eng.cell_codes(arr, ci)] = True
+        listed = np.sort(np.concatenate(chunks))
+        rows = list(zip(*((listed // stride % radix).tolist() for stride, radix in zip(eng.strides, eng.radices))))
+        return _Support(len(rows), possible, [set(np.flatnonzero(cov).tolist()) for cov in covered], lambda: rows)
+    order, steps = plan
+    moves, reached = _forward(possible, steps)
+    size, covered, extends = _backward(steps, moves, reached, len(possible))
+    return _Support(size, possible, covered, partial(_rows, order, moves, extends))
 
 
-def _assignments(s: Scenario, indices: np.ndarray) -> list[GlobalAssignment]:
-    """Labelled global assignments for assignment indices, in order."""
-    digits = np.transpose(np.unravel_index(indices, [len(s.outcomes[m]) for m in s.measurements]))
-    return [
-        GlobalAssignment(tuple((m, s.outcomes[m][d]) for m, d in zip(s.measurements, row)))
-        for row in digits.tolist()
-    ]
+def _assignments(s: Scenario, rows: list[tuple[int, ...]]) -> list[GlobalAssignment]:
+    """Labelled global assignments for digit rows, in order."""
+    labels = [s.outcomes[m] for m in s.measurements]
+    return [GlobalAssignment(tuple(zip(s.measurements, map(tuple.__getitem__, labels, row)))) for row in rows]
 
 
 # -- possibilistic level ------------------------------------------------------
@@ -256,100 +375,33 @@ def support(b: AnyBehavior, cap: int | None = None) -> tuple[GlobalAssignment, .
 
     :raises EnumerationCapExceeded: when the assignment count exceeds cap.
     """
-    return tuple(_assignments(b.scenario, _scan(b, cap)[0]))
+    return tuple(_assignments(b.scenario, _scan(b, cap).rows()))
 
 
 def support_size(b: AnyBehavior, cap: int | None = None) -> int:
-    """Number of support assignments, without materializing them."""
-    return len(_scan(b, cap)[0])
+    """Number of support assignments; within the state bound, counted
+    without listing them."""
+    return _scan(b, cap).size
 
 
 def is_strongly_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
-    """True iff the support is empty; stops at the first chunk holding a
-    survivor."""
-    return next(_survivor_chunks(b, _possible(b), cap), None) is None
+    """True iff the support is empty. Within the state bound the forward
+    pass decides, stopping at the first step that reaches no state; past it
+    the listing stops at its first chunk holding a survivor."""
+    _check_cap(b.scenario, cap)
+    plan = _elimination_plan(*index_shape(b.scenario))
+    if plan is None:
+        return next(_survivor_chunks(b, _possible(b), cap), None) is None
+    return not _forward(_possible(b), plan[1])[1]
 
 
-def _witness(s: Scenario, possible: list[np.ndarray], covered: list[np.ndarray]):
-    """First possible cell, in (context, cell) order, that no survivor covers."""
-    for ci, (table, cov) in enumerate(zip(possible, covered)):
-        bad = table & ~cov
-        if bad.any():
-            cell = int(np.flatnonzero(bad)[0])
-            joint = list(joint_outcomes(s, s.contexts[ci]))[cell]
-            return (s.contexts[ci], joint)
+def _witness(s: Scenario, possible: list[set[int]], covered: list[set[int]]):
+    """First possible cell, in (context, cell) order, that no member covers."""
+    for ci, (cells, cov) in enumerate(zip(possible, covered)):
+        bad = cells - cov
+        if bad:
+            return (s.contexts[ci], list(joint_outcomes(s, s.contexts[ci]))[min(bad)])
     return None
-
-
-# Largest bag, in digit states, that the lc witness eliminates over; a scenario
-# with a larger bag has its support listed instead.
-_MAX_STATES = 4096
-
-
-@lru_cache(maxsize=256)
-def _elimination_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]) -> tuple | None:
-    """The steps of a boolean elimination along the placement order, or None
-    when some bag has more than _MAX_STATES digit states.
-
-    Step k places order[k]. Its bag is the frontier before it (the placed
-    measurements that a context not yet closed holds) then order[k], and a
-    state is the bag's digits in that order. A step is (radix of order[k],
-    checks, keep): checks gives each context closing at k with the (bag
-    slot, cell stride) of each of its measurements, and keep lists the bag
-    slots of the frontier after the step.
-    """
-    order, closing = _placement(radices, ctx_positions)
-    last = {q: k for k, cis in enumerate(closing) for ci in cis for q in ctx_positions[ci]}
-    steps = []
-    frontier: tuple[int, ...] = ()
-    for k, q in enumerate(order):
-        bag = frontier + (q,)
-        if math.prod(radices[x] for x in bag) > _MAX_STATES:
-            return None
-        checks = []
-        for ci in closing[k]:
-            slots, stride = [], 1
-            for x in reversed(ctx_positions[ci]):
-                slots.append((bag.index(x), stride))
-                stride *= radices[x]
-            checks.append((ci, tuple(slots)))
-        frontier = tuple(x for x in bag if last[x] > k)
-        steps.append((radices[q], tuple(checks), tuple(map(bag.index, frontier))))
-    return tuple(steps)
-
-
-def _covered_cells(tables: tuple, plan: tuple) -> list[set[int]]:
-    """Each context's cells that some support member restricts to.
-
-    The forward pass lists, step by step, the moves (state, cells, next
-    state) from a frontier state some partial assignment reaches through a
-    digit every closing context allows. The backward pass keeps the moves
-    into a state that extends to a whole support member: their cells are
-    covered, and their states extend in turn.
-    """
-    moves = []
-    reached: set[tuple[int, ...]] = {()}
-    for radix, checks, keep in plan:
-        step = []
-        for state in reached:
-            for d in range(radix):
-                bag = state + (d,)
-                cells = [sum(bag[i] * stride for i, stride in slots) for _, slots in checks]
-                if all(tables[ci][c] for (ci, _), c in zip(checks, cells)):
-                    step.append((state, cells, tuple(bag[i] for i in keep)))
-        moves.append(step)
-        reached = {after for _, _, after in step}
-    covered: list[set[int]] = [set() for _ in tables]
-    extends = reached  # {()} unless the support is empty
-    for (_, checks, _), step in zip(reversed(plan), reversed(moves)):
-        before = set()
-        for state, cells, after in step:
-            if after in extends:
-                before.add(state)
-                for (ci, _), c in zip(checks, cells):
-                    covered[ci].add(c)
-        extends = before
-    return covered
 
 
 def logical_contextuality_witness(
@@ -359,24 +411,13 @@ def logical_contextuality_witness(
 
     Returns (context labels, outcome labels), scanning contexts in stored
     order and cells in table order, or None when every possible outcome
-    extends (the behavior is then not LC). The cap is checked first. When
-    every bag of the placement order holds at most _MAX_STATES states, the
-    covered cells come from a pure-Python elimination; otherwise from the
-    support listing.
+    extends (the behavior is then not LC). Reads the covered cells only:
+    within the state bound no member is listed.
 
     :raises EnumerationCapExceeded: when the assignment count exceeds cap.
     """
-    s = b.scenario
-    _check_cap(s, cap)
-    plan = _elimination_plan(*index_shape(s))
-    if plan is None:
-        _, possible, covered = _scan(b, cap)
-        return _witness(s, possible, covered)
-    for ci, (table, cov) in enumerate(zip(b.tables, _covered_cells(b.tables, plan))):
-        cell = next((k for k, p in enumerate(table) if p and k not in cov), None)
-        if cell is not None:
-            return (s.contexts[ci], list(joint_outcomes(s, s.contexts[ci]))[cell])
-    return None
+    found = _scan(b, cap)
+    return _witness(b.scenario, found.possible, found.covered)
 
 
 def is_logically_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
@@ -387,13 +428,13 @@ def is_logically_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
 # -- probabilistic level ------------------------------------------------------
 
 
-def _lp(b: Behavior, survivors: np.ndarray) -> tuple[Fraction, list[Fraction]]:
+def _lp(b: Behavior, possible: list[set[int]], members: list[tuple[int, ...]]) -> tuple[Fraction, list[Fraction]]:
     """Maximize the total weight of a subnormalized global distribution whose
     context marginals are dominated by b's tables.
 
     Only support assignments can carry weight (any other assignment hits a
     zero cell, whose constraint forces its weight to 0), so the LP runs over
-    the survivors, one column each. Constraints for zero cells are then
+    the support members, one column each. Constraints for zero cells are then
     satisfied identically and are skipped. The optimum is 1 exactly when b
     is noncontextual, and the maximizer is then a global distribution
     reproducing every table: each context's constraints sum to (total
@@ -401,7 +442,7 @@ def _lp(b: Behavior, survivors: np.ndarray) -> tuple[Fraction, list[Fraction]]:
     tight.
 
     Rows go to simplex.maximize as ints, scaled by the denominator of their
-    right-hand side. Twin rows (rows hit by the same survivors) are passed
+    right-hand side. Twin rows (rows hit by the same members) are passed
     once: the one with the smallest right-hand side, the first in (context,
     cell) order on ties, in that order. This is exact: while both slacks are
     basic, a twin's tableau row is the kept row's with a right-hand side no
@@ -411,33 +452,36 @@ def _lp(b: Behavior, survivors: np.ndarray) -> tuple[Fraction, list[Fraction]]:
     the pivots and (value, x) are the full LP's. A dropped twin's dual is 0.
     """
     radices, ctx_positions = index_shape(b.scenario)
-    digits = np.transpose(np.unravel_index(survivors, radices)).tolist()
     kept: dict[frozenset, tuple[tuple[int, int], int, int]] = {}  # pattern -> ((ci, cell), num, den)
-    for ci, (table, positions) in enumerate(zip(b.tables, ctx_positions)):
-        members: dict[tuple[int, ...], list[int]] = {}
-        for k, row in enumerate(digits):
-            members.setdefault(tuple(row[q] for q in positions), []).append(k)
-        cells = itertools.product(*(range(radices[q]) for q in positions))
-        for cell, (joint, p) in enumerate(zip(cells, table)):
-            if p:
-                pattern = frozenset(members.get(joint, ()))
-                twin = kept.get(pattern)
-                if twin is None or p.numerator * twin[2] < twin[1] * p.denominator:
-                    kept[pattern] = ((ci, cell), p.numerator, p.denominator)
-    n = len(survivors)
+    for ci, (table, positions, cells) in enumerate(zip(b.tables, ctx_positions, possible)):
+        hit: dict[int, list[int]] = {}  # cell -> the members restricting to it
+        for k, row in enumerate(members):
+            cell = 0
+            for q in positions:
+                cell = cell * radices[q] + row[q]
+            hit.setdefault(cell, []).append(k)
+        for cell in sorted(cells):
+            p = table[cell]
+            pattern = frozenset(hit.get(cell, ()))
+            twin = kept.get(pattern)
+            if twin is None or p.numerator * twin[2] < twin[1] * p.denominator:
+                kept[pattern] = ((ci, cell), p.numerator, p.denominator)
+    n = len(members)
     rows = sorted(
         (at, num, [den * (k in pattern) for k in range(n)]) for pattern, (at, num, den) in kept.items()
     )
     return simplex.maximize([1] * n, [row for *_, row in rows], [num for _, num, _ in rows])
 
 
-def _solve(b: Behavior, cap: int | None) -> tuple[np.ndarray, Fraction, list[Fraction]]:
-    """The support of b and the LP's (value, x) over it, after checking that b
-    carries probabilities (InvalidBehavior) and is nondisturbing."""
+def _solve(b: Behavior, cap: int | None) -> tuple[list[tuple[int, ...]], Fraction, list[Fraction]]:
+    """The support members of b and the LP's (value, x) over them, after
+    checking that b carries probabilities (InvalidBehavior) and is
+    nondisturbing."""
     require_probabilistic(b)
     require_nondisturbing(b)
-    survivors = _scan(b, cap)[0]
-    return (survivors, *_lp(b, survivors))
+    found = _scan(b, cap)
+    members = found.rows()
+    return (members, *_lp(b, found.possible, members))
 
 
 def noncontextual_weight(b: Behavior, cap: int | None = None) -> Fraction:
@@ -459,10 +503,10 @@ def global_distribution(
     b: Behavior, cap: int | None = None
 ) -> dict[GlobalAssignment, Fraction] | None:
     """A global distribution reproducing b by marginals, or None if contextual."""
-    survivors, opt, x = _solve(b, cap)
+    members, opt, x = _solve(b, cap)
     if opt != 1:
         return None
-    return {t: w for t, w in zip(_assignments(b.scenario, survivors), x) if w > 0}
+    return {t: w for t, w in zip(_assignments(b.scenario, members), x) if w > 0}
 
 
 def contextual_fraction(b: Behavior, cap: int | None = None) -> Fraction:
@@ -486,16 +530,16 @@ def hierarchy(b: Behavior, cap: int | None = None, level: str = "all") -> Hierar
     nd_ok = check_nondisturbance(b).ok
     if not nd_ok or level == "nd":
         return HierarchyReport(nd=nd_ok)
-    survivors, possible, covered = _scan(b, cap)
-    witness = _witness(b.scenario, possible, covered)
+    found = _scan(b, cap)
+    witness = _witness(b.scenario, found.possible, found.covered)
     nc = lc = sc = None
     if level in ("nc", "all"):
-        nc = witness is None and _lp(b, survivors)[0] == 1
+        nc = witness is None and _lp(b, found.possible, found.rows())[0] == 1
     if level in ("lc", "all"):
         lc = witness is not None
     if level in ("sc", "all"):
-        sc = len(survivors) == 0
+        sc = found.size == 0
     return HierarchyReport(
         nd=True, nc=nc, logically_contextual=lc, strongly_contextual=sc,
-        witness=witness if lc else None, support_size=None if level == "nc" else len(survivors),
+        witness=witness if lc else None, support_size=None if level == "nc" else found.size,
     )

@@ -1,8 +1,12 @@
 """Support enumeration, logical and strong contextuality, and the exact LP."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +23,7 @@ from contextuality import (
     PossibilisticBehavior,
     Scenario,
     build_bundle,
+    check_possibilistic_nd,
     collapse,
     contextual_fraction,
     default_cap,
@@ -67,6 +72,15 @@ def mix(lam: Fraction, a: Behavior, b: Behavior) -> Behavior:
         for ta, tb in zip(a.tables, b.tables)
     )
     return Behavior(scenario=a.scenario, tables=tables)
+
+
+def wide_bell(alice: int) -> Scenario:
+    """Bell (3, 3) with `alice` outcomes for each Alice measurement. Placing
+    a Bob measurement after the three Alice ones makes a bag of 3 * alice^3
+    digit states, past the kernel's bound for alice >= 12."""
+    bell = make_bipartite_bell(3, 3)
+    outcomes = {m: tuple(map(str, range(alice if m[0] == "A" else 3))) for m in bell.measurements}
+    return Scenario(bell.measurements, outcomes, bell.contexts)
 
 
 def small_scenarios():
@@ -138,10 +152,11 @@ class TestLogicalLevel:
             return cell_codes(self, arr, ci)
 
         monkeypatch.setattr(classical._Engine, "cell_codes", counted)
-        s = make_n_cycle(20)
-        pb = PossibilisticBehavior(s, ((True,) * 4,) * len(s.contexts))
+        s = wide_bell(41)
+        pb = PossibilisticBehavior(s, tuple((True,) * s.context_cells(ci) for ci in range(len(s.contexts))))
         assert not is_strongly_contextual(pb)
-        # 2^20 assignments make 16 chunks; the first one holds survivors.
+        # 3 * 41^3 partials after placing A1, B1, A2 and A3 make 4 slices, and the
+        # listing makes 45 cell-code lookups; the first slice holds survivors.
         assert calls == len(s.contexts), f"{calls} cell-code lookups, want one chunk's"
 
     def test_witness_matches_oracle_on_fixtures(self):
@@ -472,13 +487,39 @@ def listing_draws(rng: random.Random):
 
 
 def reference_listing(monkeypatch):
-    """Make every question read oracle.ref_survivors instead of the listing."""
+    """Make every question read oracle.ref_survivors instead of the listing:
+    the numpy listing past the state bound, and the kernel's member rows
+    within it."""
 
     def listed(b, possible, cap):
         survivors = oracle.ref_survivors(b)
         return iter([survivors] if len(survivors) else [])
 
+    scan = classical._scan
+
+    def scanned(b, cap):
+        return scan(b, cap)._replace(rows=lambda: digit_rows(b, oracle.ref_survivors(b)))
+
     monkeypatch.setattr(classical, "_survivor_chunks", listed)
+    monkeypatch.setattr(classical, "_scan", scanned)
+
+
+def digit_rows(b, indices: np.ndarray) -> list[tuple[int, ...]]:
+    """Assignment indices as digit rows over the measurement order."""
+    radices = [len(b.scenario.outcomes[m]) for m in b.scenario.measurements]
+    return [tuple(row) for row in np.transpose(np.unravel_index(indices, radices)).tolist()]
+
+
+def listed_indices(b) -> np.ndarray:
+    """The numpy listing's members, ascending."""
+    chunks = list(classical._survivor_chunks(b, classical._possible(b), None))
+    return np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + chunks))
+
+
+def covered_cells(b, indices: np.ndarray) -> list[set[int]]:
+    """Each context's cells that some of the given members restrict to."""
+    eng = classical._engine(*index_shape(b.scenario))
+    return [set(eng.cell_codes(indices, ci).tolist()) for ci in range(len(b.scenario.contexts))]
 
 
 def count_cell_codes(monkeypatch) -> list[int]:
@@ -509,18 +550,18 @@ def outputs(b) -> str:
 class TestCycleWalk:
     @pytest.mark.parametrize("seed", range(8))
     def test_walk_matches_chunked_scan(self, monkeypatch, seed):
-        """The listing equals a plain enumeration, and every output read off
-        it is unchanged when the enumeration is read instead."""
+        """The numpy listing and the support read by every question equal a
+        plain enumeration, and every output read off the support is
+        unchanged when the enumeration is read instead."""
         draws = []
         for draw, b in enumerate(listing_draws(random.Random(seed))):
-            listed, _, covered = classical._scan(b, None)
             want = oracle.ref_survivors(b)
+            listed = listed_indices(b)
             assert listed.dtype == np.int64 and np.array_equal(listed, want), f"draw {draw}"
-            eng = classical._engine_for(b.scenario)
-            for ci, cov in enumerate(covered):
-                codes = eng.cell_codes(want, ci)
-                assert np.array_equal(np.flatnonzero(cov), np.unique(codes)), f"draw {draw}"
-            if len(listed) <= 150:
+            found = classical._scan(b, None)
+            assert found.rows() == digit_rows(b, want) and found.size == len(want), f"draw {draw}"
+            assert found.covered == covered_cells(b, want), f"draw {draw}"
+            if len(want) <= 150:
                 draws.append(b)
         assert len(draws) >= 40, len(draws)
         listed = [outputs(b) for b in draws]
@@ -567,11 +608,24 @@ class TestCycleWalk:
         assert size == 13824 and passed[0] <= 8 * size, passed[0]
         # level "lc": the LP over thousands of support columns is not the point here
         assert hierarchy(b, level="lc").support_size == support_size(b) == size
+        # past the state bound, the listing _scan reads: a mixture of three
+        # deterministic behaviors on 1,860,867 assignments
+        s = wide_bell(41)
+        mixed = shifted_mixture(s, random.Random(41), [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+        passed[0] = 0
+        assert support_size(mixed) == 3 and passed[0] < 1000, passed[0]
 
     def test_standalone_sc_on_the_pr_box_stops_early(self, monkeypatch):
+        # Past the state bound: A1B1 allows only (0, 0) and A2B1 only B1 = 1,
+        # so the listing runs dry on placing A2.
+        s = wide_bell(41)
+        tables = [[True] * s.context_cells(ci) for ci in range(len(s.contexts))]
+        tables[0] = [k == 0 for k in range(s.context_cells(0))]
+        tables[3] = [k % 3 == 1 for k in range(s.context_cells(3))]
+        assert s.contexts[0] == ("A1", "B1") and s.contexts[3] == ("A2", "B1")
         passed = count_cell_codes(monkeypatch)
-        assert is_strongly_contextual(pr_box_behavior(make_n_cycle(20), 1))
-        assert passed[0] < 1000, f"{passed[0]} indices passed, a scan passes 2^20"
+        assert is_strongly_contextual(PossibilisticBehavior(s, tuple(map(tuple, tables))))
+        assert passed[0] < 1000, f"{passed[0]} indices passed, a scan passes {enumeration_size(s)}"
 
     def test_interleaved_cycle_is_grown_along_the_cycle(self, monkeypatch):
         # Stored evens then odds: growing in storage order would place all 20
@@ -579,9 +633,132 @@ class TestCycleWalk:
         s = make_n_cycle(40)
         s = Scenario(s.measurements[0::2] + s.measurements[1::2], s.outcomes, s.contexts)
         b = deterministic_behavior(s, {m: "1" for m in s.measurements})
+        assert max(len(keep) for *_, keep in classical._elimination_plan(*index_shape(s))[1]) == 2
         passed = count_cell_codes(monkeypatch)
         assert support_size(b, cap=1 << 62) == 1
+        assert sum(len(arr) for arr in classical._survivor_chunks(b, classical._possible(b), 1 << 62)) == 1
         assert passed[0] < 1000, f"{passed[0]} indices passed"
+
+
+class TestSupportKernel:
+    """The pure-Python elimination _scan reads within the state bound: the
+    forward pass, the counting backward pass and the member walk."""
+
+    @staticmethod
+    def draws(rng: random.Random):
+        for _ in range(50):
+            s = shuffled_cycle(rng, rng.randint(3, 8), rng.randint(2, 4))
+            if enumeration_size(s) <= 20000:
+                yield random_pnd(s, rng)
+                yield random_possible(s, rng)  # most of these disturb, many are SC
+                yield random_nd_coupling(s, rng, max_components=rng.randint(1, 4))
+        for k, l in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+            s = make_bipartite_bell(k, l)
+            for _ in range(3):
+                yield random_pnd(s, rng)
+                yield random_nd_coupling(s, rng, max_components=rng.randint(1, 4))
+                yield random_possible(s, rng)
+        for n in (3, 4, 5, 6, 12):
+            yield random_nd_mixture(make_n_cycle(n), rng, rng.randint(0, 2), include_pr=True)
+            yield pr_box_behavior(make_n_cycle(n), rng.randint(1, n))
+            yield random_nd_coupling(make_n_cycle(n), rng, max_components=4)
+        for _ in range(8):
+            s = random_tree_scenario(rng)
+            yield random_pnd(s, rng)
+            yield random_nd_coupling(s, rng, max_components=rng.randint(1, 4))
+            s = triple_contexts(rng)
+            yield random_possible(s, rng)
+            yield random_nd_mixture(s, rng, rng.randint(1, 4))
+
+    def test_kernel_matches_listing(self):
+        """Rows, count and covered cells equal a plain enumeration and the
+        numpy listing, on strongly contextual and disturbing tables too."""
+        sizes, disturbing = [], 0
+        for draw, b in enumerate(self.draws(random.Random(2020))):
+            assert classical._elimination_plan(*index_shape(b.scenario)) is not None
+            want = oracle.ref_survivors(b)
+            assert np.array_equal(listed_indices(b), want), f"draw {draw}"
+            found = classical._scan(b, None)
+            assert found.size == len(want) and found.rows() == digit_rows(b, want), f"draw {draw}"
+            assert found.covered == covered_cells(b, want), f"draw {draw}"
+            assert found.possible == [{k for k, p in enumerate(t) if p} for t in b.tables]
+            sizes.append(len(want))
+            disturbing += not check_possibilistic_nd(b).ok
+        assert len(sizes) > 200 and sizes.count(0) > 15 and max(sizes) > 500, (len(sizes), sizes.count(0))
+        assert disturbing > 40, disturbing
+
+    @staticmethod
+    def forward_states(monkeypatch) -> list[list[int]]:
+        """Record, for each forward pass, the states reached before each step."""
+        runs = []
+        forward = classical._forward
+
+        def recorded(possible, steps):
+            moves, reached = forward(possible, steps)
+            runs.append([len(step) for step in moves])
+            return moves, reached
+
+        monkeypatch.setattr(classical, "_forward", recorded)
+        return runs
+
+    @staticmethod
+    def forbid(monkeypatch, *names):
+        for name in names:
+            monkeypatch.setattr(classical, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
+
+    def test_states_stay_near_the_frontier(self, monkeypatch):
+        # A frontier on a dichotomic cycle holds the first and the last placed
+        # measurement, so at most 4 states, against 2^24 assignments.
+        b = random_nd_coupling(make_n_cycle(24), random.Random(4))
+        runs = self.forward_states(monkeypatch)
+        self.forbid(monkeypatch, "_rows", "_survivor_chunks")
+        assert support_size(b) == 13824
+        assert len(runs) == 1 and len(runs[0]) == 24 and max(runs[0]) <= 4, runs
+
+    def test_sc_reads_the_forward_pass_and_finishes_early(self, monkeypatch):
+        runs = self.forward_states(monkeypatch)
+        self.forbid(monkeypatch, "_backward", "_rows", "_survivor_chunks")
+        s = make_n_cycle(20)
+        assert not is_strongly_contextual(PossibilisticBehavior(s, ((True,) * 4,) * 20))
+        assert is_strongly_contextual(pr_box_behavior(s, 1))
+        assert [len(r) for r in runs] == [20, 20] and max(map(max, runs)) <= 4, runs
+        # (M1, M2) allows only M2 = 0 and (M2, M3) only M2 = 1: the pass stops
+        # on placing M3, the third of 20 steps.
+        tables = [(True,) * 4] * 20
+        tables[0], tables[1] = (True, False, True, False), (False, False, True, True)
+        assert is_strongly_contextual(PossibilisticBehavior(s, tuple(tables)))
+        assert len(runs[2]) == 3, runs[2]
+
+    def test_members_are_listed_only_on_demand(self, monkeypatch):
+        s = make_n_cycle(20)
+        uniform = Behavior(s, ((Fraction(1, 4),) * 4,) * 20)
+        self.forbid(monkeypatch, "_rows", "_survivor_chunks")
+        assert support_size(uniform) == 1 << 20
+        assert hierarchy(uniform, level="lc") == HierarchyReport(True, None, False, None, None, 1 << 20)
+        assert all(e.in_some_loop for e in build_bundle(uniform).edges)
+        assert logical_contextuality_witness(uniform) is None
+
+    def test_check_and_bundle_leave_numpy_unloaded(self, tmp_path):
+        code = (
+            "import contextlib, io, random, sys\n"
+            "import contextuality as c\n"
+            "from contextuality import cli\n"
+            "for name in ('bell', 'hardy', 'pr-box'):\n"
+            f"    path = {str(tmp_path)!r} + '/' + name + '.json'\n"
+            "    c.save_behavior(c.fixture(name), path)\n"
+            "    runs = [['check', '--behavior', path, '--level', level] for level in ('nd', 'nc', 'lc', 'sc', 'all')]\n"
+            "    runs += [['bundle', '--behavior', path, '--format', f] for f in ('json', 'dot')]\n"
+            "    for argv in runs:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            assert cli.run(argv) == 0, argv\n"
+            "        assert 'numpy' not in sys.modules, argv\n"
+            "b = c.random_nd_coupling(c.make_bipartite_bell(3, 2), random.Random(5))\n"
+            "c.hierarchy(b), c.support(b), c.global_distribution(b)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(classical.__file__).resolve().parent.parent)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0 and out.stdout.strip() == "False", out.stderr[-2000:]
 
 
 class TestEliminationWitness:
@@ -589,11 +766,12 @@ class TestEliminationWitness:
     placement order: no support listing, and no numpy."""
 
     @staticmethod
-    def forbid_scan(monkeypatch):
-        def scan(*args):
+    def forbid_listing(monkeypatch):
+        def listing(*args):
             raise AssertionError("the lc witness listed the support")
 
-        monkeypatch.setattr(classical, "_scan", scan)
+        monkeypatch.setattr(classical, "_survivor_chunks", listing)
+        monkeypatch.setattr(classical, "_rows", listing)
 
     @staticmethod
     def draws(rng: random.Random):
@@ -622,7 +800,7 @@ class TestEliminationWitness:
         rng = random.Random(2013)
         cases = list(self.draws(rng))
         want = [oracle.brute_witness(b) for b in cases]
-        self.forbid_scan(monkeypatch)
+        self.forbid_listing(monkeypatch)
         got = [logical_contextuality_witness(b) for b in cases]
         for k, (g, w) in enumerate(zip(got, want)):
             assert g == w, f"draw {k}: {g} != {w}"
@@ -637,8 +815,8 @@ class TestEliminationWitness:
         assert classical._elimination_plan(*index_shape(s)) is None
         assert classical._elimination_plan(*index_shape(make_bipartite_bell(4, 2))) is not None
         calls = []
-        real = classical._scan
-        monkeypatch.setattr(classical, "_scan", lambda *args: calls.append(1) or real(*args))
+        real = classical._survivor_chunks
+        monkeypatch.setattr(classical, "_survivor_chunks", lambda *args: calls.append(1) or real(*args))
         rng = random.Random(13)
         verdicts = set()
         for b in [random_pnd(s, rng) for _ in range(3)] + [random_possible(s, rng) for _ in range(3)]:
@@ -650,7 +828,7 @@ class TestEliminationWitness:
     def test_cap_is_checked_before_any_work(self, monkeypatch):
         b = collapse(random_nd_coupling(make_bipartite_bell(3, 2), random.Random(3)))
         assert enumeration_size(b.scenario) == 64
-        for name in ("_elimination_plan", "_covered_cells", "_scan"):
+        for name in ("_possible", "_elimination_plan", "_forward", "_backward", "_survivor_chunks"):
             monkeypatch.setattr(classical, name, lambda *args: pytest.fail("work before the cap check"))
         for reader in (logical_contextuality_witness, is_logically_contextual):
             with pytest.raises(EnumerationCapExceeded, match=r"^64 global assignments exceed the cap 63$"):
@@ -720,7 +898,8 @@ class TestTwinFreeLP:
             if len(c) > 60:
                 continue
             sizes.clear()
-            assert classical._lp(b, classical._scan(b, None)[0]) == oracle.ref_maximize(c, rows, rhs)
+            found = classical._scan(b, None)
+            assert classical._lp(b, found.possible, found.rows()) == oracle.ref_maximize(c, rows, rhs)
             assert sizes[0][1] == len(c) and sizes[0][0] <= len(rows)
             collapsed += sizes[0][0] < len(rows)
         assert collapsed >= 20, collapsed
