@@ -30,7 +30,7 @@ from .errors import (
     SubsetNotInContext,
     shown,
 )
-from .scenario import Scenario, index_shape, load_scenario, resolve_cap
+from .scenario import Scenario, index_shape, load_scenario, read_json, resolve_cap
 
 
 def joint_outcomes(s: Scenario, context: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
@@ -443,11 +443,7 @@ def behavior_to_json_dict(b: AnyBehavior) -> dict:
 def load_behavior(path: str, cap: int | None = None) -> AnyBehavior:
     """Read a behavior (probabilistic or possibilistic) from a JSON file;
     cap bounds each context table as in behavior_from_json_dict."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise InvalidBehavior(f"{path}: JSON nests too deeply to parse") from None
+    data = read_json(path, InvalidBehavior)
     return behavior_from_json_dict(data, base_dir=os.path.dirname(os.path.abspath(path)), cap=cap)
 
 

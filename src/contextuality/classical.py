@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 from . import simplex
 from .behavior import AnyBehavior, Behavior, check_nondisturbance, joint_outcomes
 from .behavior import require_nondisturbing, require_probabilistic
-from .errors import EnumerationCapExceeded
+from .errors import EnumerationCapExceeded, InvalidArgument
 from .lazy import Deferred
 from .scenario import Scenario, default_cap, index_shape, resolve_cap  # default_cap is re-exported
 
@@ -526,7 +526,7 @@ def hierarchy(b: Behavior, cap: int | None = None, level: str = "all") -> Hierar
     scan, and the LP runs only if no LC witness already rules out nc.
     """
     if level not in ("nd", "nc", "lc", "sc", "all"):
-        raise ValueError(f"unknown level {level!r}")
+        raise InvalidArgument(f"unknown level {level!r}")
     nd_ok = check_nondisturbance(b).ok
     if not nd_ok or level == "nd":
         return HierarchyReport(nd=nd_ok)

@@ -5,8 +5,9 @@ Machine-readable JSON goes to stdout, diagnostics to stderr. Exit codes:
 0 for a decided answer (for `pp find`, a certificate), 1 for `pp find`
 when no paradox exists, 2 when the enumeration cap is exceeded (by the
 global assignments a command enumerates, or at load by a context table with
-more joint outcomes than the cap), 3 for invalid input of any kind, 4 for
-an internal error (an exception no other code covers).
+more joint outcomes than the cap), 3 for rejected input (an argument argparse
+refuses, a file that cannot be opened, or any other ContextualityError, the
+family the library reports bad input in), 4 for anything else.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import math
 import sys
 
 from .behavior import (
-    Behavior,
     PossibilisticBehavior,
     behavior_to_json_dict,
     load_behavior,
@@ -24,7 +24,7 @@ from .behavior import (
 )
 from .bundle import build_bundle
 from .classical import hierarchy
-from .errors import ContextualityError, EnumerationCapExceeded, NotCycle
+from .errors import ContextualityError, EnumerationCapExceeded, InvalidArgument, InvalidBehavior, NotCycle
 from .fixtures import FIXTURES, fixture
 from .inequality import evaluate_all
 from .paradox import detect_cycle_paradox, detect_simple_scenario_paradox
@@ -39,10 +39,9 @@ from .quantum import (
 
 def _load_behavior(path: str, possibilistic: bool, cap: int | None = None):
     b = load_behavior(path, cap=cap)
-    if possibilistic and isinstance(b, Behavior):
-        raise ValueError(f"{path}: --possibilistic given but the file carries probabilities")
-    if not possibilistic and isinstance(b, PossibilisticBehavior):
-        raise ValueError(f"{path}: file carries possible-lists; pass --possibilistic")
+    if isinstance(b, PossibilisticBehavior) != possibilistic:
+        raise InvalidBehavior(f"{path}: --possibilistic given but the file carries probabilities" if possibilistic
+                              else f"{path}: file carries possible-lists; pass --possibilistic")
     return b
 
 
@@ -111,31 +110,24 @@ def _cmd_ineq(args) -> int:
     return 0
 
 
-def _parse_floats(text: str, want: int, what: str) -> tuple[float, ...]:
-    parts = tuple(float(x) for x in text.split(","))
-    if len(parts) != want:
-        raise ValueError(f"{what} needs {want} comma-separated numbers, got {len(parts)}")
-    return parts
+def float_list(text: str) -> tuple[float, ...]:
+    """argparse type of a comma-separated list of numbers."""
+    return tuple(map(float, text.split(",")))
 
 
 def _cmd_quantum(args) -> int:
     n = args.n
     if n % 2 == 0:
         if args.theta or args.eta or args.v3:
-            raise ValueError("even n takes --alpha only")
+            raise InvalidArgument("even n takes --alpha only")
         alpha = args.alpha if args.alpha is not None else math.pi / 8
         _, behavior = build_even_cycle(EvenCycleParams(n, alpha))
     else:
         if args.alpha is not None:
-            raise ValueError("odd n takes --theta/--eta/--v3, not --alpha")
-        want = (n - 3) // 2
-        thetas = (
-            _parse_floats(args.theta, want, "--theta")
-            if args.theta
-            else (math.pi / 4,) * want
-        )
-        eta = _parse_floats(args.eta, 3, "--eta") if args.eta else (1.0, 1.0, 1.0)
-        v3 = _parse_floats(args.v3, 3, "--v3") if args.v3 else (1.0, 1.0, 0.0)
+            raise InvalidArgument("odd n takes --theta/--eta/--v3, not --alpha")
+        thetas = args.theta or (math.pi / 4,) * ((n - 3) // 2)
+        eta = args.eta or (1.0, 1.0, 1.0)
+        v3 = args.v3 or (1.0, 1.0, 0.0)
         _, behavior = build_odd_cycle(OddCycleParams(n, eta, v3, thetas))
     witness_cell = ("1", "1") if n % 2 == 0 else ("0", "1")
     witness = float(behavior.probability(0, witness_cell))
@@ -191,9 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = qsub.add_parser("ncycle", help="build the n-cycle behavior")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, default=None, help="Schmidt angle (even n)")
-    p.add_argument("--theta", default=None, help="comma-separated rotation angles (odd n)")
-    p.add_argument("--eta", default=None, help="state vector x,y,z (odd n)")
-    p.add_argument("--v3", default=None, help="seed vector x,y,z (odd n)")
+    p.add_argument("--theta", type=float_list, default=None, help="comma-separated rotation angles (odd n)")
+    p.add_argument("--eta", type=float_list, default=None, help="state vector x,y,z (odd n)")
+    p.add_argument("--v3", type=float_list, default=None, help="seed vector x,y,z (odd n)")
     p.add_argument("--out", default=None, help="write behavior JSON here")
     p.set_defaults(func=_cmd_quantum)
 
@@ -231,7 +223,7 @@ def run(argv=None) -> int:
     except EnumerationCapExceeded as e:
         print(f"ctx: {e}", file=sys.stderr)
         return 2
-    except (ContextualityError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ContextualityError, OSError) as e:
         print(f"ctx: {e}", file=sys.stderr)
         return 3
     except Exception as e:

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-Every library error derives from ContextualityError so callers can catch one
-base class. Input validation failures (bad JSON, broken invariants) raise
-InvalidScenario / InvalidBehavior; precondition failures of individual
-algorithms raise the more specific classes below.
+Every library error derives from ContextualityError, and every rejected input
+raises one: InvalidScenario / InvalidBehavior for bad files and tables,
+InvalidArgument (also a ValueError) for out-of-range arguments, and the more
+specific classes below for failed preconditions of individual algorithms.
 """
 
 
@@ -19,6 +19,10 @@ def shown(value) -> str:
 
 class ContextualityError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InvalidArgument(ContextualityError, ValueError):
+    """An argument lies outside its documented range: a count, cap, seed or level."""
 
 
 class InvalidScenario(ContextualityError):

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .behavior import Behavior, PossibilisticBehavior, joint_outcomes
+from .errors import InvalidArgument
 from .paradox import pr_box_behavior
 from .scenario import Scenario, require_pairs, traverse_cycle
 
@@ -128,9 +129,9 @@ def deterministic_behavior(s: Scenario, assignment: Mapping[str, str]) -> Behavi
     """The behavior that outputs assignment[m] for every measurement, surely."""
     for m in s.measurements:
         if m not in assignment:
-            raise ValueError(f"assignment is missing measurement {m!r}")
+            raise InvalidArgument(f"assignment is missing measurement {m!r}")
         if assignment[m] not in s.outcomes[m]:
-            raise ValueError(f"{assignment[m]!r} is not an outcome of {m!r}")
+            raise InvalidArgument(f"{assignment[m]!r} is not an outcome of {m!r}")
     tables = []
     for c in s.contexts:
         target = tuple(assignment[m] for m in c)
@@ -152,7 +153,7 @@ def random_nd_mixture(
     """
     least = 0 if include_pr else 1
     if components is not None and components < least:
-        raise ValueError(f"components must be at least {least}, got {components}")
+        raise InvalidArgument(f"components must be at least {least}, got {components}")
     if components is None:
         components = rng.randint(2, 5)
     parts = []  # per component, each context's possible cells

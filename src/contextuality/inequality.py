@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .behavior import Behavior, require_nondisturbing, require_probabilistic
+from .errors import InvalidArgument
 from .scenario import require_dichotomic, traverse_cycle
 
 
@@ -32,11 +33,11 @@ class NcycleInequality:
     def __post_init__(self) -> None:
         object.__setattr__(self, "signs", tuple(int(g) for g in self.signs))
         if len(self.signs) < 3:
-            raise ValueError(f"need at least 3 contexts, got {len(self.signs)}")
+            raise InvalidArgument(f"need at least 3 contexts, got {len(self.signs)}")
         if any(g not in (-1, 1) for g in self.signs):
-            raise ValueError("signs must be +1 or -1")
+            raise InvalidArgument("signs must be +1 or -1")
         if self.signs.count(-1) % 2 == 0:
-            raise ValueError("the number of -1 signs must be odd")
+            raise InvalidArgument("the number of -1 signs must be odd")
 
     @property
     def classical_bound(self) -> int:
@@ -55,10 +56,10 @@ def correlator(b: Behavior, i: int) -> Fraction:
     require_probabilistic(b)
     s = b.scenario
     if not 1 <= i <= len(s.contexts):
-        raise ValueError(f"context index must be in 1..{len(s.contexts)}, got {i}")
+        raise InvalidArgument(f"context index must be in 1..{len(s.contexts)}, got {i}")
     c = s.contexts[i - 1]
     if len(c) != 2:
-        raise ValueError(f"context {c} has {len(c)} measurements, need exactly 2")
+        raise InvalidArgument(f"context {c} has {len(c)} measurements, need exactly 2")
     require_dichotomic(s, c)
     t = b.tables[i - 1]
     return 2 * (t[0] + t[3]) - 1
@@ -71,7 +72,7 @@ def evaluate(b: Behavior, ineq: NcycleInequality) -> Fraction:
     """
     traverse_cycle(b.scenario)
     if len(ineq.signs) != len(b.scenario.contexts):
-        raise ValueError(
+        raise InvalidArgument(
             f"inequality has {len(ineq.signs)} signs for {len(b.scenario.contexts)} contexts"
         )
     return sum(g * correlator(b, i + 1) for i, g in enumerate(ineq.signs))
@@ -80,7 +81,7 @@ def evaluate(b: Behavior, ineq: NcycleInequality) -> Fraction:
 def quantum_bound(n: int) -> float:
     """Largest quantum value of the family's left side on the n-cycle."""
     if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+        raise InvalidArgument(f"need n >= 3, got {n}")
     c = math.cos(math.pi / n)
     if n % 2 == 1:
         return (3 * n * c - n) / (1 + c)

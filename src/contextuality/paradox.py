@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .behavior import AnyBehavior, PossibilisticBehavior, collapse, require_nondisturbing
-from .errors import ContextualityError, WrongScenarioShape
+from .errors import ContextualityError, InvalidArgument, WrongScenarioShape
 from .scenario import Scenario, chordless_cycles, require_dichotomic, require_pairs, traverse_cycle
 
 
@@ -578,13 +578,13 @@ def pr_box_behavior(
     require_dichotomic(s)
     n = len(order)
     if not 1 <= flip_context_index <= n:
-        raise ValueError(f"flip_context_index must be in 1..{n}, got {flip_context_index}")
+        raise InvalidArgument(f"flip_context_index must be in 1..{n}, got {flip_context_index}")
     measurements = tuple(pair[0] for _, pair in order)
     if assignment is None:
         assignment = tuple(s.outcomes[m][0] for m in measurements)
     assignment = tuple(str(a) for a in assignment)
     if len(assignment) != n:
-        raise ValueError(f"assignment needs {n} entries, got {len(assignment)}")
+        raise InvalidArgument(f"assignment needs {n} entries, got {len(assignment)}")
     bit = {
         m: s.outcomes[m].index(a) for m, a in zip(measurements, assignment)
     }

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .behavior import Behavior, joint_outcomes, require_nondisturbing
-from .errors import DegenerateParams, InvalidModel, NegativeProbability, NotNondisturbing
+from .errors import DegenerateParams, InvalidArgument, InvalidModel, NegativeProbability, NotNondisturbing, shown
 from .lazy import Deferred
 from .scenario import Scenario, make_n_cycle
 
@@ -58,8 +58,8 @@ class QuantumModel:
     projectors: dict[str, tuple[np.ndarray, ...]]
 
 
-def validate_model(model: QuantumModel, s: Scenario, tol: float = 1e-10) -> None:
-    """Check the model invariants against a scenario.
+def validate_model(model: QuantumModel, s: Scenario) -> None:
+    """Check the model invariants against a scenario, each up to EPS.
 
     :raises InvalidModel: on a shape mismatch, a non-unit state, a family
         that is not a projective partition of the identity, or
@@ -68,7 +68,7 @@ def validate_model(model: QuantumModel, s: Scenario, tol: float = 1e-10) -> None
     d = model.dimension
     if model.state.shape != (d,):
         raise InvalidModel(f"state has shape {model.state.shape}, expected ({d},)")
-    if abs(np.linalg.norm(model.state) - 1) > tol:
+    if abs(np.linalg.norm(model.state) - 1) > EPS:
         raise InvalidModel(f"state norm {np.linalg.norm(model.state)} is not 1")
     if set(model.projectors) != set(s.measurements):
         raise InvalidModel("projector families do not match the scenario's measurements")
@@ -83,19 +83,19 @@ def validate_model(model: QuantumModel, s: Scenario, tol: float = 1e-10) -> None
         for k, p in enumerate(family):
             if p.shape != (d, d):
                 raise InvalidModel(f"projector {m!r}[{k}] has shape {p.shape}")
-            if np.linalg.norm(p - p.conj().T) > tol:
+            if np.linalg.norm(p - p.conj().T) > EPS:
                 raise InvalidModel(f"projector {m!r}[{k}] is not Hermitian")
-            if np.linalg.norm(p @ p - p) > tol:
+            if np.linalg.norm(p @ p - p) > EPS:
                 raise InvalidModel(f"projector {m!r}[{k}] is not idempotent")
             total += p
-        if np.linalg.norm(total - eye) > tol:
+        if np.linalg.norm(total - eye) > EPS:
             raise InvalidModel(f"projectors of {m!r} do not sum to the identity")
     for c in s.contexts:
         for i, m1 in enumerate(c):
             for m2 in c[i + 1 :]:
                 for p in model.projectors[m1]:
                     for q in model.projectors[m2]:
-                        if np.linalg.norm(p @ q - q @ p) > tol:
+                        if np.linalg.norm(p @ q - q @ p) > EPS:
                             raise InvalidModel(
                                 f"projectors of {m1!r} and {m2!r} do not commute in context {c}"
                             )
@@ -196,18 +196,18 @@ def _exact_pairwise_tables(
 
 
 def behavior_from_model(
-    model: QuantumModel, s: Scenario, eps: float = EPS, metadata: dict | None = None
+    model: QuantumModel, s: Scenario, metadata: dict | None = None
 ) -> Behavior:
     """Evaluate the Born rule on every context and return an exact Behavior.
 
-    Values in [-eps, eps] become exact zeros; anything below -eps raises.
+    Values in [-EPS, EPS] become exact zeros; anything below -EPS raises.
     On scenarios whose contexts are all dichotomic pairs the rational tables
     are rebuilt from shared per-measurement marginals and are exactly
     nondisturbing; otherwise each cell is snapped to a small-denominator
     rational and the table renormalized to sum exactly 1.
 
     :raises InvalidModel: if the model fails its invariants.
-    :raises NegativeProbability: if some Born value is below -eps.
+    :raises NegativeProbability: if some Born value is below -EPS.
     :raises NotNondisturbing: if the snapped tables of overlapping contexts
         no longer share their marginals exactly.
     """
@@ -217,17 +217,17 @@ def behavior_from_model(
         vals = []
         for labels in joint_outcomes(s, c):
             p = trace_probability(model, s, c, labels)
-            if p < -eps:
+            if p < -EPS:
                 raise NegativeProbability(f"Born value {p} for {c} {labels}")
-            vals.append(0.0 if abs(p) <= eps else p)
+            vals.append(0.0 if abs(p) <= EPS else p)
         raw.append(vals)
 
     pairwise = s.is_simple and all(len(s.outcomes[m]) == 2 for m in s.measurements)
     if pairwise:
-        return Behavior(s, _exact_pairwise_tables(s, raw, eps), metadata=metadata)
+        return Behavior(s, _exact_pairwise_tables(s, raw, EPS), metadata=metadata)
     tables = []
     for ci in range(len(s.contexts)):
-        cells = [_snap(p, eps) for p in raw[ci]]
+        cells = [_snap(p, EPS) for p in raw[ci]]
         total = sum(cells)
         if total == 0:
             raise InvalidModel(f"context {s.contexts[ci]} has no probability mass")
@@ -248,8 +248,9 @@ class OddCycleParams:
     """Parameters of the odd-cycle construction.
 
     thetas are the rotation angles for the odd-index vectors 5, 7, ..., n,
-    so there are (n-3)/2 of them. eta and v3 need not be normalized; the
-    builder normalizes and rejects degenerate configurations.
+    so there are (n-3)/2 of them. eta and v3 are 3-vectors, not necessarily
+    normalized; every entry must be finite. The builder normalizes and rejects
+    degenerate configurations.
     """
 
     n: int
@@ -259,31 +260,29 @@ class OddCycleParams:
 
     def __post_init__(self) -> None:
         if self.n < 5 or self.n % 2 == 0:
-            raise ValueError(f"odd-cycle construction needs odd n >= 5, got {self.n}")
-        object.__setattr__(self, "eta", tuple(float(x) for x in self.eta))
-        object.__setattr__(self, "v3", tuple(float(x) for x in self.v3))
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-        want = (self.n - 3) // 2
-        if len(self.thetas) != want:
-            raise ValueError(f"need {want} rotation angles for n={self.n}, got {len(self.thetas)}")
+            raise InvalidArgument(f"odd-cycle construction needs odd n >= 5, got {self.n}")
+        for name, want in (("eta", 3), ("v3", 3), ("thetas", (self.n - 3) // 2)):
+            value = tuple(float(x) for x in getattr(self, name))
+            object.__setattr__(self, name, value)
+            if len(value) != want:
+                raise InvalidArgument(f"{name} must have {want} entries for n={self.n}, got {len(value)}")
+            if not all(map(math.isfinite, value)):
+                raise InvalidArgument(f"{name} must be finite, got {shown(value)}")
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "eta": list(self.eta), "v3": list(self.v3), "thetas": list(self.thetas)}
 
 
-def _unit(x: np.ndarray, what: str) -> np.ndarray:
+def _unit(x: np.ndarray, degenerate: str) -> np.ndarray:
+    """x normalized, or DegenerateParams(degenerate) if its norm vanishes."""
     norm = np.linalg.norm(x)
     if norm < 1e-9:
-        raise DegenerateParams(f"{what} has vanishing norm")
+        raise DegenerateParams(degenerate)
     return x / norm
 
 
 def _gram_schmidt(eta: np.ndarray, v: np.ndarray, what: str) -> np.ndarray:
-    w = eta - np.dot(v, eta) * v
-    norm = np.linalg.norm(w)
-    if norm < 1e-9:
-        raise DegenerateParams(f"state is parallel to {what}; cannot orthonormalize")
-    return w / norm
+    return _unit(eta - np.dot(v, eta) * v, f"state is parallel to {what}; cannot orthonormalize")
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -304,8 +303,8 @@ def _rotate(theta: float, axis: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _odd_vectors(params: OddCycleParams) -> tuple[list[np.ndarray], np.ndarray]:
     n = params.n
-    eta = _unit(np.array(params.eta, dtype=float), "state")
-    v: dict[int, np.ndarray] = {3: _unit(np.array(params.v3, dtype=float), "v3")}
+    eta = _unit(np.array(params.eta, dtype=float), "state has vanishing norm")
+    v: dict[int, np.ndarray] = {3: _unit(np.array(params.v3, dtype=float), "v3 has vanishing norm")}
     if abs(np.dot(v[3], eta)) < 1e-9:
         raise DegenerateParams("v3 is orthogonal to the state")
     v[4] = _gram_schmidt(eta, v[3], "v3's partner")
@@ -317,11 +316,7 @@ def _odd_vectors(params: OddCycleParams) -> tuple[list[np.ndarray], np.ndarray]:
         if k < n:
             v[k + 1] = _gram_schmidt(eta, v[k], f"vector {k}")
     v[1] = _gram_schmidt(eta, v[n], f"vector {n}")
-    cross = _cross(v[1], v[3])
-    norm = np.linalg.norm(cross)
-    if norm < 1e-9:
-        raise DegenerateParams("first and third vectors are parallel; no common orthogonal")
-    v[2] = cross / norm
+    v[2] = _unit(_cross(v[1], v[3]), "first and third vectors are parallel; no common orthogonal")
     return [v[i] for i in range(1, n + 1)], eta
 
 
@@ -398,7 +393,7 @@ class EvenCycleParams:
 
     def __post_init__(self) -> None:
         if self.n < 4 or self.n % 2 == 1:
-            raise ValueError(f"even-cycle construction needs even n >= 4, got {self.n}")
+            raise InvalidArgument(f"even-cycle construction needs even n >= 4, got {self.n}")
         object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 < self.alpha < math.pi / 4:
             raise DegenerateParams(
@@ -433,7 +428,7 @@ def _even_layout(n: int) -> dict[int, tuple[str, int]]:
 def hardy_probability(n: int, alpha: float) -> float:
     """Closed form of the even-cycle paradox probability p_1(1,1)."""
     if n < 4 or n % 2 == 1:
-        raise ValueError(f"closed form applies to even n >= 4, got {n}")
+        raise InvalidArgument(f"closed form applies to even n >= 4, got {n}")
     c, s = math.cos(alpha), math.sin(alpha)
     den = c ** (n - 1) + s ** (n - 1)
     if den == 0.0:
@@ -596,14 +591,16 @@ def optimize_gamma(n: int, restarts: int = 40, tol: float = 1e-10, seed: int = 0
     seed. Degenerate parameters score 0; the best value wins, ties keep the
     earliest restart. Best-effort: the largest value found, no convergence guarantee.
 
-    :raises ValueError: if n < 4, restarts < 1, or tol is not finite and positive.
+    :raises ValueError: if n < 4, restarts < 1, seed < 0 or tol is not finite and positive.
     """
     if n < 4:
-        raise ValueError(f"cycle constructions need n >= 4, got {n}")
+        raise InvalidArgument(f"cycle constructions need n >= 4, got {n}")
     if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+        raise InvalidArgument(f"restarts must be at least 1, got {restarts}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be non-negative, got {seed}")
     if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+        raise InvalidArgument(f"tol must be finite and positive, got {tol}")
     if n % 2 == 0:
         lo, hi = 1e-9, math.pi / 4 - 1e-9
         golden = (math.sqrt(5) - 1) / 2
@@ -657,5 +654,5 @@ def check_hardy_tsirelson(value: float, n: int = 4) -> bool:
     """Whether a 4-cycle paradox probability respects its Tsirelson-type
     ceiling (5*sqrt(5)-11)/2, up to 1e-9."""
     if n != 4:
-        raise ValueError(f"the bound applies to n=4, got {n}")
+        raise InvalidArgument(f"the bound applies to n=4, got {n}")
     return value <= HARDY_TSIRELSON + 1e-9

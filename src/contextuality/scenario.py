@@ -19,32 +19,31 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InvalidScenario, NonDichotomic, NonSimpleScenario, NotCycle, shown
+from .errors import ContextualityError, InvalidArgument, InvalidScenario, NonDichotomic, NonSimpleScenario, NotCycle, shown
 
 DEFAULT_CAP = 1 << 24
 
 
 def default_cap() -> int:
     """The enumeration cap: CTX_CAP from the environment, else 2^24."""
-    raw = os.environ.get("CTX_CAP", str(DEFAULT_CAP))
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"CTX_CAP must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"CTX_CAP must be positive, got {cap}")
-    return cap
+    return resolve_cap(None)
 
 
 def resolve_cap(cap: int | None) -> int:
-    """cap itself, or default_cap() when it is None; it bounds the global
-    assignments a listing enumerates and the cells of a loaded context table.
+    """cap, or CTX_CAP from the environment (else 2^24) when it is None: the
+    bound on the global assignments a listing enumerates and on a context table's cells.
 
-    :raises ValueError: if cap is below 1.
+    :raises ValueError: if cap, or CTX_CAP when read, is not an integer >= 1.
     """
-    cap = default_cap() if cap is None else cap
+    name = "cap"
+    if cap is None:
+        name, raw = "CTX_CAP", os.environ.get("CTX_CAP", str(DEFAULT_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise InvalidArgument(f"CTX_CAP must be an integer, got {shown(raw)}") from None
     if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
+        raise InvalidArgument(f"{name} must be positive, got {cap}")
     return cap
 
 
@@ -157,14 +156,21 @@ class Scenario:
             raise InvalidScenario(f"malformed scenario JSON: {exc}") from exc
 
 
+def read_json(path: str, error: type[ContextualityError]):
+    """The JSON value in the file at path; error, naming path, if path holds NUL
+    or the file is not UTF-8 JSON within the parser's nesting and digit limits."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise error(f"{path}: JSON nests too deeply to parse") from None
+    except ValueError as e:  # open's NUL check, UnicodeDecodeError, JSONDecodeError, int digits
+        raise error(f"{path}: cannot read JSON: {e}") from None
+
+
 def load_scenario(path: str) -> Scenario:
     """Read a scenario from a JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise InvalidScenario(f"{path}: JSON nests too deeply to parse") from None
-    return Scenario.from_json_dict(data)
+    return Scenario.from_json_dict(read_json(path, InvalidScenario))
 
 
 def index_shape(s: Scenario) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -255,7 +261,9 @@ def chordless_cycles(s: Scenario) -> CycleDecomposition:
     would be a chord). Adjacency to the start vertex closes a cycle and
     forbids further extension. Each cycle is produced once: the start is its
     smallest label and the two traversal directions are collapsed by
-    requiring the second label to precede the last.
+    requiring the second label to precede the last. Starts and neighbours are
+    taken in label order and a closed path is never extended, so the cycles
+    come out sorted with no sort.
 
     Exponential in the worst case; intended for desk-scale graphs.
 
@@ -292,7 +300,6 @@ def chordless_cycles(s: Scenario) -> CycleDecomposition:
     for start in sorted(s.measurements):
         extend([start], {start})
 
-    found.sort()
     return CycleDecomposition(cycles=tuple(found), is_acyclic=not found)
 
 

@@ -512,6 +512,22 @@ class TestJson:
         with pytest.raises(InvalidScenario, match="deep.json: JSON nests too deeply"):
             load_behavior(tmp_path / "b.json")
 
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [(b'{"a": "\xe9"}', "can't decode byte 0xe9"), (b"nul", "Expecting value"), (b"[" + b"7" * 5000 + b"]", "digits")],
+        ids=["not-utf8", "not-json", "long-integer"],
+    )
+    def test_unreadable_json_names_the_file(self, tmp_path, raw, reason):
+        (tmp_path / "bad.json").write_bytes(raw)
+        with pytest.raises(InvalidBehavior, match=rf"bad.json: cannot read JSON: .*{reason}"):
+            load_behavior(tmp_path / "bad.json")
+        (tmp_path / "b.json").write_text(json.dumps({"scenario": "bad.json", "tables": []}))
+        with pytest.raises(InvalidScenario, match=rf"bad.json: cannot read JSON: .*{reason}"):
+            load_behavior(tmp_path / "b.json")
+        (tmp_path / "b.json").write_text(json.dumps({"scenario": "bad\0.json", "tables": []}))
+        with pytest.raises(InvalidScenario, match="embedded null byte"):
+            load_behavior(tmp_path / "b.json")
+
     @pytest.mark.parametrize("possibilistic", [False, True])
     def test_context_table_larger_than_cap_refused(self, tmp_path, possibilistic):
         # 12 binary measurements make 4096 cells; 50 would not fit in memory.

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -525,14 +526,81 @@ class TestArgHandling:
         assert "check" in capsys.readouterr().out
 
     def test_internal_error_exits_4_on_one_line(self, capsys, monkeypatch, pr_file):
-        def broken(b):
-            raise TypeError("unsupported operand")
+        # a ValueError or KeyError is a bug too: only ContextualityError and
+        # OSError mean bad input
+        for error in (TypeError, ValueError, KeyError):
+            def broken(b):
+                raise error("unsupported operand")
 
-        monkeypatch.setattr("contextuality.cli.evaluate_all", broken)
-        assert run(["ineq", "--behavior", pr_file]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "ctx: internal error: TypeError: unsupported operand\n"
+            monkeypatch.setattr("contextuality.cli.evaluate_all", broken)
+            assert run(["ineq", "--behavior", pr_file]) == 4, error
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"ctx: internal error: {error.__name__}: {error('unsupported operand')}\n"
+
+
+# Bad input of each kind the library checks, including input that a builtin
+# or numpy would otherwise refuse deep inside with a ValueError, which ctx
+# reports as an internal error: each must exit 3 on one `ctx: ` line.
+REJECTED = {
+    "v3-nan": ["quantum", "ncycle", "--n", "5", "--v3=nan,1,0"],
+    "eta-inf": ["quantum", "ncycle", "--n", "5", "--eta=inf,1,1"],
+    "theta-nan": ["quantum", "ncycle", "--n", "5", "--theta=nan"],
+    "gamma-negative-seed": ["gamma", "--n", "5", "--seed", "-1"],
+    "not-utf8": ["check", "--behavior", "{latin1}"],
+    "not-json": ["check", "--behavior", "{nul}"],
+    "long-integer": ["check", "--behavior", "{digits}"],
+    "n-1": ["quantum", "ncycle", "--n", "1"],
+    "n-0": ["quantum", "ncycle", "--n", "0"],
+    "eta-count": ["quantum", "ncycle", "--n", "5", "--eta", "1,0"],
+    "theta-count": ["quantum", "ncycle", "--n", "7", "--theta", "0.5"],
+    "theta-on-even": ["quantum", "ncycle", "--n", "4", "--theta", "0.5"],
+    "alpha-on-odd": ["quantum", "ncycle", "--n", "5", "--alpha", "0.3"],
+    "negative-restarts": ["gamma", "--n", "5", "--restarts", "-2"],
+    "gamma-negative-n": ["gamma", "--n", "-5"],
+    "negative-tol": ["gamma", "--n", "4", "--tol", "-1"],
+    "cap-0": ["check", "--behavior", "{probs}", "--cap", "0"],
+    "env-cap-junk": ["check", "--behavior", "{probs}"],
+    "env-cap-negative": ["check", "--behavior", "{probs}"],
+    "possibilistic-flag-on-probs": ["pp", "find", "--possibilistic", "--behavior", "{probs}"],
+    "possible-lists-without-flag": ["pp", "find", "--behavior", "{possible}"],
+}
+FILES = {
+    "latin1": b'{"scenario": "\xe9"}',
+    "nul": b"nul",
+    "digits": b'{"scenario": ' + b"1" * 5000 + b"}",
+    "probs": json.dumps(behavior_to_json_dict(fixture("hardy"))).encode(),
+    "possible": json.dumps(behavior_to_json_dict(collapse(fixture("hardy")))).encode(),
+}
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("name", list(REJECTED))
+    def test_exits_3_on_one_line(self, capsys, monkeypatch, tmp_path, name):
+        files = {}
+        for key, data in FILES.items():
+            files[key] = tmp_path / f"{key}.json"
+            files[key].write_bytes(data)
+        monkeypatch.setenv("CTX_CAP", {"env-cap-junk": "zz", "env-cap-negative": "-1"}.get(name, str(1 << 24)))
+        argv = [arg.format(**files) for arg in REJECTED[name]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("ctx: ") and err.count("\n") == 1, err
+        assert "internal error" not in err and "Traceback" not in err
+        assert "integer ratio" not in err  # Fraction(nan) deep in the builder
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        read = [arg for arg in argv if arg.endswith(".json")]
+        if read and name not in ("cap-0", "env-cap-junk", "env-cap-negative"):
+            assert read[0] in err  # the message names the file
+
+    @pytest.mark.parametrize("value", ["1,x", "", "0.5,,0.5"])
+    def test_unparsable_floats_are_a_usage_error(self, capsys, value):
+        assert run(["quantum", "ncycle", "--n", "7", f"--theta={value}"]) == 3
+        err = capsys.readouterr().err
+        assert "argument --theta: invalid float_list value" in err and "Traceback" not in err
 
 
 # ======================================================================

@@ -15,9 +15,11 @@ from scipy.optimize import minimize
 import contextuality
 from contextuality import (
     Behavior,
+    ContextualityError,
     DegenerateParams,
     EvenCycleParams,
     GammaResult,
+    InvalidArgument,
     InvalidModel,
     NegativeProbability,
     NotNondisturbing,
@@ -355,6 +357,22 @@ class TestOddCycle:
         with pytest.raises(DegenerateParams):
             build_odd_cycle(params)
 
+    @pytest.mark.parametrize(
+        "eta, v3, thetas, message",
+        [
+            ((math.nan, 1, 0), (1, 0, 0), (0.5,), "eta must be finite"),
+            ((0, 0, 1), (math.inf, 1, 1), (0.5,), "v3 must be finite"),
+            ((0, 0, 1), (0.6, 0, 0.8), (-math.inf,), "thetas must be finite"),
+            ((1, 0), (0.6, 0, 0.8), (0.5,), "eta must have 3 entries for n=5, got 2"),
+            ((0, 0, 1), (0.6, 0, 0.8, 0), (0.5,), "v3 must have 3 entries for n=5, got 4"),
+            ((0, 0, 1), (0.6, 0, 0.8), (0.5, 0.5), "thetas must have 1 entries for n=5, got 2"),
+        ],
+    )
+    def test_params_reject_bad_entries(self, eta, v3, thetas, message):
+        # rejected before any float reaches the builder's Fraction snapping
+        with pytest.raises(InvalidArgument, match=message):
+            OddCycleParams(5, eta, v3, thetas)
+
 
 # ======================================================================
 # 4. Even cycles
@@ -470,6 +488,18 @@ class TestOptimizeGamma:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             optimize_gamma(3)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_negative_seed_rejected(self, n):
+        # numpy's generator would refuse it with a ValueError of its own
+        with pytest.raises(InvalidArgument, match="seed must be non-negative, got -1"):
+            optimize_gamma(n, restarts=1, seed=-1)
+
+    def test_argument_errors_are_value_errors_too(self):
+        for call in (lambda: optimize_gamma(3), lambda: EvenCycleParams(5, 0.3), lambda: hardy_probability(3, 0.3)):
+            with pytest.raises(InvalidArgument) as err:
+                call()
+            assert isinstance(err.value, ValueError) and isinstance(err.value, ContextualityError)
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])

@@ -245,6 +245,26 @@ class TestChordlessCycles:
         )
         assert len({frozenset(c) for c in dec.cycles}) == len(dec.cycles)
 
+    def test_cycles_come_out_sorted_and_canonical(self):
+        """The DFS emits in sorted order by itself: no sort follows it, so
+        shuffled contexts, flipped pairs and labels whose string order is not
+        their numeric order must still give a sorted list."""
+        rng = random.Random(2024)
+        total = 0
+        for _ in range(400):
+            n = rng.randint(3, 9)
+            names = rng.sample(["1", "10", "2", "9", "A", "a", "B1", "b", "M10", "M2", "Z", "x0"], n)
+            pairs = [p for p in itertools.combinations(names, 2) if rng.random() < 0.5]
+            pairs += [(m, names[0] if m != names[0] else names[1]) for m in names]  # cover every label
+            unique = {frozenset(p): p for p in pairs}
+            contexts = [tuple(rng.sample(p, 2)) for p in unique.values()]
+            rng.shuffle(contexts)
+            cycles = chordless_cycles(Scenario(names, {m: ("0", "1") for m in names}, contexts)).cycles
+            assert list(cycles) == sorted(cycles), contexts
+            assert all(c[0] == min(c) and c[1] < c[-1] for c in cycles)
+            total += len(cycles)
+        assert total > 1000, total
+
 
 # ============================================================
 # 4. Cycle traversal
