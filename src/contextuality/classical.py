@@ -7,9 +7,16 @@ possible joint outcome in every context; the surviving set is the support.
 A behavior is logically contextual (LC) when some possible joint outcome of
 some context is the restriction of no support member, and strongly
 contextual (SC) when the support is empty. The probabilistic level asks for
-a global distribution whose marginals reproduce every context table; its
-existence is decided by one exact rational LP, whose optimum also yields the
-contextual fraction.
+a global distribution whose marginals reproduce every context table. On a
+dichotomic n-cycle (every measurement two-valued, every context a pair, the
+pairs one cycle, n >= 3; Bell (2,2) is the 4-cycle) the 2^(n-1) n-cycle
+inequalities are complete for nondisturbing behaviors (Araujo et al., PRA
+88, 022118, 2013), so hierarchy and is_noncontextual decide existence with
+their closed-form maximum, inequality.tight_member: one integer sum over the
+contexts. Every other shape, and every question that needs a value or a
+vertex (noncontextual_weight, contextual_fraction, global_distribution),
+solves one exact rational LP, whose optimum also yields the contextual
+fraction.
 
 Every question reads the support through _scan, which first checks the
 assignment count against the enumeration cap. Measurements are placed one at
@@ -42,6 +49,7 @@ from . import simplex
 from .behavior import AnyBehavior, Behavior, check_nondisturbance, joint_outcomes
 from .behavior import require_nondisturbing, require_probabilistic
 from .errors import EnumerationCapExceeded, InvalidArgument
+from .inequality import tight_member
 from .lazy import Deferred
 from .scenario import Scenario, default_cap, index_shape, resolve_cap  # default_cap is re-exported
 
@@ -321,13 +329,14 @@ def _survivor_chunks(b: AnyBehavior, possible: list[set[int]], cap: int | None):
 class _Support(NamedTuple):
     """What every classical question reads off the support: its size, each
     context's possible cells and covered cells (restrictions of members),
-    and rows(), the members as digit rows over the measurement order,
-    ascending."""
+    rows(), the members as digit rows over the measurement order,
+    ascending, and the scenario's index_shape, read once per scan."""
 
     size: int
     possible: list[set[int]]
     covered: list[set[int]]
     rows: Callable[[], list[tuple[int, ...]]]
+    shape: tuple
 
 
 def _possible(b: AnyBehavior) -> list[set[int]]:
@@ -354,11 +363,12 @@ def _scan(b: AnyBehavior, cap: int | None) -> _Support:
                 cov[eng.cell_codes(arr, ci)] = True
         listed = np.sort(np.concatenate(chunks))
         rows = list(zip(*((listed // stride % radix).tolist() for stride, radix in zip(eng.strides, eng.radices))))
-        return _Support(len(rows), possible, [set(np.flatnonzero(cov).tolist()) for cov in covered], lambda: rows)
+        covered = [set(np.flatnonzero(cov).tolist()) for cov in covered]
+        return _Support(len(rows), possible, covered, lambda: rows, shape)
     order, steps = plan
     moves, reached = _forward(possible, steps)
     size, covered, extends = _backward(steps, moves, reached, len(possible))
-    return _Support(size, possible, covered, partial(_rows, order, moves, extends))
+    return _Support(size, possible, covered, partial(_rows, order, moves, extends), shape)
 
 
 def _assignments(s: Scenario, rows: list[tuple[int, ...]]) -> list[GlobalAssignment]:
@@ -428,7 +438,9 @@ def is_logically_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
 # -- probabilistic level ------------------------------------------------------
 
 
-def _lp(b: Behavior, possible: list[set[int]], members: list[tuple[int, ...]]) -> tuple[Fraction, list[Fraction]]:
+def _lp(
+    b: Behavior, possible: list[set[int]], members: list[tuple[int, ...]], shape: tuple | None = None
+) -> tuple[Fraction, list[Fraction]]:
     """Maximize the total weight of a subnormalized global distribution whose
     context marginals are dominated by b's tables.
 
@@ -450,8 +462,10 @@ def _lp(b: Behavior, possible: list[set[int]], members: list[tuple[int, ...]]) -
     kept row; after that slack leaves, the twin's row has no positive entry.
     So the twin's slack never leaves, integer pivots never read its row, and
     the pivots and (value, x) are the full LP's. A dropped twin's dual is 0.
+
+    shape is b's index_shape, computed here when not given.
     """
-    radices, ctx_positions = index_shape(b.scenario)
+    radices, ctx_positions = shape or index_shape(b.scenario)
     kept: dict[frozenset, tuple[tuple[int, int], int, int]] = {}  # pattern -> ((ci, cell), num, den)
     for ci, (table, positions, cells) in enumerate(zip(b.tables, ctx_positions, possible)):
         hit: dict[int, list[int]] = {}  # cell -> the members restricting to it
@@ -473,6 +487,44 @@ def _lp(b: Behavior, possible: list[set[int]], members: list[tuple[int, ...]]) -
     return simplex.maximize([1] * n, [row for *_, row in rows], [num for _, num, _ in rows])
 
 
+@lru_cache(maxsize=256)
+def _dichotomic_cycle(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]) -> bool:
+    """True when every measurement has 2 outcomes, every context is a pair,
+    and the pairs form one cycle through all n >= 3 measurements: the shapes
+    where the n-cycle inequalities decide nc."""
+    n = len(radices)
+    if n < 3 or len(ctx_positions) != n or set(radices) != {2} or any(len(p) != 2 for p in ctx_positions):
+        return False
+    neighbours: list[list[int]] = [[] for _ in radices]
+    for u, v in ctx_positions:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    if any(len(x) != 2 for x in neighbours):
+        return False
+    prev, q = 0, neighbours[0][0]
+    for length in range(1, n + 1):  # walk on until the cycle through 0 closes
+        if q == 0:
+            return length == n
+        prev, q = q, neighbours[q][neighbours[q][0] == prev]
+    return False
+
+
+def _facets_hold(b: Behavior) -> bool:
+    """True iff every n-cycle inequality holds on b, a nondisturbing
+    behavior of a dichotomic cycle shape; there, exactly when b is
+    noncontextual."""
+    value, scale, _ = tight_member(b.tables)
+    return value <= (len(b.tables) - 2) * scale
+
+
+def _nc(b: Behavior, found: _Support) -> bool:
+    """Whether the nondisturbing b, with support found, is noncontextual:
+    by the n-cycle inequalities where they are complete, else by the LP."""
+    if _dichotomic_cycle(*found.shape):
+        return _facets_hold(b)
+    return _lp(b, found.possible, found.rows(), found.shape)[0] == 1
+
+
 def _solve(b: Behavior, cap: int | None) -> tuple[list[tuple[int, ...]], Fraction, list[Fraction]]:
     """The support members of b and the LP's (value, x) over them, after
     checking that b carries probabilities (InvalidBehavior) and is
@@ -481,7 +533,7 @@ def _solve(b: Behavior, cap: int | None) -> tuple[list[tuple[int, ...]], Fractio
     require_nondisturbing(b)
     found = _scan(b, cap)
     members = found.rows()
-    return (members, *_lp(b, found.possible, members))
+    return (members, *_lp(b, found.possible, members, found.shape))
 
 
 def noncontextual_weight(b: Behavior, cap: int | None = None) -> Fraction:
@@ -495,8 +547,19 @@ def noncontextual_weight(b: Behavior, cap: int | None = None) -> Fraction:
 
 
 def is_noncontextual(b: Behavior, cap: int | None = None) -> bool:
-    """True iff a single global distribution reproduces every context table."""
-    return noncontextual_weight(b, cap) == 1
+    """True iff a single global distribution reproduces every context table.
+
+    On a dichotomic cycle the n-cycle inequalities decide, after the cap
+    check and with no support scan; elsewhere the LP does.
+
+    :raises NotNondisturbing: if b's overlapping marginals disagree.
+    """
+    require_probabilistic(b)
+    require_nondisturbing(b)
+    if _dichotomic_cycle(*index_shape(b.scenario)):
+        _check_cap(b.scenario, cap)
+        return _facets_hold(b)
+    return _nc(b, _scan(b, cap))
 
 
 def global_distribution(
@@ -523,7 +586,8 @@ def hierarchy(b: Behavior, cap: int | None = None, level: str = "all") -> Hierar
     level is one of "nd", "nc", "lc", "sc", "all". Nondisturbance is always
     checked first; if it fails, every later flag is undefined (None). Flags
     outside the requested level stay None. The rest is read off one support
-    scan, and the LP runs only if no LC witness already rules out nc.
+    scan. nc is False when an LC witness exists; otherwise the n-cycle
+    inequalities decide it on a dichotomic cycle, and the LP elsewhere.
     """
     if level not in ("nd", "nc", "lc", "sc", "all"):
         raise InvalidArgument(f"unknown level {level!r}")
@@ -534,7 +598,7 @@ def hierarchy(b: Behavior, cap: int | None = None, level: str = "all") -> Hierar
     witness = _witness(b.scenario, found.possible, found.covered)
     nc = lc = sc = None
     if level in ("nc", "all"):
-        nc = witness is None and _lp(b, found.possible, found.rows())[0] == 1
+        nc = witness is None and _nc(b, found)
     if level in ("lc", "all"):
         lc = witness is not None
     if level in ("sc", "all"):

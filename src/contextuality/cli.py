@@ -24,7 +24,7 @@ from .behavior import (
 )
 from .bundle import build_bundle
 from .classical import hierarchy
-from .errors import ContextualityError, EnumerationCapExceeded, InvalidArgument, InvalidBehavior, NotCycle
+from .errors import LONG_PATH, ContextualityError, EnumerationCapExceeded, InvalidArgument, InvalidBehavior, NotCycle, shown
 from .fixtures import FIXTURES, fixture
 from .inequality import evaluate_all
 from .paradox import detect_cycle_paradox, detect_simple_scenario_paradox
@@ -211,6 +211,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _os_message(e: OSError) -> str:
+    """str(e), with a file name past LONG_PATH characters cut by shown."""
+    text = str(e)
+    for name in (e.filename, e.filename2):
+        if isinstance(name, str) and len(name) > LONG_PATH:
+            text = text.replace(repr(name), shown(name, LONG_PATH))
+    return text
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -223,8 +232,11 @@ def run(argv=None) -> int:
     except EnumerationCapExceeded as e:
         print(f"ctx: {e}", file=sys.stderr)
         return 2
-    except (ContextualityError, OSError) as e:
+    except ContextualityError as e:
         print(f"ctx: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:
+        print(f"ctx: {_os_message(e)}", file=sys.stderr)
         return 3
     except Exception as e:
         print(f"ctx: internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -7,14 +7,19 @@ specific classes below for failed preconditions of individual algorithms.
 """
 
 
-def shown(value) -> str:
+# A file path up to this many characters is echoed whole; a longer one is cut
+# by shown to this many.
+LONG_PATH = 160
+
+
+def shown(value, limit: int = 80) -> str:
     """value as an error message echoes it: repr for a string, str otherwise,
-    cut to 80 characters and followed by its full length when longer, so
+    cut to limit characters and followed by its full length when longer, so
     input of any length makes a short message."""
     text = repr(value) if isinstance(value, str) else str(value)
-    if len(text) <= 80:
+    if len(text) <= limit:
         return text
-    return f"{text[:80]}... ({len(text)} characters)"
+    return f"{text[:limit]}... ({len(text)} characters)"
 
 
 class ContextualityError(Exception):

@@ -7,11 +7,15 @@ classical polytope is cut out by the family
     sum_i g_i E_i <= n - 2,   g_i = +-1 with an odd number of -1 entries.
 
 The family is complete for nondisturbing dichotomic cycles: a behavior is
-noncontextual exactly when every member holds. Maximizing the left side
-over valid sign vectors has a closed form, so evaluate_all reports the
-tight member and its value exactly, in rational arithmetic. The maximal
-quantum value has a known closed form in n as well (the n=4 case is
-Tsirelson's 2*sqrt(2)).
+noncontextual exactly when every member holds (Araujo et al., PRA 88,
+022118, 2013). Maximizing the left side over valid sign vectors has a
+closed form, tight_member: sum_i |E_i|, less 2 min_i |E_i| when the signs
+of the E_i hold an even number of -1 entries. It runs on integer
+correlators over one common scale, which keeps every sign and tie, so
+evaluate_all reports the tight member and its value exactly with one
+Fraction, and classical decides nc on dichotomic cycles with the same sum
+in place of the LP. The maximal quantum value has a known closed form in n
+as well (the n=4 case is Tsirelson's 2*sqrt(2)).
 """
 from __future__ import annotations
 
@@ -111,32 +115,55 @@ class ViolationReport:
         }
 
 
-def evaluate_all(b: Behavior) -> ViolationReport:
-    """Maximize over the whole family in closed form.
+def tight_member(tables) -> tuple[int, int, list[int]]:
+    """(value, scale, signs) of the family member with the largest left side
+    on the tables of a dichotomic cycle, in stored context order; the left
+    side is value / scale.
 
     With free signs the maximum of sum g_i E_i is sum |E_i|, reached at
     g_i = sign(E_i). If that sign vector has an even number of -1 entries,
     the cheapest repair is flipping the sign at the smallest |E_i| (first
-    such index on ties), costing 2|E_i|; no valid vector does better.
+    such index on ties), costing 2|E_i|; no valid vector does better. Each
+    E_i is read as the integer E_i * scale, scale the lcm of the
+    denominators of p_i(0,0) and p_i(1,1): with p_i(0,0) = a/b and
+    p_i(1,1) = c/d, E_i * scale = 2 (a scale/b + c scale/d) - scale.
+    """
+    scale = math.lcm(*{t[k].denominator for t in tables for k in (0, 3)})
+    corr = [2 * (t[0].numerator * (scale // t[0].denominator) + t[3].numerator * (scale // t[3].denominator)) - scale
+            for t in tables]
+    size = list(map(abs, corr))
+    signs = [1 if e >= 0 else -1 for e in corr]
+    value = sum(size)
+    if signs.count(-1) % 2 == 0:
+        weakest = size.index(min(size))
+        signs[weakest] = -signs[weakest]
+        value -= 2 * size[weakest]
+    return value, scale, signs
+
+
+def evaluate_all(b: Behavior) -> ViolationReport:
+    """Maximize over the whole family in closed form (see tight_member).
 
     :raises NotCycle: if the scenario is not a single cycle.
     :raises NotNondisturbing: if the behavior disturbs.
+    :raises InvalidBehavior: if b is a PossibilisticBehavior.
+    :raises NonDichotomic: at the first measurement, in stored context
+        order, without exactly two outcomes.
     """
-    traverse_cycle(b.scenario)
+    s = b.scenario
+    traverse_cycle(s)
     require_nondisturbing(b)
-    n = len(b.scenario.contexts)
-    corr = [correlator(b, i + 1) for i in range(n)]
-    signs = [1 if e >= 0 else -1 for e in corr]
-    if signs.count(-1) % 2 == 0:
-        weakest = min(range(n), key=lambda i: abs(corr[i]))
-        signs[weakest] = -signs[weakest]
-    value = sum(g * e for g, e in zip(signs, corr))
+    require_probabilistic(b)
+    require_dichotomic(s, (m for c in s.contexts for m in c))
+    n = len(s.contexts)
+    value, scale, signs = tight_member(b.tables)
+    max_value = Fraction(value, scale)
     qb = quantum_bound(n)
     return ViolationReport(
-        max_value=value,
+        max_value=max_value,
         signs=tuple(signs),
         classical_bound=n - 2,
         quantum_bound=qb,
-        violates_classical=value > n - 2,
-        violates_quantum=float(value) > qb + 1e-12,
+        violates_classical=value > (n - 2) * scale,
+        violates_quantum=float(max_value) > qb + 1e-12,
     )

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -273,6 +274,17 @@ class OddCycleParams:
         return {"n": self.n, "eta": list(self.eta), "v3": list(self.v3), "thetas": list(self.thetas)}
 
 
+# Entries up to this size keep the squared norm of a 3-vector finite.
+_NORM_SAFE = math.sqrt(sys.float_info.max / 3)
+
+
+def _direction(v: tuple[float, float, float]) -> np.ndarray:
+    """The parameter direction v as an array, divided by its largest entry
+    when that entry would overflow the norm; the direction is the same."""
+    big = max(map(abs, v))
+    return np.array(v if big <= _NORM_SAFE else [x / big for x in v], dtype=float)
+
+
 def _unit(x: np.ndarray, degenerate: str) -> np.ndarray:
     """x normalized, or DegenerateParams(degenerate) if its norm vanishes."""
     norm = np.linalg.norm(x)
@@ -303,8 +315,8 @@ def _rotate(theta: float, axis: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _odd_vectors(params: OddCycleParams) -> tuple[list[np.ndarray], np.ndarray]:
     n = params.n
-    eta = _unit(np.array(params.eta, dtype=float), "state has vanishing norm")
-    v: dict[int, np.ndarray] = {3: _unit(np.array(params.v3, dtype=float), "v3 has vanishing norm")}
+    eta = _unit(_direction(params.eta), "state has vanishing norm")
+    v: dict[int, np.ndarray] = {3: _unit(_direction(params.v3), "v3 has vanishing norm")}
     if abs(np.dot(v[3], eta)) < 1e-9:
         raise DegenerateParams("v3 is orthogonal to the state")
     v[4] = _gram_schmidt(eta, v[3], "v3's partner")

@@ -19,7 +19,8 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ContextualityError, InvalidArgument, InvalidScenario, NonDichotomic, NonSimpleScenario, NotCycle, shown
+from .errors import LONG_PATH, ContextualityError, InvalidArgument, InvalidScenario, NonDichotomic, NonSimpleScenario, NotCycle
+from .errors import shown
 
 DEFAULT_CAP = 1 << 24
 
@@ -157,15 +158,21 @@ class Scenario:
 
 
 def read_json(path: str, error: type[ContextualityError]):
-    """The JSON value in the file at path; error, naming path, if path holds NUL
-    or the file is not UTF-8 JSON within the parser's nesting and digit limits."""
+    """The JSON value in the file at path; error, naming path (cut by shown
+    past LONG_PATH characters), if path holds NUL or the file is not UTF-8
+    JSON within the parser's nesting and digit limits."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except RecursionError:
-        raise error(f"{path}: JSON nests too deeply to parse") from None
+        raise error(f"{_named(path)}: JSON nests too deeply to parse") from None
     except ValueError as e:  # open's NUL check, UnicodeDecodeError, JSONDecodeError, int digits
-        raise error(f"{path}: cannot read JSON: {e}") from None
+        raise error(f"{_named(path)}: cannot read JSON: {e}") from None
+
+
+def _named(path) -> str:
+    name = str(path)
+    return name if len(name) <= LONG_PATH else shown(name, LONG_PATH)
 
 
 def load_scenario(path: str) -> Scenario:

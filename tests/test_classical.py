@@ -17,18 +17,25 @@ from hypothesis import strategies as st
 from contextuality import (
     Behavior,
     EnumerationCapExceeded,
+    EvenCycleParams,
+    OddCycleParams,
     GlobalAssignment,
     HierarchyReport,
     NotNondisturbing,
     PossibilisticBehavior,
     Scenario,
+    behavior_from_json_dict,
+    behavior_to_json_dict,
     build_bundle,
+    build_even_cycle,
+    build_odd_cycle,
     check_possibilistic_nd,
     collapse,
     contextual_fraction,
     default_cap,
     deterministic_behavior,
     enumeration_size,
+    evaluate_all,
     fixture,
     global_distribution,
     hierarchy,
@@ -322,10 +329,23 @@ class TestHierarchy:
             hierarchy(b, level="all")
             assert calls == {"scan": 1, "nd": 1}
 
+    def test_shape_is_read_once(self, monkeypatch):
+        """hierarchy reads index_shape once, in its scan, and hands it to the
+        shape rule and the LP (check_nondisturbance reads its own)."""
+        calls = []
+        real = classical.index_shape
+        monkeypatch.setattr(classical, "index_shape", lambda s: calls.append(s) or real(s))
+        bell32 = random_nd_coupling(make_bipartite_bell(3, 2), random.Random(5))
+        for b in (HARDY, BELL, bell32):
+            calls.clear()
+            hierarchy(b, level="all")
+            assert len(calls) == 1
+
     @pytest.mark.parametrize("level", ["nc", "all"])
     def test_lc_witness_decides_nc_without_the_lp(self, monkeypatch, level):
-        """LC implies contextual, so an LC behavior needs no LP; a behavior
-        without a witness still gets exactly one."""
+        """LC implies contextual, so an LC behavior needs no LP; neither does
+        a dichotomic cycle (BELL), which the n-cycle inequalities decide; a
+        witness-free behavior of any other shape still gets exactly one."""
         calls = []
         real = classical._lp
 
@@ -334,7 +354,10 @@ class TestHierarchy:
             return real(*args)
 
         monkeypatch.setattr(classical, "_lp", counted)
-        for b, lp_calls, nc in ((HARDY, 0, False), (PR, 0, False), (BELL, 1, True)):
+        bell32 = random_nd_coupling(make_bipartite_bell(3, 2), random.Random(5))  # weight 199/231
+        triangle3 = random_nd_coupling(make_n_cycle(3, 3), random.Random(1))
+        cases = ((HARDY, 0, False), (PR, 0, False), (BELL, 0, True), (bell32, 1, False), (triangle3, 1, True))
+        for b, lp_calls, nc in cases:
             calls.clear()
             assert hierarchy(b, level=level).nc is nc
             assert len(calls) == lp_calls
@@ -908,7 +931,7 @@ class TestTwinFreeLP:
         sizes = lp_sizes(monkeypatch)
         s, rng = make_n_cycle(18), random.Random(18)
         b = deterministic_behavior(s, {m: rng.choice("01") for m in s.measurements})
-        assert hierarchy(b).nc is True
+        assert noncontextual_weight(b) == 1
         assert sizes == [(1, 1)]
 
     @pytest.mark.parametrize("scenario", [make_n_cycle(6, 3), make_n_cycle(5, 2), make_bipartite_bell(3, 3)])
@@ -924,3 +947,173 @@ class TestTwinFreeLP:
         assert len(full_lp(b)[1]) == len(scenario.contexts) * k
         assert global_distribution(b) is not None
         assert sizes == [(k, k)]
+
+
+# ======================================================================
+# 8. nc on dichotomic cycles by the n-cycle inequalities
+# ======================================================================
+
+
+def restored(b: Behavior, rng: random.Random) -> Behavior:
+    """b with its measurements, its contexts and the two measurements of
+    each context stored in a shuffled order."""
+    data = behavior_to_json_dict(b)
+    rng.shuffle(data["scenario"]["measurements"])
+    contexts = [rng.sample(c, len(c)) for c in data["scenario"]["contexts"]]
+    rng.shuffle(contexts)
+    data["scenario"]["contexts"] = contexts
+    return behavior_from_json_dict(data)
+
+
+def correlated(s: Scenario, correlators: list[int]) -> Behavior:
+    """The behavior of the cycle s with uniform marginals and correlator
+    correlators[i] (+1 or -1) on context i: a PR box when the -1 entries
+    are odd in number."""
+    half = Fraction(1, 2)
+    same, differ = (half, 0, 0, half), (0, half, half, 0)
+    return Behavior(s, tuple(tuple(map(Fraction, same if e == 1 else differ)) for e in correlators))
+
+
+def facet_vertex(n: int, signs: list[int], broken: int, first: str) -> dict[str, str]:
+    """The deterministic assignment of make_n_cycle(n) with correlator
+    signs[i] on every context i but the broken one, where it is -signs[i]:
+    it saturates the member with these signs (odd count of -1)."""
+    values = [first]
+    for i in range(n - 1):
+        e = -signs[i] if i == broken else signs[i]
+        values.append(values[-1] if e == 1 else "10"[int(values[-1])])
+    return {f"M{i + 1}": v for i, v in enumerate(values)}
+
+
+def odd_signs(n: int, rng: random.Random) -> list[int]:
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    if signs.count(-1) % 2 == 0:
+        signs[rng.randrange(n)] *= -1
+    return signs
+
+
+def boundary_draws(rng: random.Random):
+    """(behavior, exactly nc) on dichotomic cycles at or beside the facet
+    bound n - 2: mixtures of vertices saturating one member (value n - 2,
+    nc), and, for n <= 7 (white noise puts every assignment in the LP's
+    support), a PR box mixed with white noise at, just below and just above
+    weight (n - 2) / n."""
+    for n in range(3, 13):
+        s = make_n_cycle(n)
+        signs = odd_signs(n, rng)
+        weights = [Fraction(rng.randint(1, 9)) for _ in range(rng.randint(1, 4))]
+        parts = [
+            deterministic_behavior(s, facet_vertex(n, signs, rng.randrange(n), rng.choice("01")))
+            for _ in weights
+        ]
+        tables = tuple(
+            tuple(sum(w * t[cell] for w, t in zip(weights, ts)) / sum(weights) for cell in range(4))
+            for ts in zip(*(part.tables for part in parts))
+        )
+        yield Behavior(s, tables), True
+        if n > 7:
+            continue
+        pr, noise = correlated(s, signs), uniform_like(deterministic_behavior(s, {m: "0" for m in s.measurements}))
+        for shift, nc in ((0, True), (Fraction(-1, 1000), True), (Fraction(1, 1000), False)):
+            yield mix(Fraction(n - 2, n) + shift, pr, noise), nc
+
+
+def facet_draws(rng: random.Random):
+    """Behaviors of dichotomic cycles (n = 3..12 and Bell (2,2)) from every
+    source: couplings, mixtures with and without a PR box, the quantum
+    builders and the five fixtures."""
+    scenarios = [make_n_cycle(n) for n in range(3, 13)] + [make_bipartite_bell(2, 2)]
+    for s in scenarios:
+        for components in (1, 2, 3):
+            yield random_nd_coupling(s, rng, components)
+        yield random_nd_mixture(s, rng, rng.randint(1, 4))
+        yield random_nd_mixture(s, rng, rng.randint(0, 3), include_pr=True)
+        yield random_nd_mixture(s, rng, rng.randint(0, 3), include_pr=True)
+    for n in (4, 6, 8):
+        yield build_even_cycle(EvenCycleParams(n, rng.uniform(0.1, 0.7)))[1]
+    for n in (5, 7, 9):
+        thetas = tuple(rng.uniform(0.5, 2.5) for _ in range((n - 3) // 2))
+        yield build_odd_cycle(OddCycleParams(n, (0.3, -0.2, 0.9), (0.5, 0.8, -0.1), thetas))[1]
+    for name in ("bell", "hardy", "pr-box", "cabello5", "hardy4"):
+        yield fixture(name)
+
+
+class TestCycleFacets:
+    """On a dichotomic cycle, hierarchy and is_noncontextual decide nc by the
+    n-cycle inequalities; the exact LP (noncontextual_weight) and scipy's
+    float LP referee every verdict."""
+
+    @staticmethod
+    def verdicts(b: Behavior) -> tuple[bool, bool, bool]:
+        return hierarchy(b).nc, hierarchy(b, level="nc").nc, is_noncontextual(b)
+
+    def test_matches_the_lp(self):
+        rng = random.Random(2013)
+        counts = {True: 0, False: 0}
+        for draw, b in enumerate(facet_draws(rng)):
+            nc = noncontextual_weight(b) == 1
+            if len(b.scenario.contexts) <= 9:
+                assert (abs(oracle.linprog_noncontextual_weight(b) - 1) < 1e-7) == nc, draw
+            for x in (b, restored(b, rng)):
+                assert classical._dichotomic_cycle(*index_shape(x.scenario)), draw
+                assert self.verdicts(x) == (nc, nc, nc), draw
+            counts[nc] += 1
+        assert min(counts.values()) >= 15, counts
+
+    def test_facet_boundary_is_noncontextual(self):
+        rng = random.Random(88)
+        for draw, (b, nc) in enumerate(boundary_draws(rng)):
+            n = len(b.scenario.contexts)
+            if nc:
+                assert evaluate_all(b).max_value <= n - 2, draw
+            for x in (b, restored(b, rng)):
+                assert (noncontextual_weight(x) == 1) == nc, draw
+                assert self.verdicts(x) == (nc, nc, nc), draw
+        values = [evaluate_all(b).max_value - (len(b.scenario.contexts) - 2) for b, _ in boundary_draws(random.Random(88))]
+        assert values.count(0) >= 15, values
+
+    def test_the_lp_runs_only_off_the_cycle_shapes(self, monkeypatch):
+        rng = random.Random(7)
+        draws = [x for b in facet_draws(rng) for x in (b, restored(b, rng))]
+        draws += [b for b, _ in boundary_draws(rng)]
+        calls = []
+        real = classical._lp
+        monkeypatch.setattr(classical, "_lp", lambda *args: calls.append(1) or real(*args))
+        for b in draws:
+            self.verdicts(b)
+        assert calls == []
+        triangle3 = random_nd_coupling(make_n_cycle(3, 3), random.Random(1))
+        bell32 = random_nd_coupling(make_bipartite_bell(3, 2), random.Random(5))
+        for b in (triangle3, bell32):
+            assert classical.logical_contextuality_witness(b) is None
+            for decide in (lambda: hierarchy(b).nc, lambda: hierarchy(b, level="nc").nc, lambda: is_noncontextual(b)):
+                calls.clear()
+                decide()
+                assert len(calls) == 1
+
+    def test_shape_rule(self):
+        def rule(s: Scenario) -> bool:
+            return classical._dichotomic_cycle(*index_shape(s))
+
+        assert all(rule(make_n_cycle(n)) for n in (3, 4, 5, 18, 40))
+        assert rule(make_bipartite_bell(2, 2))
+        assert not any(rule(s) for s in (make_n_cycle(3, 3), make_n_cycle(6, 3), make_bipartite_bell(3, 2)))
+        assert not rule(make_bipartite_bell(2, 3))
+        names = [f"X{i}" for i in range(6)]
+        two_triangles = Scenario(
+            tuple(names), {m: ("0", "1") for m in names},
+            ((names[0], names[1]), (names[1], names[2]), (names[2], names[0]),
+             (names[3], names[4]), (names[4], names[5]), (names[5], names[3])),
+        )
+        assert not rule(two_triangles)
+        path = Scenario(tuple(names[:3]), {m: ("0", "1") for m in names[:3]}, ((names[0], names[1]), (names[1], names[2])))
+        assert not rule(path)
+        for b in (HARDY, PR, BELL):
+            assert rule(b.scenario)
+
+    def test_eighteen_cycle_coupling_skips_the_1566_column_lp(self, monkeypatch):
+        b = random_nd_coupling(make_n_cycle(18), random.Random(0))
+        monkeypatch.setattr(classical, "_lp", lambda *args: pytest.fail("the LP ran"))
+        report = hierarchy(b)
+        assert (report.nc, report.logically_contextual, report.support_size) == (True, False, 1566)
+        assert is_noncontextual(b)

@@ -179,6 +179,36 @@ class TestCheck:
         err = capsys.readouterr().err
         assert len(err.encode()) < 1024 and " characters)" in err, err[:200]
 
+    def test_megabyte_scenario_path_is_echoed_short(self, capsys, tmp_path):
+        # the scenario's file name is too long to open: the OSError names it
+        payload = behavior_to_json_dict(fixture("bell"))
+        payload["scenario"] = "s" * 1_000_000
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(payload))
+        assert run(["check", "--behavior", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300 and err.count("\n") == 1 and " characters)" in err, err[:400]
+
+    def test_long_readable_path_is_echoed_short(self, capsys, tmp_path):
+        folder = tmp_path
+        for k in range(4):
+            folder = folder / (str(k) * 100)
+        folder.mkdir(parents=True)
+        path = folder / "broken.json"
+        path.write_text("{not json")
+        assert run(["check", "--behavior", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ctx: '") and len(err.encode()) < 300 and "cannot read JSON" in err, err
+
+    def test_short_paths_are_echoed_whole(self, capsys, tmp_path):
+        missing = tmp_path / "nope.json"
+        assert run(["check", "--behavior", str(missing)]) == 3
+        assert capsys.readouterr().err == f"ctx: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        assert run(["check", "--behavior", str(broken)]) == 3
+        assert capsys.readouterr().err.startswith(f"ctx: {broken}: cannot read JSON: ")
+
     @pytest.mark.parametrize("command", [["check"], ["pp", "find"]])
     @pytest.mark.parametrize(
         "entry",
@@ -417,6 +447,21 @@ class TestQuantum:
     )
     def test_bad_parameters_exit_3(self, capsys, argv):
         assert run(argv) == 3
+
+    @pytest.mark.parametrize("unit,scale", [("1", "1e200"), ("1", "1e308"), ("-1", "-1e308")])
+    def test_huge_directions_give_the_unit_tables(self, capsys, tmp_path, unit, scale):
+        # eta and v3 are directions: scaling them changes nothing, even past
+        # the range where their squared norm overflows
+        tables = []
+        for x in (unit, scale):
+            eta, v3 = ",".join([x] * 3), f"{x},{x},0"
+            out = tmp_path / "q.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["quantum", "ncycle", "--n", "5", f"--eta={eta}", f"--v3={v3}", "--out", str(out)]) == 0
+            tables.append(out.read_text())
+        assert tables[0] == tables[1]
+        assert capsys.readouterr().err == ""
 
 
 class TestGamma:
