@@ -11,12 +11,13 @@ a global distribution whose marginals reproduce every context table. On a
 dichotomic n-cycle (every measurement two-valued, every context a pair, the
 pairs one cycle, n >= 3; Bell (2,2) is the 4-cycle) the 2^(n-1) n-cycle
 inequalities are complete for nondisturbing behaviors (Araujo et al., PRA
-88, 022118, 2013), so hierarchy and is_noncontextual decide existence with
-their closed-form maximum, inequality.tight_member: one integer sum over the
-contexts. Every other shape, and every question that needs a value or a
-vertex (noncontextual_weight, contextual_fraction, global_distribution),
-solves one exact rational LP, whose optimum also yields the contextual
-fraction.
+88, 022118, 2013), so hierarchy decides existence there with their
+closed-form maximum, inequality.tight_member: one integer sum over the
+contexts. The shape test reads scenario.traverse_cycle's cached walk. Every
+other shape, is_noncontextual (the definition, and the LP that referees the
+inequalities), and every question that needs a value or a vertex
+(noncontextual_weight, contextual_fraction, global_distribution) solve one
+exact rational LP, whose optimum also yields the contextual fraction.
 
 Every question reads the support through _scan, which first checks the
 assignment count against the enumeration cap. Measurements are placed one at
@@ -48,10 +49,10 @@ from typing import Callable, NamedTuple
 from . import simplex
 from .behavior import AnyBehavior, Behavior, check_nondisturbance, joint_outcomes
 from .behavior import require_nondisturbing, require_probabilistic
-from .errors import EnumerationCapExceeded, InvalidArgument
+from .errors import EnumerationCapExceeded, InvalidArgument, NotCycle
 from .inequality import tight_member
 from .lazy import Deferred
-from .scenario import Scenario, default_cap, index_shape, resolve_cap  # default_cap is re-exported
+from .scenario import Scenario, default_cap, index_shape, resolve_cap, traverse_cycle  # default_cap is re-exported
 
 np = Deferred("numpy", globals(), "np")
 
@@ -439,7 +440,7 @@ def is_logically_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
 
 
 def _lp(
-    b: Behavior, possible: list[set[int]], members: list[tuple[int, ...]], shape: tuple | None = None
+    b: Behavior, possible: list[set[int]], members: list[tuple[int, ...]], shape: tuple
 ) -> tuple[Fraction, list[Fraction]]:
     """Maximize the total weight of a subnormalized global distribution whose
     context marginals are dominated by b's tables.
@@ -463,9 +464,9 @@ def _lp(
     So the twin's slack never leaves, integer pivots never read its row, and
     the pivots and (value, x) are the full LP's. A dropped twin's dual is 0.
 
-    shape is b's index_shape, computed here when not given.
+    shape is b's index_shape.
     """
-    radices, ctx_positions = shape or index_shape(b.scenario)
+    radices, ctx_positions = shape
     kept: dict[frozenset, tuple[tuple[int, int], int, int]] = {}  # pattern -> ((ci, cell), num, den)
     for ci, (table, positions, cells) in enumerate(zip(b.tables, ctx_positions, possible)):
         hit: dict[int, list[int]] = {}  # cell -> the members restricting to it
@@ -487,41 +488,24 @@ def _lp(
     return simplex.maximize([1] * n, [row for *_, row in rows], [num for _, num, _ in rows])
 
 
-@lru_cache(maxsize=256)
-def _dichotomic_cycle(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]) -> bool:
-    """True when every measurement has 2 outcomes, every context is a pair,
-    and the pairs form one cycle through all n >= 3 measurements: the shapes
-    where the n-cycle inequalities decide nc."""
-    n = len(radices)
-    if n < 3 or len(ctx_positions) != n or set(radices) != {2} or any(len(p) != 2 for p in ctx_positions):
+def _dichotomic_cycle(s: Scenario) -> bool:
+    """True when the pairs of s form one cycle through all n >= 3
+    measurements and every measurement has 2 outcomes: the shapes where the
+    n-cycle inequalities decide nc."""
+    try:
+        traverse_cycle(s)
+    except NotCycle:
         return False
-    neighbours: list[list[int]] = [[] for _ in radices]
-    for u, v in ctx_positions:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    if any(len(x) != 2 for x in neighbours):
-        return False
-    prev, q = 0, neighbours[0][0]
-    for length in range(1, n + 1):  # walk on until the cycle through 0 closes
-        if q == 0:
-            return length == n
-        prev, q = q, neighbours[q][neighbours[q][0] == prev]
-    return False
-
-
-def _facets_hold(b: Behavior) -> bool:
-    """True iff every n-cycle inequality holds on b, a nondisturbing
-    behavior of a dichotomic cycle shape; there, exactly when b is
-    noncontextual."""
-    value, scale, _ = tight_member(b.tables)
-    return value <= (len(b.tables) - 2) * scale
+    return all(len(s.outcomes[m]) == 2 for m in s.measurements)
 
 
 def _nc(b: Behavior, found: _Support) -> bool:
     """Whether the nondisturbing b, with support found, is noncontextual:
-    by the n-cycle inequalities where they are complete, else by the LP."""
-    if _dichotomic_cycle(*found.shape):
-        return _facets_hold(b)
+    on a dichotomic cycle, iff every n-cycle inequality holds (they are
+    complete there); elsewhere, iff the LP's optimum is 1."""
+    if _dichotomic_cycle(b.scenario):
+        value, scale, _ = tight_member(b.tables)
+        return value <= (len(b.tables) - 2) * scale
     return _lp(b, found.possible, found.rows(), found.shape)[0] == 1
 
 
@@ -547,19 +531,12 @@ def noncontextual_weight(b: Behavior, cap: int | None = None) -> Fraction:
 
 
 def is_noncontextual(b: Behavior, cap: int | None = None) -> bool:
-    """True iff a single global distribution reproduces every context table.
-
-    On a dichotomic cycle the n-cycle inequalities decide, after the cap
-    check and with no support scan; elsewhere the LP does.
+    """True iff a single global distribution reproduces every context table:
+    the LP's optimum is 1.
 
     :raises NotNondisturbing: if b's overlapping marginals disagree.
     """
-    require_probabilistic(b)
-    require_nondisturbing(b)
-    if _dichotomic_cycle(*index_shape(b.scenario)):
-        _check_cap(b.scenario, cap)
-        return _facets_hold(b)
-    return _nc(b, _scan(b, cap))
+    return noncontextual_weight(b, cap) == 1
 
 
 def global_distribution(

@@ -24,7 +24,7 @@ from .behavior import (
 )
 from .bundle import build_bundle
 from .classical import hierarchy
-from .errors import LONG_PATH, ContextualityError, EnumerationCapExceeded, InvalidArgument, InvalidBehavior, NotCycle, shown
+from .errors import ContextualityError, EnumerationCapExceeded, InvalidArgument, InvalidBehavior, NotCycle, shown_path
 from .fixtures import FIXTURES, fixture
 from .inequality import evaluate_all
 from .paradox import detect_cycle_paradox, detect_simple_scenario_paradox
@@ -212,11 +212,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _os_message(e: OSError) -> str:
-    """str(e), with a file name past LONG_PATH characters cut by shown."""
+    """str(e), with each file name in it as shown_path names it; a name short
+    enough to keep whole keeps its quotes."""
     text = str(e)
     for name in (e.filename, e.filename2):
-        if isinstance(name, str) and len(name) > LONG_PATH:
-            text = text.replace(repr(name), shown(name, LONG_PATH))
+        if isinstance(name, str) and (cut := shown_path(name)) != name:
+            text = text.replace(repr(name), cut)
     return text
 
 

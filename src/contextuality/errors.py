@@ -8,7 +8,7 @@ specific classes below for failed preconditions of individual algorithms.
 
 
 # A file path up to this many characters is echoed whole; a longer one is cut
-# by shown to this many.
+# by shown to this many (shown_path).
 LONG_PATH = 160
 
 
@@ -20,6 +20,13 @@ def shown(value, limit: int = 80) -> str:
     if len(text) <= limit:
         return text
     return f"{text[:limit]}... ({len(text)} characters)"
+
+
+def shown_path(path) -> str:
+    """A file path as an error message names it: whole up to LONG_PATH
+    characters, cut by shown past that."""
+    name = str(path)
+    return name if len(name) <= LONG_PATH else shown(name, LONG_PATH)
 
 
 class ContextualityError(Exception):

@@ -276,19 +276,22 @@ class OddCycleParams:
 
 # Entries up to this size keep the squared norm of a 3-vector finite.
 _NORM_SAFE = math.sqrt(sys.float_info.max / 3)
+# A norm below this vanishes.
+_NORM_FLOOR = 1e-9
 
 
 def _direction(v: tuple[float, float, float]) -> np.ndarray:
     """The parameter direction v as an array, divided by its largest entry
-    when that entry would overflow the norm; the direction is the same."""
+    when that entry would overflow the norm or is nonzero and below
+    _NORM_FLOOR; the direction is the same. An all-zero v is kept."""
     big = max(map(abs, v))
-    return np.array(v if big <= _NORM_SAFE else [x / big for x in v], dtype=float)
+    return np.array(v if big == 0 or _NORM_FLOOR <= big <= _NORM_SAFE else [x / big for x in v], dtype=float)
 
 
 def _unit(x: np.ndarray, degenerate: str) -> np.ndarray:
     """x normalized, or DegenerateParams(degenerate) if its norm vanishes."""
     norm = np.linalg.norm(x)
-    if norm < 1e-9:
+    if norm < _NORM_FLOOR:
         raise DegenerateParams(degenerate)
     return x / norm
 

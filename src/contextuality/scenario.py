@@ -17,10 +17,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
-from .errors import LONG_PATH, ContextualityError, InvalidArgument, InvalidScenario, NonDichotomic, NonSimpleScenario, NotCycle
-from .errors import shown
+from .errors import ContextualityError, InvalidArgument, InvalidScenario, NonDichotomic, NonSimpleScenario, NotCycle
+from .errors import shown, shown_path
 
 DEFAULT_CAP = 1 << 24
 
@@ -158,21 +159,16 @@ class Scenario:
 
 
 def read_json(path: str, error: type[ContextualityError]):
-    """The JSON value in the file at path; error, naming path (cut by shown
-    past LONG_PATH characters), if path holds NUL or the file is not UTF-8
-    JSON within the parser's nesting and digit limits."""
+    """The JSON value in the file at path; error, naming path (by shown_path),
+    if path holds NUL or the file is not UTF-8 JSON within the parser's
+    nesting and digit limits."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except RecursionError:
-        raise error(f"{_named(path)}: JSON nests too deeply to parse") from None
+        raise error(f"{shown_path(path)}: JSON nests too deeply to parse") from None
     except ValueError as e:  # open's NUL check, UnicodeDecodeError, JSONDecodeError, int digits
-        raise error(f"{_named(path)}: cannot read JSON: {e}") from None
-
-
-def _named(path) -> str:
-    name = str(path)
-    return name if len(name) <= LONG_PATH else shown(name, LONG_PATH)
+        raise error(f"{shown_path(path)}: cannot read JSON: {e}") from None
 
 
 def load_scenario(path: str) -> Scenario:
@@ -316,6 +312,8 @@ def traverse_cycle(s: Scenario) -> tuple[tuple[int, tuple[str, str]], ...]:
     Returns the traversal as ((context position, (u, v)), ...) of length n,
     starting from the first stored context in its stored orientation and
     walking the cycle until it closes. Positions index into s.contexts.
+    The walk is cached by (measurements, contexts), so outcomes play no
+    part; scenarios that fail the count test are never cached.
 
     :raises NotCycle: if the graph is not a single cycle covering all
         measurements (every vertex degree 2, n contexts, connected).
@@ -323,25 +321,34 @@ def traverse_cycle(s: Scenario) -> tuple[tuple[int, tuple[str, str]], ...]:
     n = len(s.measurements)
     if len(s.contexts) != n or n < 3 or not s.is_simple:
         raise NotCycle(f"need n measurements and n 2-element contexts, got {len(s.contexts)} contexts on {n}")
-    incident: dict[str, list[int]] = {m: [] for m in s.measurements}
-    for pos, (u, v) in enumerate(s.contexts):
+    walk = _cycle_walk(s.measurements, s.contexts)
+    if isinstance(walk, str):
+        raise NotCycle(walk)
+    return walk
+
+
+@lru_cache(maxsize=256)
+def _cycle_walk(
+    measurements: tuple[str, ...], contexts: tuple[tuple[str, str], ...]
+) -> tuple[tuple[int, tuple[str, str]], ...] | str:
+    """traverse_cycle's walk over n pairs on n >= 3 measurements, or the
+    NotCycle message when the pairs are not one cycle."""
+    incident: dict[str, list[int]] = {m: [] for m in measurements}
+    for pos, (u, v) in enumerate(contexts):
         incident[u].append(pos)
         incident[v].append(pos)
     for m, lst in incident.items():
         if len(lst) != 2:
-            raise NotCycle(f"measurement {shown(m)} lies in {len(lst)} contexts, need exactly 2")
-    order: list[tuple[int, tuple[str, str]]] = []
-    pos, (u, v) = 0, s.contexts[0]
-    prev_pos = 0
-    order.append((0, (u, v)))
-    cur = v
-    for _ in range(n - 1):
+            return f"measurement {shown(m)} lies in {len(lst)} contexts, need exactly 2"
+    u, cur = contexts[0]
+    order, prev_pos = [(0, (u, cur))], 0
+    for _ in range(len(measurements) - 1):
         nxt_pos = incident[cur][0] if incident[cur][1] == prev_pos else incident[cur][1]
-        a, b = s.contexts[nxt_pos]
+        a, b = contexts[nxt_pos]
         w = b if a == cur else a
         order.append((nxt_pos, (cur, w)))
         prev_pos = nxt_pos
         cur = w
-    if cur != u or len({p for p, _ in order}) != n:
-        raise NotCycle("compatibility graph is not one single cycle")
+    if cur != u or len({p for p, _ in order}) != len(measurements):
+        return "compatibility graph is not one single cycle"
     return tuple(order)

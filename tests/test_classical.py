@@ -922,7 +922,7 @@ class TestTwinFreeLP:
                 continue
             sizes.clear()
             found = classical._scan(b, None)
-            assert classical._lp(b, found.possible, found.rows()) == oracle.ref_maximize(c, rows, rhs)
+            assert classical._lp(b, found.possible, found.rows(), found.shape) == oracle.ref_maximize(c, rows, rhs)
             assert sizes[0][1] == len(c) and sizes[0][0] <= len(rows)
             collapsed += sizes[0][0] < len(rows)
         assert collapsed >= 20, collapsed
@@ -1039,9 +1039,9 @@ def facet_draws(rng: random.Random):
 
 
 class TestCycleFacets:
-    """On a dichotomic cycle, hierarchy and is_noncontextual decide nc by the
-    n-cycle inequalities; the exact LP (noncontextual_weight) and scipy's
-    float LP referee every verdict."""
+    """On a dichotomic cycle, hierarchy decides nc by the n-cycle
+    inequalities; the exact LP (is_noncontextual, noncontextual_weight) and
+    scipy's float LP referee every verdict."""
 
     @staticmethod
     def verdicts(b: Behavior) -> tuple[bool, bool, bool]:
@@ -1055,7 +1055,7 @@ class TestCycleFacets:
             if len(b.scenario.contexts) <= 9:
                 assert (abs(oracle.linprog_noncontextual_weight(b) - 1) < 1e-7) == nc, draw
             for x in (b, restored(b, rng)):
-                assert classical._dichotomic_cycle(*index_shape(x.scenario)), draw
+                assert classical._dichotomic_cycle(x.scenario), draw
                 assert self.verdicts(x) == (nc, nc, nc), draw
             counts[nc] += 1
         assert min(counts.values()) >= 15, counts
@@ -1076,12 +1076,19 @@ class TestCycleFacets:
         rng = random.Random(7)
         draws = [x for b in facet_draws(rng) for x in (b, restored(b, rng))]
         draws += [b for b, _ in boundary_draws(rng)]
-        calls = []
-        real = classical._lp
+        calls, tight = [], []
+        real, real_tight = classical._lp, classical.tight_member
         monkeypatch.setattr(classical, "_lp", lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(classical, "tight_member", lambda *args: tight.append(1) or real_tight(*args))
         for b in draws:
-            self.verdicts(b)
+            hierarchy(b), hierarchy(b, level="nc")
         assert calls == []
+        tight.clear()
+        for b in draws:  # the referee solves the LP and never reads the inequalities
+            calls.clear()
+            is_noncontextual(b)
+            assert len(calls) == 1
+        assert tight == []
         triangle3 = random_nd_coupling(make_n_cycle(3, 3), random.Random(1))
         bell32 = random_nd_coupling(make_bipartite_bell(3, 2), random.Random(5))
         for b in (triangle3, bell32):
@@ -1093,7 +1100,7 @@ class TestCycleFacets:
 
     def test_shape_rule(self):
         def rule(s: Scenario) -> bool:
-            return classical._dichotomic_cycle(*index_shape(s))
+            return classical._dichotomic_cycle(s)
 
         assert all(rule(make_n_cycle(n)) for n in (3, 4, 5, 18, 40))
         assert rule(make_bipartite_bell(2, 2))
@@ -1116,4 +1123,4 @@ class TestCycleFacets:
         monkeypatch.setattr(classical, "_lp", lambda *args: pytest.fail("the LP ran"))
         report = hierarchy(b)
         assert (report.nc, report.logically_contextual, report.support_size) == (True, False, 1566)
-        assert is_noncontextual(b)
+        assert hierarchy(b, level="nc").nc is True

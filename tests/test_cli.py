@@ -448,10 +448,14 @@ class TestQuantum:
     def test_bad_parameters_exit_3(self, capsys, argv):
         assert run(argv) == 3
 
-    @pytest.mark.parametrize("unit,scale", [("1", "1e200"), ("1", "1e308"), ("-1", "-1e308")])
+    @pytest.mark.parametrize(
+        "unit,scale",
+        [("1", "1e200"), ("1", "1e308"), ("-1", "-1e308"), ("1", "1e-10"), ("1", "1e-200"), ("-1", "-5e-324")],
+    )
     def test_huge_directions_give_the_unit_tables(self, capsys, tmp_path, unit, scale):
         # eta and v3 are directions: scaling them changes nothing, even past
-        # the range where their squared norm overflows
+        # the range where their squared norm overflows, or below the norm
+        # floor down to the smallest subnormal
         tables = []
         for x in (unit, scale):
             eta, v3 = ",".join([x] * 3), f"{x},{x},0"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,25 @@ from contextuality import (
     make_n_cycle,
     traverse_cycle,
 )
+from contextuality import scenario
 from oracle import brute_induced_cycle_count
+
+
+NOT_CYCLES = {  # contexts -> traverse_cycle's NotCycle message
+    (("M1", "M2"), ("M2", "M3"), ("M2", "M4")): "need n measurements and n 2-element contexts, got 3 contexts on 4",
+    (("M1", "M2"), ("M2", "M3"), ("M3", "M4"), ("M4", "M1"), ("M1", "M3")):
+        "need n measurements and n 2-element contexts, got 5 contexts on 4",  # a chord
+    (("M1", "M2", "M3"), ("M3", "M4")): "need n measurements and n 2-element contexts, got 2 contexts on 4",
+    (("M1", "M2"), ("M2", "M3"), ("M2", "M4"), ("M3", "M4")): "measurement 'M1' lies in 1 contexts, need exactly 2",
+    (("M1", "M2"), ("M2", "M3"), ("M3", "M1"), ("M4", "M5"), ("M5", "M6"), ("M6", "M4")):
+        "compatibility graph is not one single cycle",  # two disjoint triangles
+}
+
+
+def dichotomic(contexts) -> Scenario:
+    """The scenario of two-outcome measurements, in label order, on contexts."""
+    names = tuple(sorted({m for c in contexts for m in c}))
+    return Scenario(names, {m: ("0", "1") for m in names}, contexts)
 
 
 def square_with_chord() -> Scenario:
@@ -291,16 +310,20 @@ class TestTraverseCycle:
         order = traverse_cycle(s)
         assert order[0] == (0, ("Y", "X"))
 
-    @pytest.mark.parametrize(
-        "contexts",
-        [
-            (("M1", "M2"), ("M2", "M3"), ("M2", "M4")),  # tree
-            (("M1", "M2"), ("M2", "M3"), ("M3", "M4"), ("M4", "M1"), ("M1", "M3")),  # chord
-            (("M1", "M2", "M3"), ("M3", "M4")),  # non-simple
-        ],
-    )
+    @pytest.mark.parametrize("contexts", list(NOT_CYCLES))
     def test_rejects_non_cycles(self, contexts):
-        names = ("M1", "M2", "M3", "M4")
-        s = Scenario(names, {m: ("0", "1") for m in names}, contexts)
-        with pytest.raises(NotCycle):
-            traverse_cycle(s)
+        s = dichotomic(contexts)
+        for _ in range(2):  # the second call reads the cached message, if any
+            with pytest.raises(NotCycle, match=f"^{re.escape(NOT_CYCLES[contexts])}$"):
+                traverse_cycle(s)
+
+    def test_walk_is_cached_by_labels_alone(self):
+        scenario._cycle_walk.cache_clear()
+        walk = traverse_cycle(make_n_cycle(6))
+        assert traverse_cycle(make_n_cycle(6, 3)) is walk  # same contexts, 3 outcomes
+        count_failures = [dichotomic(c) for c in NOT_CYCLES if "contexts on" in NOT_CYCLES[c]]
+        for s in count_failures + [make_bipartite_bell(3, 2)]:
+            with pytest.raises(NotCycle, match="^need n measurements"):
+                traverse_cycle(s)
+        info = scenario._cycle_walk.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
