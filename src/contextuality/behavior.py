@@ -75,6 +75,11 @@ class Behavior:
     tables[i][cell_index(...)] is the probability of one joint outcome of
     scenario.contexts[i]; each table sums to exactly 1. metadata is an
     optional free-form dict carried through JSON round trips.
+
+    Validation leaves _ints, the integer view every exact question reads:
+    per table, its numerators over the lcm of its denominators, and that
+    lcm. It is an instance attribute, not a field, so repr and == read the
+    tables alone; pickling and copying keep it.
     """
 
     scenario: Scenario
@@ -84,6 +89,7 @@ class Behavior:
     def __post_init__(self) -> None:
         tables = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in t) for t in self.tables)
         object.__setattr__(self, "tables", tables)
+        ints = []
         for c, t in _shaped(self.scenario, tables):
             nums, den = _numerators(t)
             if min(nums) < 0:
@@ -91,6 +97,8 @@ class Behavior:
                 raise NegativeProbability(f"negative probability {shown(p)} in context {shown(c)}")
             if sum(nums) != den:
                 raise InvalidBehavior(f"table for context {shown(c)} sums to {shown(sum(t))}, not 1")
+            ints.append((nums, den))
+        object.__setattr__(self, "_ints", tuple(ints))
 
     def probability(self, context_index: int, outcomes: tuple[str, ...]) -> Fraction:
         """Probability of one joint outcome of one context."""
@@ -184,7 +192,7 @@ def collapse(b: Behavior) -> PossibilisticBehavior:
     """Possibilistic collapse: keep which cells carry positive probability."""
     return PossibilisticBehavior(
         scenario=b.scenario,
-        tables=tuple(tuple(p > 0 for p in t) for t in b.tables),
+        tables=tuple(tuple(map(bool, nums)) for nums, _ in b._ints),  # cells are never negative
         metadata=b.metadata,
     )
 
@@ -195,16 +203,16 @@ def check_nondisturbance(b: Behavior) -> DisturbanceReport:
     Compares, for every context pair, the marginal distributions on the full
     intersection of their measurement sets; agreement there implies
     agreement on every smaller common subset. Returns the first violation
-    in stored context order. The comparison runs on integer numerators over
-    each table's lcm, each pair's marginals cross-multiplied by the other
-    table's lcm, so equal lists mean equal marginals; Fractions are made
-    only for a reported violation.
+    in stored context order. The comparison runs on the integer view built
+    at validation (numerators over each table's lcm), each pair's marginals
+    cross-multiplied by the other table's lcm, so equal lists mean equal
+    marginals; Fractions are made only for a reported violation.
 
     :raises InvalidBehavior: if b is a PossibilisticBehavior.
     """
     require_probabilistic(b)
     s = b.scenario
-    scaled = [_numerators(t) for t in b.tables]
+    scaled = b._ints
     for i, j, shared, groups_i, groups_j in _nd_plan(*index_shape(s)):
         (ta, da), (tb, db) = scaled[i], scaled[j]
         va = [sum(map(ta.__getitem__, g)) * db for g in groups_i]
@@ -279,10 +287,10 @@ def _overlaps(contexts: tuple[tuple, ...]) -> Iterator[tuple[int, int, tuple]]:
             yield i, j, tuple(m for m in c if j in containing[m])
 
 
-def _numerators(t: tuple[Fraction, ...]) -> tuple[list[int], int]:
+def _numerators(t: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
     """A table as numerators over the lcm of its denominators, and that lcm."""
     den = math.lcm(*{p.denominator for p in t})
-    return [p.numerator * (den // p.denominator) for p in t], den
+    return tuple([p.numerator * (den // p.denominator) for p in t]), den
 
 
 @lru_cache(maxsize=1024)
@@ -320,7 +328,10 @@ def _parse_rational(raw) -> Fraction:
         # Fraction builds 10**exponent exactly, so one short string could stall the loader.
         if "e" in raw or "E" in raw:
             raise InvalidBehavior(f"probability {shown(raw)} has an exponent; write it as 'num/den' or a decimal")
+        num, _, den = raw.partition("/")
         try:
+            if raw.isascii() and num.isdigit() and (den.isdigit() or num == raw):  # 'n' or 'n/d', plain digits
+                return Fraction(int(num), int(den or 1))
             return Fraction(raw)
         except ValueError:
             raise InvalidBehavior(f"cannot parse probability {shown(raw)}") from None

@@ -341,7 +341,8 @@ class _Support(NamedTuple):
 
 
 def _possible(b: AnyBehavior) -> list[set[int]]:
-    return [{k for k, p in enumerate(t) if p} for t in b.tables]  # cells are never negative
+    tables = [nums for nums, _ in b._ints] if isinstance(b, Behavior) else b.tables
+    return [{k for k, p in enumerate(t) if p} for t in tables]  # cells are never negative
 
 
 def _scan(b: AnyBehavior, cap: int | None) -> _Support:
@@ -454,10 +455,11 @@ def _lp(
     weight) <= 1 with slack 1 - total, so optimum 1 makes every constraint
     tight.
 
-    Rows go to simplex.maximize as ints, scaled by the denominator of their
-    right-hand side. Twin rows (rows hit by the same members) are passed
-    once: the one with the smallest right-hand side, the first in (context,
-    cell) order on ties, in that order. This is exact: while both slacks are
+    Rows go to simplex.maximize as ints, scaled by their table's lcm (b's
+    integer view), so a right-hand side is its cell's numerator. Twin rows
+    (rows hit by the same members) are passed once: the one with the
+    smallest right-hand side, the first in (context, cell) order on ties, in
+    that order. This is exact: while both slacks are
     basic, a twin's tableau row is the kept row's with a right-hand side no
     smaller, so the ratio test with its smallest-label tie-break picks the
     kept row; after that slack leaves, the twin's row has no positive entry.
@@ -468,7 +470,7 @@ def _lp(
     """
     radices, ctx_positions = shape
     kept: dict[frozenset, tuple[tuple[int, int], int, int]] = {}  # pattern -> ((ci, cell), num, den)
-    for ci, (table, positions, cells) in enumerate(zip(b.tables, ctx_positions, possible)):
+    for ci, ((nums, den), positions, cells) in enumerate(zip(b._ints, ctx_positions, possible)):
         hit: dict[int, list[int]] = {}  # cell -> the members restricting to it
         for k, row in enumerate(members):
             cell = 0
@@ -476,11 +478,11 @@ def _lp(
                 cell = cell * radices[q] + row[q]
             hit.setdefault(cell, []).append(k)
         for cell in sorted(cells):
-            p = table[cell]
+            num = nums[cell]
             pattern = frozenset(hit.get(cell, ()))
             twin = kept.get(pattern)
-            if twin is None or p.numerator * twin[2] < twin[1] * p.denominator:
-                kept[pattern] = ((ci, cell), p.numerator, p.denominator)
+            if twin is None or num * twin[2] < twin[1] * den:
+                kept[pattern] = ((ci, cell), num, den)
     n = len(members)
     rows = sorted(
         (at, num, [den * (k in pattern) for k in range(n)]) for pattern, (at, num, den) in kept.items()
@@ -504,7 +506,7 @@ def _nc(b: Behavior, found: _Support) -> bool:
     on a dichotomic cycle, iff every n-cycle inequality holds (they are
     complete there); elsewhere, iff the LP's optimum is 1."""
     if _dichotomic_cycle(b.scenario):
-        value, scale, _ = tight_member(b.tables)
+        value, scale, _ = tight_member(b._ints)
         return value <= (len(b.tables) - 2) * scale
     return _lp(b, found.possible, found.rows(), found.shape)[0] == 1
 

@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 
 from .behavior import Behavior
+from .errors import InvalidArgument, shown
 from .quantum import EvenCycleParams, OddCycleParams, build_even_cycle, build_odd_cycle, optimize_gamma
 from .scenario import Scenario
 
@@ -110,8 +111,9 @@ FIXTURES = {
 def fixture(name: str) -> Behavior:
     """Look up a named fixture.
 
-    :raises KeyError: for unknown names (the message lists valid ones).
+    :raises InvalidArgument: for unknown names (the message lists valid ones
+        and echoes the name cut by errors.shown).
     """
     if name not in FIXTURES:
-        raise KeyError(f"unknown fixture {name!r}; valid names: {', '.join(sorted(FIXTURES))}")
+        raise InvalidArgument(f"unknown fixture {shown(name)}; valid names: {', '.join(sorted(FIXTURES))}")
     return FIXTURES[name]()

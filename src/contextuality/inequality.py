@@ -115,22 +115,22 @@ class ViolationReport:
         }
 
 
-def tight_member(tables) -> tuple[int, int, list[int]]:
+def tight_member(ints) -> tuple[int, int, list[int]]:
     """(value, scale, signs) of the family member with the largest left side
-    on the tables of a dichotomic cycle, in stored context order; the left
-    side is value / scale.
+    on a dichotomic cycle, given its behavior's integer view (each table's
+    numerators over its lcm, and that lcm; Behavior._ints), in stored
+    context order; the left side is value / scale.
 
     With free signs the maximum of sum g_i E_i is sum |E_i|, reached at
     g_i = sign(E_i). If that sign vector has an even number of -1 entries,
     the cheapest repair is flipping the sign at the smallest |E_i| (first
     such index on ties), costing 2|E_i|; no valid vector does better. Each
-    E_i is read as the integer E_i * scale, scale the lcm of the
-    denominators of p_i(0,0) and p_i(1,1): with p_i(0,0) = a/b and
-    p_i(1,1) = c/d, E_i * scale = 2 (a scale/b + c scale/d) - scale.
+    E_i is read as the integer E_i * scale, scale the lcm of the tables'
+    lcms: with p_i(0,0) = a/d and p_i(1,1) = c/d over table i's lcm d,
+    E_i * scale = (2 (a + c) - d) scale/d.
     """
-    scale = math.lcm(*{t[k].denominator for t in tables for k in (0, 3)})
-    corr = [2 * (t[0].numerator * (scale // t[0].denominator) + t[3].numerator * (scale // t[3].denominator)) - scale
-            for t in tables]
+    scale = math.lcm(*{den for _, den in ints})
+    corr = [(2 * (nums[0] + nums[3]) - den) * (scale // den) for nums, den in ints]
     size = list(map(abs, corr))
     signs = [1 if e >= 0 else -1 for e in corr]
     value = sum(size)
@@ -156,7 +156,7 @@ def evaluate_all(b: Behavior) -> ViolationReport:
     require_probabilistic(b)
     require_dichotomic(s, (m for c in s.contexts for m in c))
     n = len(s.contexts)
-    value, scale, signs = tight_member(b.tables)
+    value, scale, signs = tight_member(b._ints)
     max_value = Fraction(value, scale)
     qb = quantum_bound(n)
     return ViolationReport(

@@ -1,7 +1,10 @@
 """Behavior tables, marginals, disturbance checks, and JSON round-trips."""
 
+import dataclasses
 import itertools
 import json
+import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -22,6 +25,7 @@ from contextuality import (
     PossibilisticBehavior,
     Scenario,
     SubsetNotInContext,
+    WrongScenarioShape,
     behavior_from_json_dict,
     behavior_to_json_dict,
     build_even_cycle,
@@ -29,16 +33,21 @@ from contextuality import (
     check_nondisturbance,
     check_possibilistic_nd,
     collapse,
+    evaluate_all,
     fixture,
+    hierarchy,
     joint_outcomes,
     load_behavior,
     make_bipartite_bell,
     make_n_cycle,
+    noncontextual_weight,
     random_nd_coupling,
     random_nd_mixture,
     random_pnd,
     save_behavior,
 )
+from contextuality import behavior as behavior_module
+from contextuality.errors import shown
 
 import oracle
 
@@ -216,6 +225,67 @@ class TestDisturbance:
         rng = random.Random(seed)
         b = random_nd_coupling(make_n_cycle(rng.randint(3, 5)), rng)
         assert check_nondisturbance(b).ok
+
+
+class TestIntegerView:
+    """Each Behavior keeps the numerators validation computes, over each
+    table's lcm, for every exact question to read."""
+
+    @staticmethod
+    def behaviors():
+        rng = random.Random(24)
+        out = [fixture(name) for name in ("bell", "hardy", "pr-box", "cabello5")]
+        for s in (make_n_cycle(4), make_n_cycle(5, 3), make_bipartite_bell(3, 2)):
+            out += [random_nd_coupling(s, rng), random_nd_mixture(s, rng, include_pr=len(s.contexts) == 4)]
+        # a mixture of two deterministic behaviors on triple contexts
+        points = [{m: rng.choice(TRIPLES.outcomes[m]) for m in TRIPLES.measurements} for _ in range(2)]
+        tables = tuple(
+            tuple(sum(w * (cell == tuple(a[m] for m in c)) for w, a in zip((F(1, 3), F(2, 3)), points))
+                  for cell in joint_outcomes(TRIPLES, c))
+            for c in TRIPLES.contexts
+        )
+        out.append(Behavior(TRIPLES, tables))
+        out += [_random_behavior(s, rng, False) for s in (TRIPLES, make_n_cycle(4), make_n_cycle(5, 3))]
+        out.append(Behavior(make_n_cycle(3), ((F(1, 4), F(0), F(0), F(3, 4)), (F(1, 4),) * 4, (F(1, 4),) * 4)))
+        return out
+
+    def test_view_is_each_table_over_its_lcm(self):
+        for b in self.behaviors():
+            assert len(b._ints) == len(b.tables)
+            for (nums, den), t in zip(b._ints, b.tables):
+                assert type(nums) is tuple and den == math.lcm(*(p.denominator for p in t))
+                assert [F(n, den) for n in nums] == list(t)
+
+    def test_exact_questions_do_not_recompute_it(self, monkeypatch):
+        behaviors = self.behaviors()
+
+        def recomputed(t):
+            raise AssertionError("a table's numerators were recomputed")
+
+        monkeypatch.setattr(behavior_module, "_numerators", recomputed)
+        for b in behaviors:
+            nd = check_nondisturbance(b).ok
+            for level in ("nd", "nc", "lc", "sc", "all"):
+                hierarchy(b, level=level)
+            collapse(b)
+            if nd:
+                noncontextual_weight(b)
+                try:
+                    evaluate_all(b)
+                except WrongScenarioShape:  # not a dichotomic cycle
+                    pass
+
+    def test_view_is_not_a_field_and_survives_pickle(self):
+        b = fixture("hardy")
+        assert [f.name for f in dataclasses.fields(b)] == ["scenario", "tables", "metadata"]
+        assert "_ints" not in repr(b) and repr(b) == repr(Behavior(b.scenario, b.tables, b.metadata))
+        again = pickle.loads(pickle.dumps(b))
+        assert again == b and again._ints == b._ints
+        # equality reads the tables only, whatever the stored view holds
+        other = Behavior(b.scenario, b.tables)
+        object.__setattr__(other, "_ints", ())
+        assert other == b
+        assert dataclasses.replace(b, metadata=None)._ints == b._ints
 
 
 def _flip_cells(pb: PossibilisticBehavior, rng: random.Random, count: int) -> PossibilisticBehavior:
@@ -594,6 +664,42 @@ class TestJson:
         table = {"context": ["X"], "probs": {"0": 0, "1": "1/4", "2": "0.75"}}
         data = {"scenario": s.to_json_dict(), "tables": [table]}
         assert behavior_from_json_dict(data).tables == ((F(0), F(1, 4), F(3, 4)),)
+
+    @staticmethod
+    def _parsed(raw):
+        """The parsed value, or the InvalidBehavior message, of one probability."""
+        try:
+            return behavior_module._parse_rational(raw)
+        except InvalidBehavior as e:
+            return str(e)
+
+    @staticmethod
+    def _through_fraction(raw):
+        """_parse_rational's result with every string read by Fraction(raw)."""
+        if "e" in raw or "E" in raw:
+            return f"probability {shown(raw)} has an exponent; write it as 'num/den' or a decimal"
+        try:
+            return Fraction(raw)
+        except ValueError:
+            return f"cannot parse probability {shown(raw)}"
+        except ZeroDivisionError:
+            return f"probability {shown(raw)} has a zero denominator"
+
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789/ _+-.\u0663\u00b2\t", max_size=12)))
+    @settings(max_examples=600, deadline=None)
+    def test_digit_fast_path_parses_as_fraction_does(self, raw):
+        parsed = self._parsed(raw)
+        assert parsed == self._through_fraction(raw)
+        assert type(parsed) is type(self._through_fraction(raw))
+
+    def test_digit_fast_path_edges(self):
+        rng = random.Random(24)
+        raws = ["0", "1", "007/014", "3/0", "0/0", "1/", "/2", "1/2/3", " 1/2", "1 /2", "+1/2", "-0", "1_0/20",
+                "\u0663/4", "\uff11/2", "\u00b2", "1" * 5000, "1/" + "2" * 5000, "2" * 4300 + "/" + "3" * 4300]
+        raws += ["/".join(str(rng.randrange(10 ** rng.randint(1, 30))) for _ in range(rng.randint(1, 2)))
+                 for _ in range(500)]
+        for raw in raws:
+            assert self._parsed(raw) == self._through_fraction(raw), raw
 
     def test_mixed_probs_and_possible_rejected(self):
         s = make_n_cycle(3)

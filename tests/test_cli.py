@@ -5,6 +5,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from fractions import Fraction
@@ -14,7 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import contextuality
 from contextuality import (
+    InvalidArgument,
     behavior_from_json_dict,
     behavior_to_json_dict,
     collapse,
@@ -556,6 +561,21 @@ class TestFixtures:
 
     def test_unknown_name_exits_3(self, capsys):
         assert run(["fixtures", "--name", "frobnicate"]) == 3
+
+    def test_unknown_name_in_the_library_is_a_short_invalid_argument(self):
+        with pytest.raises(InvalidArgument, match="unknown fixture 'xxx") as info:
+            fixture("x" * 300)
+        assert "(302 characters)" in str(info.value) and len(str(info.value)) < 200
+        assert "bell, cabello5, hardy, hardy4, pr-box" in str(info.value)
+
+    @pytest.mark.parametrize("argv, code", [(["fixtures", "--name", "bell"], 0), (["fixtures", "--frobnicate"], 3)])
+    def test_python_m_cli_runs_as_cli_run_does(self, capsys, argv, code):
+        src = str(Path(contextuality.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-m", "contextuality.cli", *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert run(argv) == code and done.returncode == code, done.stderr
+        assert done.stdout == capsys.readouterr().out
 
 
 # ======================================================================
