@@ -198,55 +198,21 @@ def collapse(b: Behavior) -> PossibilisticBehavior:
 
 
 def check_nondisturbance(b: Behavior) -> DisturbanceReport:
-    """Exact nondisturbance: overlapping contexts share their marginals.
-
-    Compares, for every context pair, the marginal distributions on the full
-    intersection of their measurement sets; agreement there implies
-    agreement on every smaller common subset. Returns the first violation
-    in stored context order. The comparison runs on the integer view built
-    at validation (numerators over each table's lcm), each pair's marginals
-    cross-multiplied by the other table's lcm, so equal lists mean equal
-    marginals; Fractions are made only for a reported violation.
+    """Exact nondisturbance: overlapping contexts share their marginals on
+    their full intersection, hence on every smaller common subset. Reports
+    the first violation (see _nd_walk), its values as Fractions.
 
     :raises InvalidBehavior: if b is a PossibilisticBehavior.
     """
     require_probabilistic(b)
-    s = b.scenario
-    scaled = b._ints
-    for i, j, shared, groups_i, groups_j in _nd_plan(*index_shape(s)):
-        (ta, da), (tb, db) = scaled[i], scaled[j]
-        va = [sum(map(ta.__getitem__, g)) * db for g in groups_i]
-        vb = [sum(map(tb.__getitem__, g)) * da for g in groups_j]
-        if va != vb:
-            k = next(k for k, (x, y) in enumerate(zip(va, vb)) if x != y)
-            measurements = tuple(s.measurements[q] for q in shared)
-            joint = next(itertools.islice(joint_outcomes(s, measurements), k, None))
-            values = (Fraction(va[k], da * db), Fraction(vb[k], da * db))
-            return DisturbanceReport(ok=False, violation=Violation(i, j, measurements, joint, *values))
-    return DisturbanceReport(ok=True)
+    return _nd_walk(b, exact=True)
 
 
 def check_possibilistic_nd(pb: AnyBehavior) -> DisturbanceReport:
-    """Possibilistic nondisturbance: OR-marginals agree across contexts. A
-    Behavior is read through its collapse, so only supports are compared.
-
-    Walks the same per-shape plan as check_nondisturbance, with an OR over
-    each cell group in place of a sum; the first violation is reported in
-    the same order."""
-    if isinstance(pb, Behavior):
-        pb = collapse(pb)
-    s = pb.scenario
-    tables = pb.tables
-    for i, j, shared, groups_i, groups_j in _nd_plan(*index_shape(s)):
-        ta, tb = tables[i], tables[j]
-        va = [any(map(ta.__getitem__, g)) for g in groups_i]
-        vb = [any(map(tb.__getitem__, g)) for g in groups_j]
-        if va != vb:
-            k = next(k for k, (x, y) in enumerate(zip(va, vb)) if x != y)
-            measurements = tuple(s.measurements[q] for q in shared)
-            joint = next(itertools.islice(joint_outcomes(s, measurements), k, None))
-            return DisturbanceReport(ok=False, violation=Violation(i, j, measurements, joint, va[k], vb[k]))
-    return DisturbanceReport(ok=True)
+    """Possibilistic nondisturbance: OR-marginals agree across contexts; a
+    Behavior is read through its support. Reports the first violation (see
+    _nd_walk), its values as bools."""
+    return _nd_walk(pb, exact=False)
 
 
 def require_probabilistic(b: AnyBehavior) -> None:
@@ -260,18 +226,15 @@ def require_nondisturbing(b: AnyBehavior) -> None:
     """Raise at the first disagreement between overlapping contexts.
 
     :raises NotNondisturbing: if a Behavior's marginals disagree.
-    :raises NotPossibilisticallyND: if a PossibilisticBehavior's OR-marginals
-        disagree.
+    :raises NotPossibilisticallyND: if a PossibilisticBehavior's OR-marginals disagree.
     """
-    possibilistic = isinstance(b, PossibilisticBehavior)
-    v = (check_possibilistic_nd if possibilistic else check_nondisturbance)(b).violation
+    exact = isinstance(b, Behavior)
+    v = (check_nondisturbance if exact else check_possibilistic_nd)(b).violation
     if v is not None:
         c = b.scenario.contexts
-        values = "" if possibilistic else f": {v.value_a} vs {v.value_b}"
-        error = NotPossibilisticallyND if possibilistic else NotNondisturbing
-        raise error(
-            f"contexts {c[v.context_a]} and {c[v.context_b]} disagree "
-            f"on {v.measurements}={v.outcomes}{values}"
+        values = f": {v.value_a} vs {v.value_b}" if exact else ""
+        raise (NotNondisturbing if exact else NotPossibilisticallyND)(
+            f"contexts {c[v.context_a]} and {c[v.context_b]} disagree on {v.measurements}={v.outcomes}{values}"
         )
 
 
@@ -285,6 +248,35 @@ def _overlaps(contexts: tuple[tuple, ...]) -> Iterator[tuple[int, int, tuple]]:
     for i, c in enumerate(contexts):
         for j in sorted({j for m in c for j in containing[m] if j > i}):
             yield i, j, tuple(m for m in c if j in containing[m])
+
+
+def _nd_walk(b: AnyBehavior, exact: bool) -> DisturbanceReport:
+    """The report of the first disagreement between overlapping contexts'
+    marginals, pairs in _nd_plan order and joint outcomes in cell order.
+
+    Each table is read as integers over a scale: a Behavior's integer view
+    (numerators over each table's lcm), a PossibilisticBehavior's bools over
+    scale 1. With exact, each cell group's sum times the other table's scale
+    is compared and reported as a Fraction; otherwise each group's OR, over
+    scale 1, is compared and reported as a bool.
+    """
+    s = b.scenario
+    if isinstance(b, Behavior):  # an OR reads the support alone, over scale 1
+        scaled = b._ints if exact else [(nums, 1) for nums, _ in b._ints]
+    else:
+        scaled = [(t, 1) for t in b.tables]
+    fold = sum if exact else any
+    for i, j, shared, groups_i, groups_j in _nd_plan(*index_shape(s)):
+        (ta, da), (tb, db) = scaled[i], scaled[j]
+        va = [fold(map(ta.__getitem__, g)) * db for g in groups_i]
+        vb = [fold(map(tb.__getitem__, g)) * da for g in groups_j]
+        if va != vb:
+            k = next(k for k, (x, y) in enumerate(zip(va, vb)) if x != y)
+            measurements = tuple(s.measurements[q] for q in shared)
+            joint = next(itertools.islice(joint_outcomes(s, measurements), k, None))
+            value = (lambda x: Fraction(x, da * db)) if exact else bool
+            return DisturbanceReport(False, Violation(i, j, measurements, joint, value(va[k]), value(vb[k])))
+    return DisturbanceReport(ok=True)
 
 
 def _numerators(t: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:

@@ -8,11 +8,9 @@ classical polytope is cut out by the family
 
 The family is complete for nondisturbing dichotomic cycles: a behavior is
 noncontextual exactly when every member holds (Araujo et al., PRA 88,
-022118, 2013). Maximizing the left side over valid sign vectors has a
-closed form, tight_member: sum_i |E_i|, less 2 min_i |E_i| when the signs
-of the E_i hold an even number of -1 entries. It runs on integer
-correlators over one common scale, which keeps every sign and tie, so
-evaluate_all reports the tight member and its value exactly with one
+022118, 2013), and its largest left side has a closed form, tight_member.
+Every E_i is read by one integer rule over one common scale, which keeps
+every sign and tie: correlator, evaluate and evaluate_all each make one
 Fraction, and classical decides nc on dichotomic cycles with the same sum
 in place of the LP. The maximal quantum value has a known closed form in n
 as well (the n=4 case is Tsirelson's 2*sqrt(2)).
@@ -65,21 +63,25 @@ def correlator(b: Behavior, i: int) -> Fraction:
     if len(c) != 2:
         raise InvalidArgument(f"context {c} has {len(c)} measurements, need exactly 2")
     require_dichotomic(s, c)
-    t = b.tables[i - 1]
-    return 2 * (t[0] + t[3]) - 1
+    (e,), scale = _correlators(b._ints[i - 1 : i])
+    return Fraction(e, scale)
 
 
 def evaluate(b: Behavior, ineq: NcycleInequality) -> Fraction:
     """Exact value of sum_i signs[i] * E_i on a dichotomic cycle behavior.
 
     :raises NotCycle: if the scenario is not a single cycle.
+    :raises InvalidBehavior: if b is a PossibilisticBehavior.
+    :raises NonDichotomic: as evaluate_all.
     """
-    traverse_cycle(b.scenario)
-    if len(ineq.signs) != len(b.scenario.contexts):
-        raise InvalidArgument(
-            f"inequality has {len(ineq.signs)} signs for {len(b.scenario.contexts)} contexts"
-        )
-    return sum(g * correlator(b, i + 1) for i, g in enumerate(ineq.signs))
+    s = b.scenario
+    traverse_cycle(s)
+    if len(ineq.signs) != len(s.contexts):
+        raise InvalidArgument(f"inequality has {len(ineq.signs)} signs for {len(s.contexts)} contexts")
+    require_probabilistic(b)
+    require_dichotomic(s, (m for c in s.contexts for m in c))
+    corr, scale = _correlators(b._ints)
+    return Fraction(sum(g * e for g, e in zip(ineq.signs, corr)), scale)
 
 
 def quantum_bound(n: int) -> float:
@@ -115,22 +117,26 @@ class ViolationReport:
         }
 
 
+def _correlators(ints) -> tuple[list[int], int]:
+    """Each E_i as an integer over one common scale, and that scale, given
+    dichotomic pair tables as integer views (numerators over each table's
+    lcm d, and d; Behavior._ints): with p_i(0,0) = a/d and p_i(1,1) = c/d,
+    E_i * scale = (2 (a + c) - d) scale/d, scale the lcm of the d's."""
+    scale = math.lcm(*{den for _, den in ints})
+    return [(2 * (nums[0] + nums[3]) - den) * (scale // den) for nums, den in ints], scale
+
+
 def tight_member(ints) -> tuple[int, int, list[int]]:
     """(value, scale, signs) of the family member with the largest left side
-    on a dichotomic cycle, given its behavior's integer view (each table's
-    numerators over its lcm, and that lcm; Behavior._ints), in stored
-    context order; the left side is value / scale.
+    on a dichotomic cycle, given its behavior's integer view (Behavior._ints)
+    in stored context order; the left side is value / scale.
 
     With free signs the maximum of sum g_i E_i is sum |E_i|, reached at
     g_i = sign(E_i). If that sign vector has an even number of -1 entries,
     the cheapest repair is flipping the sign at the smallest |E_i| (first
-    such index on ties), costing 2|E_i|; no valid vector does better. Each
-    E_i is read as the integer E_i * scale, scale the lcm of the tables'
-    lcms: with p_i(0,0) = a/d and p_i(1,1) = c/d over table i's lcm d,
-    E_i * scale = (2 (a + c) - d) scale/d.
+    such index on ties), costing 2|E_i|; no valid vector does better.
     """
-    scale = math.lcm(*{den for _, den in ints})
-    corr = [(2 * (nums[0] + nums[3]) - den) * (scale // den) for nums, den in ints]
+    corr, scale = _correlators(ints)
     size = list(map(abs, corr))
     signs = [1 if e >= 0 else -1 for e in corr]
     value = sum(size)

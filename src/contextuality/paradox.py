@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .behavior import AnyBehavior, PossibilisticBehavior, collapse, require_nondisturbing
 from .errors import ContextualityError, InvalidArgument, WrongScenarioShape
-from .scenario import Scenario, chordless_cycles, require_dichotomic, require_pairs, traverse_cycle
+from .scenario import Scenario, _chordless, require_dichotomic, require_pairs, traverse_cycle
 
 
 @dataclass(frozen=True)
@@ -327,11 +327,11 @@ def detect_simple_scenario_paradox(b: AnyBehavior) -> SimpleScenarioParadox | No
     """
     pb = _as_possibilistic(b)
     s = pb.scenario
-    decomposition = chordless_cycles(s)  # raises NonSimpleScenario
+    require_pairs(s)
     require_dichotomic(s)
     require_nondisturbing(pb)
     by_set = {frozenset(c): i for i, c in enumerate(s.contexts)}
-    for cycle in decomposition.cycles:
+    for cycle in _chordless(s):  # stops at the first hit
         # A possibilistically-ND behavior stays so on any subfamily of its
         # contexts, so each cycle is scanned in place with no recheck.
         pairs = zip(cycle, cycle[1:] + cycle[:1])

@@ -18,7 +18,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ContextualityError, InvalidArgument, InvalidScenario, NonDichotomic, NonSimpleScenario, NotCycle
 from .errors import shown, shown_path
@@ -71,6 +71,10 @@ class Scenario:
         )
         object.__setattr__(self, "contexts", tuple(tuple(c) for c in self.contexts))
         self._validate()
+
+    def __hash__(self) -> int:
+        # outcomes is a dict, equal whatever its key order: hash it in measurement order.
+        return hash((self.measurements, tuple(map(self.outcomes.__getitem__, self.measurements)), self.contexts))
 
     def _validate(self) -> None:
         if not self.measurements:
@@ -257,16 +261,7 @@ class CycleDecomposition:
 
 
 def chordless_cycles(s: Scenario) -> CycleDecomposition:
-    """Enumerate every chordless cycle of a simple scenario.
-
-    Runs a DFS from each start vertex over paths confined to larger labels,
-    pruning any extension adjacent to an interior path vertex (that edge
-    would be a chord). Adjacency to the start vertex closes a cycle and
-    forbids further extension. Each cycle is produced once: the start is its
-    smallest label and the two traversal directions are collapsed by
-    requiring the second label to precede the last. Starts and neighbours are
-    taken in label order and a closed path is never extended, so the cycles
-    come out sorted with no sort.
+    """Enumerate every chordless cycle of a simple scenario (see _chordless).
 
     Exponential in the worst case; intended for desk-scale graphs.
 
@@ -274,36 +269,42 @@ def chordless_cycles(s: Scenario) -> CycleDecomposition:
         measurements.
     """
     require_pairs(s)
+    found = tuple(_chordless(s))
+    return CycleDecomposition(cycles=found, is_acyclic=not found)
+
+
+def _chordless(s: Scenario) -> Iterator[tuple[str, ...]]:
+    """Yield the chordless cycles of a simple scenario, in CycleDecomposition's
+    canonical form and order.
+
+    A depth-first search from each start vertex over paths confined to
+    larger labels prunes any extension adjacent to an interior path vertex
+    (that edge would be a chord). Adjacency to the start closes a cycle,
+    kept when its second label precedes its last, and is never extended.
+    Starts and neighbours are taken in label order, so the cycles come out
+    sorted with no sort, and a caller may stop at the first it wants. The
+    search keeps its own stack, so no recursion limit bounds a path.
+    """
     adj: dict[str, set[str]] = {m: set() for m in s.measurements}
     for u, v in s.contexts:
         adj[u].add(v)
         adj[v].add(u)
-
-    found: list[tuple[str, ...]] = []
-
-    def extend(path: list[str], members: set[str]) -> None:
-        start, last = path[0], path[-1]
-        interior = path[1:-1]
-        at_root = len(path) == 1
-        for y in sorted(adj[last]):
-            if y <= start or y in members:
-                continue
-            if any(y in adj[p] for p in interior):
-                continue  # chord against an interior vertex
-            if not at_root and y in adj[start]:
-                if path[1] < y:
-                    found.append(tuple(path) + (y,))
-                continue  # extending past y would leave the chord start-y
-            path.append(y)
-            members.add(y)
-            extend(path, members)
-            members.discard(y)
-            path.pop()
-
     for start in sorted(s.measurements):
-        extend([start], {start})
-
-    return CycleDecomposition(cycles=tuple(found), is_acyclic=not found)
+        path, members, branches = [start], {start}, [iter(sorted(adj[start]))]
+        while branches:
+            y = next(branches[-1], None)
+            if y is None:
+                branches.pop()
+                members.discard(path.pop())
+            elif y <= start or y in members or any(y in adj[p] for p in path[1:-1]):
+                continue  # not larger than the start, on the path, or a chord
+            elif len(path) > 1 and y in adj[start]:
+                if path[1] < y:
+                    yield (*path, y)  # extending past y would leave the chord start-y
+            else:
+                path.append(y)
+                members.add(y)
+                branches.append(iter(sorted(adj[y])))
 
 
 def traverse_cycle(s: Scenario) -> tuple[tuple[int, tuple[str, str]], ...]:

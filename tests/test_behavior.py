@@ -288,6 +288,27 @@ class TestIntegerView:
         assert dataclasses.replace(b, metadata=None)._ints == b._ints
 
 
+class TestHashing:
+    """Scenarios and behaviors hash as they compare: a scenario's outcomes
+    in measurement order, a behavior's scenario and tables, never its
+    metadata."""
+
+    def test_equal_objects_hash_equal(self):
+        s = make_n_cycle(4)
+        reordered = Scenario(s.measurements, dict(reversed(list(s.outcomes.items()))), s.contexts)
+        assert reordered == s and hash(reordered) == hash(s)
+        assert len({make_n_cycle(4), make_n_cycle(4)}) == 1
+        assert len({make_n_cycle(4), make_n_cycle(4, 3), make_n_cycle(5)}) == 3
+        assert len({fixture("hardy"), fixture("hardy")}) == 1
+        assert len({collapse(fixture("hardy")), collapse(fixture("hardy")), fixture("hardy")}) == 2
+
+    def test_metadata_is_not_hashed(self):
+        for b in (fixture("hardy"), collapse(fixture("pr-box"))):
+            tagged = dataclasses.replace(b, metadata={"note": "x"})
+            assert tagged == b and hash(tagged) == hash(b)
+            assert len({b, tagged}) == 1
+
+
 def _flip_cells(pb: PossibilisticBehavior, rng: random.Random, count: int) -> PossibilisticBehavior:
     tables = [list(t) for t in pb.tables]
     for _ in range(count):
@@ -413,6 +434,23 @@ class TestDisturbanceAgainstReference:
                     violations += not report.ok
         assert draws == 3 * 2 * 95
         assert 150 < violations < 380, violations
+
+    def test_possibilistic_check_of_a_behavior_builds_no_collapse(self, monkeypatch):
+        """check_possibilistic_nd reads a Behavior's integer view in place:
+        with PossibilisticBehavior unbuildable it reports what it reports on
+        the collapse, for fixtures, couplings and disturbed tables."""
+        rng = random.Random(25)
+        behaviors = [fixture(name) for name in ("bell", "hardy", "pr-box", "cabello5", "hardy4")]
+        for b in self._exact_draws(rng):
+            behaviors += [b, _move_mass(b, rng), _move_mass(_move_mass(b, rng), rng)]
+        expected = [check_possibilistic_nd(collapse(b)) for b in behaviors]
+        assert 50 < sum(not r.ok for r in expected) < len(behaviors) - 50
+
+        def unbuildable(self):
+            raise AssertionError("a PossibilisticBehavior was built")
+
+        monkeypatch.setattr(PossibilisticBehavior, "__post_init__", unbuildable)
+        assert [check_possibilistic_nd(b) for b in behaviors] == expected
 
     def test_nondisturbing_check_builds_no_fraction(self, monkeypatch):
         """On a nondisturbing Behavior the check runs on ints only."""

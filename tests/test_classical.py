@@ -1054,9 +1054,11 @@ class TestCycleFacets:
             nc = noncontextual_weight(b) == 1
             if len(b.scenario.contexts) <= 9:
                 assert (abs(oracle.linprog_noncontextual_weight(b) - 1) < 1e-7) == nc, draw
-            for x in (b, restored(b, rng)):
-                assert classical._dichotomic_cycle(x.scenario), draw
-                assert self.verdicts(x) == (nc, nc, nc), draw
+            x = restored(b, rng)
+            assert classical._dichotomic_cycle(b.scenario) and classical._dichotomic_cycle(x.scenario), draw
+            # is_noncontextual(b) is nc by definition; the restored copy's LP is solved anew
+            assert (hierarchy(b).nc, hierarchy(b, level="nc").nc) == (nc, nc), draw
+            assert self.verdicts(x) == (nc, nc, nc), draw
             counts[nc] += 1
         assert min(counts.values()) >= 15, counts
 

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from contextuality import (
     Behavior,
+    InvalidBehavior,
     NcycleInequality,
     NonDichotomic,
     NotCycle,
     NotNondisturbing,
     Scenario,
+    collapse,
     correlator,
     evaluate,
     evaluate_all,
@@ -24,6 +26,7 @@ from contextuality import (
     random_nd_coupling,
     random_nd_mixture,
 )
+from contextuality import inequality
 
 import oracle
 
@@ -97,6 +100,19 @@ class TestMembers:
     def test_evaluate_sign_count_mismatch(self):
         with pytest.raises(ValueError):
             evaluate(PR, NcycleInequality((1, 1, -1)))
+
+    def test_evaluate_checks_once_and_never_calls_correlator(self, monkeypatch):
+        rng = random.Random(25)
+        behaviors = [PR, fixture("hardy"), fixture("cabello5"), uniform_cycle(5)]
+        behaviors += [random_nd_coupling(make_n_cycle(rng.randint(3, 7)), rng) for _ in range(20)]
+        members = [NcycleInequality((-1,) + (1,) * (len(b.scenario.contexts) - 1)) for b in behaviors]
+        expected = [sum(g * correlator(b, i + 1) for i, g in enumerate(m.signs)) for b, m in zip(behaviors, members)]
+        monkeypatch.setattr(inequality, "correlator", lambda *args: pytest.fail("evaluate called correlator"))
+        assert [evaluate(b, m) for b, m in zip(behaviors, members)] == expected
+        with pytest.raises(InvalidBehavior):
+            evaluate(collapse(PR), NcycleInequality((1, 1, 1, -1)))
+        with pytest.raises(NonDichotomic, match="'M1' has 3 outcomes"):
+            evaluate(random_nd_coupling(make_n_cycle(4, 3), rng), NcycleInequality((1, 1, 1, -1)))
 
     def test_evaluate_requires_cycle(self):
         names = ("M1", "M2", "M3")

@@ -33,6 +33,7 @@ from contextuality import (
     verify_certificate,
 )
 
+from contextuality import paradox
 from contextuality.paradox import _bell_parts
 
 import oracle
@@ -80,6 +81,14 @@ def path_scenario(n: int) -> Scenario:
         {m: ("0", "1") for m in names},
         tuple((names[i], names[i + 1]) for i in range(n - 1)),
     )
+
+
+def grid_scenario(rows: int, cols: int) -> Scenario:
+    """The dichotomic rows x cols grid: each cell joined to its right and lower neighbours."""
+    names = tuple(f"g{i}{j}" for i in range(rows) for j in range(cols))
+    right = [(f"g{i}{j}", f"g{i}{j + 1}") for i in range(rows) for j in range(cols - 1)]
+    down = [(f"g{i}{j}", f"g{i + 1}{j}") for i in range(rows - 1) for j in range(cols)]
+    return Scenario(names, {m: ("0", "1") for m in names}, tuple(right + down))
 
 
 # ======================================================================
@@ -238,6 +247,33 @@ class TestSimpleScenarioDetector:
         b = plant(make_n_cycle(4, l=3), {})
         with pytest.raises(NonDichotomic):
             detect_simple_scenario_paradox(b)
+
+    def test_cycles_are_listed_up_to_the_first_hit(self, monkeypatch):
+        """The detector reads the chordless-cycle search lazily: it stops at
+        the cycle it returns, which is the first hit of the full sorted list."""
+        real = paradox._chordless
+        listed = []
+
+        def counted(s):
+            for cycle in real(s):
+                listed.append(cycle)
+                yield cycle
+
+        monkeypatch.setattr(paradox, "_chordless", counted)
+        rng = random.Random(25)
+        hits = 0
+        for _ in range(40):
+            s = grid_scenario(rng.randint(2, 4), rng.randint(3, 4))
+            b = random_pnd(s, rng)
+            listed.clear()
+            hit = detect_simple_scenario_paradox(b)
+            cycles = chordless_cycles(s).cycles
+            if hit is None:
+                assert tuple(listed) == cycles
+            else:
+                assert tuple(listed) == cycles[: cycles.index(hit.cycle) + 1]
+                hits += 1
+        assert 5 < hits < 40, hits
 
 
 class TestBellForm:

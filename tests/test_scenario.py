@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -283,6 +284,20 @@ class TestChordlessCycles:
             assert all(c[0] == min(c) and c[1] < c[-1] for c in cycles)
             total += len(cycles)
         assert total > 1000, total
+
+
+    def test_long_cycle_needs_no_recursion(self):
+        """The search keeps its own stack: a cycle longer than the recursion
+        limit is found like a short one."""
+        s = make_n_cycle(300)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            (cycle,) = chordless_cycles(s).cycles
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sorted(cycle) == sorted(s.measurements)
+        assert cycle[0] == min(cycle) and cycle[1] < cycle[-1]
 
 
 # ============================================================
