@@ -167,25 +167,26 @@ def _shaped(s: Scenario, tables: tuple) -> Iterator[tuple[tuple[str, ...], tuple
 
 def _project(b: AnyBehavior, ci: int, shared: tuple[str, ...]) -> dict:
     """Nonzero marginals of context ci on the measurements shared, keyed by
-    joint outcome; a possibilistic table maps each possible joint outcome to
-    True.
+    joint outcome: the sums of its cell groups (_cell_groups) in the integer
+    view; a possibilistic table maps each possible joint outcome to True.
 
     :raises SubsetNotInContext: if some measurement is not in the context.
     """
     s = b.scenario
     c = s.contexts[ci]
     try:
-        pos = [c.index(m) for m in shared]
+        pos = tuple(c.index(m) for m in shared)
     except ValueError:
         outside = next(m for m in shared if m not in c)
         raise SubsetNotInContext(f"measurement {shown(outside)} is not in context {shown(c)}") from None
-    possibilistic = isinstance(b, PossibilisticBehavior)
-    marginal: dict[tuple[str, ...], object] = {}
-    for cell, p in zip(joint_outcomes(s, c), b.tables[ci]):
-        if p:
-            key = tuple(map(cell.__getitem__, pos))
-            marginal[key] = p if possibilistic or key not in marginal else marginal[key] + p
-    return marginal
+    keys = joint_outcomes(s, shared)
+    if len(set(pos)) < len(pos):  # a repeated measurement reads one outcome in each of its places
+        keys = (joint for joint in keys if len(set(zip(pos, joint))) == len(set(pos)))
+    exact = isinstance(b, Behavior)
+    nums, den = b._ints[ci] if exact else (b.tables[ci], 1)
+    groups = _cell_groups(tuple(len(s.outcomes[m]) for m in c), pos)
+    totals = ((key, sum(map(nums.__getitem__, g))) for key, g in zip(keys, groups))
+    return {key: Fraction(n, den) if exact else True for key, n in totals if n}
 
 
 def collapse(b: Behavior) -> PossibilisticBehavior:

@@ -31,8 +31,9 @@ backward pass counts each state's extensions over the Python ints, giving
 the support size and each context's covered cells (restrictions of members)
 with no listing. Members are listed, as digit rows over the measurement
 order ascending, only for support, the LP and global_distribution;
-is_strongly_contextual reads the forward pass alone. Past the bound, _scan
-reads a numpy listing grown along the same order; numpy loads only there.
+is_strongly_contextual reads the forward pass alone. Past the bound, which
+one comparison with the plan's largest bag tells, _scan reads a numpy
+listing grown along the same plan; numpy loads only there.
 
 support / is_logically_contextual / is_strongly_contextual accept a Behavior
 or a PossibilisticBehavior; probability tables are read through their
@@ -44,6 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from . import simplex
@@ -134,16 +136,17 @@ def _placement(
 
 
 @lru_cache(maxsize=256)
-def _elimination_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]) -> tuple | None:
-    """(order, steps) of an elimination along the placement order, or None
-    when some bag has more than _MAX_STATES digit states.
+def _elimination_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]) -> tuple:
+    """(order, steps, largest) of an elimination along the placement order;
+    largest is the digit-state count of its largest bag.
 
     Step k places order[k]. Its bag is the frontier before it (the placed
     measurements that a context not yet closed holds) then order[k], and a
-    state is the bag's digits in that order. A step is (radix of order[k],
-    checks, keep): checks gives each context closing at k as (ci, (bag slot,
-    cell stride) of its other measurements, cell stride of order[k]), and
-    keep lists the bag slots of the frontier after the step.
+    state is the bag's digits in that order. A step is (bag, radix of
+    order[k], checks, keep): bag lists the measurement positions, checks
+    gives each context closing at k as (ci, (bag slot, cell stride) of its
+    other measurements, cell stride of order[k]), and keep lists the bag
+    slots of the frontier after the step.
     """
     order, closing = _placement(radices, ctx_positions)
     last = {q: k for k, cis in enumerate(closing) for ci in cis for q in ctx_positions[ci]}
@@ -151,8 +154,6 @@ def _elimination_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, 
     frontier: tuple[int, ...] = ()
     for k, q in enumerate(order):
         bag = frontier + (q,)
-        if math.prod(radices[x] for x in bag) > _MAX_STATES:
-            return None
         checks = []
         for ci in closing[k]:
             positions = ctx_positions[ci]
@@ -160,8 +161,8 @@ def _elimination_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, 
             own = strides.pop(q)
             checks.append((ci, tuple((bag.index(x), st) for x, st in strides.items()), own))
         frontier = tuple(x for x in bag if last[x] > k)
-        steps.append((radices[q], tuple(checks), tuple(map(bag.index, frontier))))
-    return order, tuple(steps)
+        steps.append((bag, radices[q], tuple(checks), tuple(map(bag.index, frontier))))
+    return order, tuple(steps), max(math.prod(radices[x] for x in bag) for bag, *_ in steps)
 
 
 def _forward(possible: list[set[int]], steps: tuple) -> tuple[list[dict], set]:
@@ -174,7 +175,7 @@ def _forward(possible: list[set[int]], steps: tuple) -> tuple[list[dict], set]:
     """
     moves = []
     reached: set[tuple[int, ...]] = {()}
-    for radix, checks, keep in steps:
+    for _, radix, checks, keep in steps:
         step = {}
         for state in reached:
             options = [((), d) for d in range(radix)]
@@ -201,7 +202,7 @@ def _backward(steps: tuple, moves: list[dict], reached: set, contexts: int):
     counts = dict.fromkeys(reached, 1)  # {(): 1} unless the support is empty
     covered: list[set[int]] = [set() for _ in range(contexts)]
     extends = [counts]
-    for (_, checks, _), step in reversed(list(zip(steps, moves))):
+    for (_, _, checks, _), step in reversed(list(zip(steps, moves))):
         before = {}
         for state, outs in step.items():
             total = 0
@@ -235,41 +236,20 @@ def _rows(order: tuple[int, ...], moves: list[dict], extends: list[dict]) -> lis
 # -- the listing past the state bound ---------------------------------------------
 
 
-class _Engine:
-    """Per-shape tables for listing the support of a scenario with numpy.
-
-    Assignment index -> context cell code is an affine digit map; the
-    arrays here let a whole array of indices be mapped at once. A partial
-    assignment is the index with its unplaced digits 0, so a context's cell
-    codes are read off it once the context's measurements are placed, in
-    the order _placement gives.
-    """
-
-    def __init__(self, radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]):
-        strides = [1] * len(radices)
-        for q in range(len(radices) - 2, -1, -1):
-            strides[q] = strides[q + 1] * radices[q + 1]
-        self.strides = tuple(strides)
-        self.radices = radices
-        self.contexts = []
-        for positions in ctx_positions:
-            pos_strides = np.array([strides[q] for q in positions], dtype=np.int64)
-            pos_radices = np.array([radices[q] for q in positions], dtype=np.int64)
-            cell_strides = np.ones(len(positions), dtype=np.int64)
-            for k in range(len(positions) - 2, -1, -1):
-                cell_strides[k] = cell_strides[k + 1] * radices[positions[k + 1]]
-            self.contexts.append((pos_strides, pos_radices, cell_strides))
-        self.order, self.closing = _placement(radices, ctx_positions)
-
-    def cell_codes(self, arr: np.ndarray, ci: int) -> np.ndarray:
-        pos_strides, pos_radices, cell_strides = self.contexts[ci]
-        codes = np.zeros(len(arr), dtype=np.int64)
-        for stride, radix, cstride in zip(pos_strides, pos_radices, cell_strides):
-            codes += (arr // stride) % radix * cstride
-        return codes
+def _closing_cells(step: tuple) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(ci, (measurement position, cell stride) pairs) of each context
+    closing at one plan step."""
+    bag, _, checks, _ = step
+    return [(ci, tuple((bag[i], st) for i, st in others) + ((bag[-1], own),)) for ci, others, own in checks]
 
 
-_engine = lru_cache(maxsize=256)(_Engine)
+def _cell_codes(arr: np.ndarray, pairs: tuple[tuple[int, int], ...], radices: tuple[int, ...]) -> np.ndarray:
+    """Each int64 assignment index's cell in one context, from the context's
+    (measurement position, cell stride) pairs; an unplaced digit reads 0."""
+    codes = np.zeros(len(arr), dtype=np.int64)
+    for q, st in pairs:
+        codes += arr // math.prod(radices[q + 1 :]) % radices[q] * st
+    return codes
 
 
 def enumeration_size(s: Scenario) -> int:
@@ -297,24 +277,25 @@ def _survivor_chunks(b: AnyBehavior, possible: list[set[int]], cap: int | None):
     """A generator of the support in non-empty chunks of int64 assignment
     indices (mixed radix over the measurement order, last fastest), unordered.
 
-    The cap is checked here, before the engine's int64 strides are built, so
-    an oversized scenario raises on the call, not on the first chunk.
-    Partial assignments grow along eng.order in slices of at most _CHUNK;
-    each growth step keeps the partials that every context closing there
-    allows, and a slice that reaches full depth is yielded.
+    The cap is checked here, so an oversized scenario raises on the call,
+    not on the first chunk. Partial assignments (unplaced digits 0) grow
+    along the elimination plan's order in slices of at most _CHUNK; each
+    step keeps the partials that every context closing there allows, and a
+    slice that reaches full depth is yielded.
 
     :raises EnumerationCapExceeded: when the assignment count exceeds cap.
     """
     _check_cap(b.scenario, cap)
-    eng = _engine(*index_shape(b.scenario))
+    radices, ctx_positions = index_shape(b.scenario)
+    _, steps, _ = _elimination_plan(radices, ctx_positions)
     masks = [np.array([k in cells for k in range(len(t))], dtype=bool) for cells, t in zip(possible, b.tables)]
 
     def grow(part: np.ndarray, k: int):
-        q = eng.order[k]
-        part = (part[:, None] + np.arange(eng.radices[q], dtype=np.int64) * eng.strides[q]).ravel()
-        for ci in eng.closing[k]:
-            part = part[masks[ci][eng.cell_codes(part, ci)]]
-        if k + 1 == len(eng.order):
+        bag, radix, *_ = steps[k]
+        part = (part[:, None] + np.arange(radix, dtype=np.int64) * math.prod(radices[bag[-1] + 1 :])).ravel()
+        for ci, pairs in _closing_cells(steps[k]):
+            part = part[masks[ci][_cell_codes(part, pairs, radices)]]
+        if k + 1 == len(steps):
             if len(part):
                 yield part
             return
@@ -354,20 +335,20 @@ def _scan(b: AnyBehavior, cap: int | None) -> _Support:
     _check_cap(b.scenario, cap)
     possible = _possible(b)
     shape = index_shape(b.scenario)
-    plan = _elimination_plan(*shape)
-    if plan is None:  # the listing's members become digit rows once
-        eng = _engine(*shape)
+    order, steps, largest = _elimination_plan(*shape)
+    if largest > _MAX_STATES:  # the listing's members become digit rows once
+        radices = shape[0]
+        closing = [cells for step in steps for cells in _closing_cells(step)]
         covered = [np.zeros(len(t), dtype=bool) for t in b.tables]
         chunks = [np.zeros(0, dtype=np.int64)]
         for arr in _survivor_chunks(b, possible, cap):
             chunks.append(arr)
-            for ci, cov in enumerate(covered):
-                cov[eng.cell_codes(arr, ci)] = True
+            for ci, pairs in closing:
+                covered[ci][_cell_codes(arr, pairs, radices)] = True
         listed = np.sort(np.concatenate(chunks))
-        rows = list(zip(*((listed // stride % radix).tolist() for stride, radix in zip(eng.strides, eng.radices))))
+        rows = list(zip(*((listed // math.prod(radices[q + 1 :]) % r).tolist() for q, r in enumerate(radices))))
         covered = [set(np.flatnonzero(cov).tolist()) for cov in covered]
         return _Support(len(rows), possible, covered, lambda: rows, shape)
-    order, steps = plan
     moves, reached = _forward(possible, steps)
     size, covered, extends = _backward(steps, moves, reached, len(possible))
     return _Support(size, possible, covered, partial(_rows, order, moves, extends), shape)
@@ -401,10 +382,10 @@ def is_strongly_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
     pass decides, stopping at the first step that reaches no state; past it
     the listing stops at its first chunk holding a survivor."""
     _check_cap(b.scenario, cap)
-    plan = _elimination_plan(*index_shape(b.scenario))
-    if plan is None:
+    _, steps, largest = _elimination_plan(*index_shape(b.scenario))
+    if largest > _MAX_STATES:
         return next(_survivor_chunks(b, _possible(b), cap), None) is None
-    return not _forward(_possible(b), plan[1])[1]
+    return not _forward(_possible(b), steps)[1]
 
 
 def _witness(s: Scenario, possible: list[set[int]], covered: list[set[int]]):
@@ -412,7 +393,7 @@ def _witness(s: Scenario, possible: list[set[int]], covered: list[set[int]]):
     for ci, (cells, cov) in enumerate(zip(possible, covered)):
         bad = cells - cov
         if bad:
-            return (s.contexts[ci], list(joint_outcomes(s, s.contexts[ci]))[min(bad)])
+            return (s.contexts[ci], next(islice(joint_outcomes(s, s.contexts[ci]), min(bad), None)))
     return None
 
 

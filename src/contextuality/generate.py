@@ -108,8 +108,12 @@ def random_nd_coupling(
     One rational marginal per measurement; each context's table is a convex
     mixture of 1..max_components transportation-plan vertices of the two
     marginals, so every context reproduces the shared marginals exactly.
+
+    :raises ValueError: if max_components is below 1.
     """
     require_pairs(s)
+    if max_components < 1:
+        raise InvalidArgument(f"max_components must be at least 1, got {max_components}")
     q = {m: _random_distribution(len(s.outcomes[m]), rng) for m in s.measurements}
     tables = []
     for u, v in s.contexts:

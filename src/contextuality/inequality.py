@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .behavior import Behavior, require_nondisturbing, require_probabilistic
-from .errors import InvalidArgument
+from .errors import InvalidArgument, shown
 from .scenario import require_dichotomic, traverse_cycle
 
 
@@ -33,11 +33,11 @@ class NcycleInequality:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if any(g not in (-1, 1) for g in self.signs):
+            raise InvalidArgument(f"signs must be +1 or -1, got {shown(self.signs)}")
         object.__setattr__(self, "signs", tuple(int(g) for g in self.signs))
         if len(self.signs) < 3:
             raise InvalidArgument(f"need at least 3 contexts, got {len(self.signs)}")
-        if any(g not in (-1, 1) for g in self.signs):
-            raise InvalidArgument("signs must be +1 or -1")
         if self.signs.count(-1) % 2 == 0:
             raise InvalidArgument("the number of -1 signs must be odd")
 
@@ -51,14 +51,14 @@ def correlator(b: Behavior, i: int) -> Fraction:
 
     Exact, and independent of the stored measurement order of the context.
 
-    :raises ValueError: if i is out of range or context i is not a pair.
+    :raises ValueError: if i is not an int in range or context i is not a pair.
     :raises NonDichotomic: if either measurement has more than 2 outcomes.
     :raises InvalidBehavior: if b is a PossibilisticBehavior.
     """
     require_probabilistic(b)
     s = b.scenario
-    if not 1 <= i <= len(s.contexts):
-        raise InvalidArgument(f"context index must be in 1..{len(s.contexts)}, got {i}")
+    if not isinstance(i, int) or not 1 <= i <= len(s.contexts):
+        raise InvalidArgument(f"context index must be an int in 1..{len(s.contexts)}, got {shown(i)}")
     c = s.contexts[i - 1]
     if len(c) != 2:
         raise InvalidArgument(f"context {c} has {len(c)} measurements, need exactly 2")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .behavior import AnyBehavior, PossibilisticBehavior, collapse, require_nondisturbing
-from .errors import ContextualityError, InvalidArgument, WrongScenarioShape
+from .errors import ContextualityError, InvalidArgument, WrongScenarioShape, shown
 from .scenario import Scenario, _chordless, require_dichotomic, require_pairs, traverse_cycle
 
 
@@ -572,19 +572,24 @@ def pr_box_behavior(
 
     :raises NotCycle: if the scenario is not a single cycle.
     :raises NonDichotomic: if some measurement is not two-outcome.
+    :raises InvalidArgument: if flip_context_index is not an int in 1..n,
+        or assignment is not n outcome labels in cycle order.
     """
     order = traverse_cycle(scenario)
     s = scenario
     require_dichotomic(s)
     n = len(order)
-    if not 1 <= flip_context_index <= n:
-        raise InvalidArgument(f"flip_context_index must be in 1..{n}, got {flip_context_index}")
+    if not isinstance(flip_context_index, int) or not 1 <= flip_context_index <= n:
+        raise InvalidArgument(f"flip_context_index must be an int in 1..{n}, got {shown(flip_context_index)}")
     measurements = tuple(pair[0] for _, pair in order)
     if assignment is None:
         assignment = tuple(s.outcomes[m][0] for m in measurements)
     assignment = tuple(str(a) for a in assignment)
     if len(assignment) != n:
         raise InvalidArgument(f"assignment needs {n} entries, got {len(assignment)}")
+    for m, a in zip(measurements, assignment):
+        if a not in s.outcomes[m]:
+            raise InvalidArgument(f"{a!r} is not an outcome of {m!r}")
     bit = {
         m: s.outcomes[m].index(a) for m, a in zip(measurements, assignment)
     }

@@ -283,12 +283,14 @@ def _chordless(s: Scenario) -> Iterator[tuple[str, ...]]:
     kept when its second label precedes its last, and is never extended.
     Starts and neighbours are taken in label order, so the cycles come out
     sorted with no sort, and a caller may stop at the first it wants. The
-    search keeps its own stack, so no recursion limit bounds a path.
+    search keeps its own stack, so no recursion limit bounds a path, and
+    counts each vertex's interior neighbours, so a chord test is one lookup.
     """
     adj: dict[str, set[str]] = {m: set() for m in s.measurements}
     for u, v in s.contexts:
         adj[u].add(v)
         adj[v].add(u)
+    near = dict.fromkeys(s.measurements, 0)
     for start in sorted(s.measurements):
         path, members, branches = [start], {start}, [iter(sorted(adj[start]))]
         while branches:
@@ -296,12 +298,16 @@ def _chordless(s: Scenario) -> Iterator[tuple[str, ...]]:
             if y is None:
                 branches.pop()
                 members.discard(path.pop())
-            elif y <= start or y in members or any(y in adj[p] for p in path[1:-1]):
+                for z in adj[path[-1]] if len(path) > 1 else ():  # the new last vertex leaves the interior
+                    near[z] -= 1
+            elif y <= start or y in members or near[y]:
                 continue  # not larger than the start, on the path, or a chord
             elif len(path) > 1 and y in adj[start]:
                 if path[1] < y:
                     yield (*path, y)  # extending past y would leave the chord start-y
             else:
+                for z in adj[path[-1]] if len(path) > 1 else ():  # the last vertex joins the interior
+                    near[z] += 1
                 path.append(y)
                 members.add(y)
                 branches.append(iter(sorted(adj[y])))

@@ -120,6 +120,13 @@ class TestMarginals:
         assert b.marginal(0, ("A1",), ("0",)) == F(1, 2)
         assert b.marginal(0, ("A1",), ("1",)) == F(1, 2)
 
+    def test_repeated_measurement_reads_one_outcome(self):
+        b = fixture("pr-box")
+        assert b.marginal(0, ("A1", "A1"), ("1", "1")) == F(1, 2)
+        assert b.marginal(0, ("A1", "B1", "A1"), ("0", "0", "0")) == F(1, 2)
+        assert b.marginal(0, ("A1", "A1"), ("0", "1")) == 0
+        assert collapse(b).marginal(0, ("A1", "A1"), ("1", "0")) is False
+
     def test_marginal_requires_subset(self):
         b = fixture("pr-box")
         with pytest.raises(SubsetNotInContext):

@@ -151,14 +151,14 @@ class TestLogicalLevel:
 
     def test_standalone_sc_stops_at_first_survivor_chunk(self, monkeypatch):
         calls = 0
-        cell_codes = classical._Engine.cell_codes
+        cell_codes = classical._cell_codes
 
-        def counted(self, arr, ci):
+        def counted(arr, pairs, radices):
             nonlocal calls
             calls += 1
-            return cell_codes(self, arr, ci)
+            return cell_codes(arr, pairs, radices)
 
-        monkeypatch.setattr(classical._Engine, "cell_codes", counted)
+        monkeypatch.setattr(classical, "_cell_codes", counted)
         s = wide_bell(41)
         pb = PossibilisticBehavior(s, tuple((True,) * s.context_cells(ci) for ci in range(len(s.contexts))))
         assert not is_strongly_contextual(pb)
@@ -541,20 +541,22 @@ def listed_indices(b) -> np.ndarray:
 
 def covered_cells(b, indices: np.ndarray) -> list[set[int]]:
     """Each context's cells that some of the given members restrict to."""
-    eng = classical._engine(*index_shape(b.scenario))
-    return [set(eng.cell_codes(indices, ci).tolist()) for ci in range(len(b.scenario.contexts))]
+    s = b.scenario
+    radices = {m: len(s.outcomes[m]) for m in s.measurements}
+    digits = dict(zip(s.measurements, np.unravel_index(indices, list(radices.values()))))
+    return [set(np.ravel_multi_index([digits[m] for m in c], [radices[m] for m in c]).tolist()) for c in s.contexts]
 
 
 def count_cell_codes(monkeypatch) -> list[int]:
-    """Count the indices passed to _Engine.cell_codes, in the returned cell."""
+    """Count the indices passed to _cell_codes, in the returned cell."""
     passed = [0]
-    cell_codes = classical._Engine.cell_codes
+    cell_codes = classical._cell_codes
 
-    def counted(self, arr, ci):
+    def counted(arr, pairs, radices):
         passed[0] += len(arr)
-        return cell_codes(self, arr, ci)
+        return cell_codes(arr, pairs, radices)
 
-    monkeypatch.setattr(classical._Engine, "cell_codes", counted)
+    monkeypatch.setattr(classical, "_cell_codes", counted)
     return passed
 
 
@@ -698,7 +700,7 @@ class TestSupportKernel:
         numpy listing, on strongly contextual and disturbing tables too."""
         sizes, disturbing = [], 0
         for draw, b in enumerate(self.draws(random.Random(2020))):
-            assert classical._elimination_plan(*index_shape(b.scenario)) is not None
+            assert classical._elimination_plan(*index_shape(b.scenario))[2] <= classical._MAX_STATES
             want = oracle.ref_survivors(b)
             assert np.array_equal(listed_indices(b), want), f"draw {draw}"
             found = classical._scan(b, None)
@@ -835,8 +837,8 @@ class TestEliminationWitness:
         bell = make_bipartite_bell(3, 2)
         outcomes = {m: tuple(map(str, range(13 if m[0] == "A" else 2))) for m in bell.measurements}
         s = Scenario(bell.measurements, outcomes, bell.contexts)
-        assert classical._elimination_plan(*index_shape(s)) is None
-        assert classical._elimination_plan(*index_shape(make_bipartite_bell(4, 2))) is not None
+        assert classical._elimination_plan(*index_shape(s))[2] == 4394 > classical._MAX_STATES
+        assert classical._elimination_plan(*index_shape(make_bipartite_bell(4, 2)))[2] <= classical._MAX_STATES
         calls = []
         real = classical._survivor_chunks
         monkeypatch.setattr(classical, "_survivor_chunks", lambda *args: calls.append(1) or real(*args))

@@ -367,6 +367,14 @@ class TestIneq:
         assert data["violates_classical"] is True
         assert data["violates_quantum"] is True
 
+    def test_tied_correlators_print_the_first_flip(self, capsys, tmp_path):
+        t = (Fraction(3, 8), Fraction(1, 8), Fraction(1, 8), Fraction(3, 8))
+        path = tmp_path / "tied.json"
+        path.write_text(json.dumps(behavior_to_json_dict(contextuality.Behavior(contextuality.make_n_cycle(4), (t,) * 4))))
+        code, data = run_json(capsys, ["ineq", "--behavior", str(path)])
+        assert code == 0
+        assert data["signs"] == [-1, 1, 1, 1] and data["max_value"] == "1"
+
     def test_bell_respects_bound(self, capsys, bell_file):
         code, data = run_json(capsys, ["ineq", "--behavior", bell_file])
         assert code == 0

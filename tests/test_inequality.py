@@ -39,6 +39,23 @@ def uniform_cycle(n: int) -> Behavior:
     return Behavior(scenario=s, tables=tuple((q, q, q, q) for _ in range(n)))
 
 
+def tied_cycle() -> Behavior:
+    """The 4-cycle with every table (3/8, 1/8, 1/8, 3/8): four tied E_i = 1/2
+    and no minus sign, so the repair must pick the first of the ties."""
+    t = (Fraction(3, 8), Fraction(1, 8), Fraction(1, 8), Fraction(3, 8))
+    return Behavior(make_n_cycle(4), (t,) * 4)
+
+
+def chsh(v: Fraction) -> Behavior:
+    """The 4-cycle with uniform marginals and E = (v/4, v/4, v/4, -v/4), whose
+    largest family member has value v."""
+    tables = []
+    for e in (v / 4, v / 4, v / 4, -v / 4):
+        same, other = (1 + e) / 4, (1 - e) / 4
+        tables.append((same, other, other, same))
+    return Behavior(make_n_cycle(4), tuple(tables))
+
+
 # ======================================================================
 # 1. Correlators
 # ======================================================================
@@ -147,6 +164,17 @@ class TestEvaluateAll:
         assert r.signs.count(-1) % 2 == 1
         assert not r.violates_classical
         assert not r.violates_quantum
+
+    def test_tied_correlators_flip_the_first_sign(self):
+        r = evaluate_all(tied_cycle())
+        assert r.max_value == 1 and r.signs == (-1, 1, 1, 1), r
+
+    def test_quantum_flag_just_past_tsirelson(self):
+        # 2*sqrt(2) = 2.82842712474..., about 9.5e-10 below the first value
+        above, below = Fraction(28284271257, 10**10), Fraction(28284271237, 10**10)
+        assert evaluate_all(chsh(above)).max_value == above
+        assert evaluate_all(chsh(above)).violates_quantum is True
+        assert evaluate_all(chsh(below)).violates_quantum is False
 
     def test_json_round_trip_values(self):
         d = evaluate_all(PR).to_json_dict()

@@ -13,7 +13,9 @@ import pytest
 
 from contextuality import (
     Behavior,
+    InvalidArgument,
     InvalidBehavior,
+    NcycleInequality,
     NegativeProbability,
     NonDichotomic,
     NonSimpleScenario,
@@ -162,3 +164,44 @@ def test_correlator_checks_only_its_own_context():
 def test_shape_errors_form_one_family():
     for error in (NonSimpleScenario, NonDichotomic, NotCycle):
         assert issubclass(error, WrongScenarioShape)
+
+
+# Each call passes one argument of the wrong type or range; the message names it.
+ARGUMENT_CASES = [
+    pytest.param(
+        lambda: pr_box_behavior(make_n_cycle(4), 1, ("0", "0", "0", "x")),
+        "'x' is not an outcome of 'M4'",
+        id="pr_box/assignment-label",
+    ),
+    pytest.param(
+        lambda: pr_box_behavior(make_n_cycle(4), 1.5),
+        r"flip_context_index must be an int in 1\.\.4, got 1.5",
+        id="pr_box/float-flip",
+    ),
+    pytest.param(
+        lambda: correlator(fixture("bell"), 1.5),
+        r"context index must be an int in 1\.\.4, got 1.5",
+        id="correlator/float-index",
+    ),
+    pytest.param(
+        lambda: random_nd_coupling(make_n_cycle(4), Random(0), max_components=0),
+        "max_components must be at least 1, got 0",
+        id="random_nd_coupling/no-components",
+    ),
+    pytest.param(
+        lambda: NcycleInequality((1.5, 1, -1)),
+        r"signs must be \+1 or -1, got \(1.5, 1, -1\)",
+        id="NcycleInequality/float-sign",
+    ),
+    pytest.param(
+        lambda: NcycleInequality(("a", "b", "c")),
+        r"signs must be \+1 or -1, got \('a', 'b', 'c'\)",
+        id="NcycleInequality/string-sign",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_CASES)
+def test_rejected_argument_raises_invalid_argument(call, message):
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        call()
