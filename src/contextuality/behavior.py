@@ -167,8 +167,8 @@ def _shaped(s: Scenario, tables: tuple) -> Iterator[tuple[tuple[str, ...], tuple
 
 def _project(b: AnyBehavior, ci: int, shared: tuple[str, ...]) -> dict:
     """Nonzero marginals of context ci on the measurements shared, keyed by
-    joint outcome: the sums of its cell groups (_cell_groups) in the integer
-    view; a possibilistic table maps each possible joint outcome to True.
+    joint outcome: its cell groups' (_cell_groups) integer sums, or a lone
+    cell's own entry; a possibilistic table maps each possible one to True.
 
     :raises SubsetNotInContext: if some measurement is not in the context.
     """
@@ -183,10 +183,11 @@ def _project(b: AnyBehavior, ci: int, shared: tuple[str, ...]) -> dict:
     if len(set(pos)) < len(pos):  # a repeated measurement reads one outcome in each of its places
         keys = (joint for joint in keys if len(set(zip(pos, joint))) == len(set(pos)))
     exact = isinstance(b, Behavior)
-    nums, den = b._ints[ci] if exact else (b.tables[ci], 1)
+    own = b.tables[ci]
+    nums, den = b._ints[ci] if exact else (own, 1)
     groups = _cell_groups(tuple(len(s.outcomes[m]) for m in c), pos)
-    totals = ((key, sum(map(nums.__getitem__, g))) for key, g in zip(keys, groups))
-    return {key: Fraction(n, den) if exact else True for key, n in totals if n}
+    sums = (own[g[0]] if len(g) == 1 else Fraction(sum(map(nums.__getitem__, g)), den) for g in groups)
+    return {key: p if exact else True for key, p in zip(keys, sums) if p}
 
 
 def collapse(b: Behavior) -> PossibilisticBehavior:

@@ -13,11 +13,12 @@ pairs one cycle, n >= 3; Bell (2,2) is the 4-cycle) the 2^(n-1) n-cycle
 inequalities are complete for nondisturbing behaviors (Araujo et al., PRA
 88, 022118, 2013), so hierarchy decides existence there with their
 closed-form maximum, inequality.tight_member: one integer sum over the
-contexts. The shape test reads scenario.traverse_cycle's cached walk. Every
-other shape, is_noncontextual (the definition, and the LP that referees the
-inequalities), and every question that needs a value or a vertex
-(noncontextual_weight, contextual_fraction, global_distribution) solve one
-exact rational LP, whose optimum also yields the contextual fraction.
+contexts. The shape test reads scenario.traverse_cycle's cached walk. On
+acyclic scenarios hierarchy answers nc = True (see _nc). Every other shape,
+is_noncontextual (the definition, and the LP that referees both rules), and
+every question that needs a value or a vertex (noncontextual_weight,
+contextual_fraction, global_distribution) solve one exact rational LP,
+whose optimum also yields the contextual fraction.
 
 Every question reads the support through _scan, which first checks the
 assignment count against the enumeration cap. Measurements are placed one at
@@ -42,6 +43,7 @@ possibilistic collapse (cell possible iff p > 0).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -482,10 +484,33 @@ def _dichotomic_cycle(s: Scenario) -> bool:
     return all(len(s.outcomes[m]) == 2 for m in s.measurements)
 
 
-def _nc(b: Behavior, found: _Support) -> bool:
-    """Whether the nondisturbing b, with support found, is noncontextual:
-    on a dichotomic cycle, iff every n-cycle inequality holds (they are
-    complete there); elsewhere, iff the LP's optimum is 1."""
+@lru_cache(maxsize=256)
+def _acyclic(ctx_positions: tuple[tuple[int, ...], ...]) -> bool:
+    """True when GYO reduction empties the contexts: drop the measurements one
+    context alone holds, then a context inside another (or empty), and repeat."""
+    edges = [set(p) for p in ctx_positions]
+    while edges:
+        held = Counter(q for e in edges for q in e)
+        edges = [{q for q in e if held[q] > 1} for e in edges]
+        i = next((i for i, e in enumerate(edges) if not e or any(j != i and e <= f for j, f in enumerate(edges))), None)
+        if i is None:
+            return False
+        del edges[i]
+    return True
+
+
+def _nc(b: Behavior, found: _Support, witness) -> bool:
+    """Whether the nondisturbing b, with support found and LC witness
+    witness, is noncontextual: always on an acyclic scenario (Vorob'ev,
+    Theory Probab. Appl. 7, 147, 1962), where a witness raises; else never
+    with a witness; on a dichotomic cycle, iff every n-cycle inequality
+    holds (they are complete there); elsewhere, iff the LP's optimum is 1."""
+    if _acyclic(found.shape[1]):
+        if witness is not None:
+            raise RuntimeError(f"LC witness {witness} on an acyclic scenario, where nondisturbance implies nc")
+        return True
+    if witness is not None:
+        return False
     if _dichotomic_cycle(b.scenario):
         value, scale, _ = tight_member(b._ints)
         return value <= (len(b.tables) - 2) * scale
@@ -546,8 +571,8 @@ def hierarchy(b: Behavior, cap: int | None = None, level: str = "all") -> Hierar
     level is one of "nd", "nc", "lc", "sc", "all". Nondisturbance is always
     checked first; if it fails, every later flag is undefined (None). Flags
     outside the requested level stay None. The rest is read off one support
-    scan. nc is False when an LC witness exists; otherwise the n-cycle
-    inequalities decide it on a dichotomic cycle, and the LP elsewhere.
+    scan. nc is True on an acyclic scenario, else False on an LC witness,
+    else decided by the n-cycle inequalities or, off those, the LP.
     """
     if level not in ("nd", "nc", "lc", "sc", "all"):
         raise InvalidArgument(f"unknown level {level!r}")
@@ -558,7 +583,7 @@ def hierarchy(b: Behavior, cap: int | None = None, level: str = "all") -> Hierar
     witness = _witness(b.scenario, found.possible, found.covered)
     nc = lc = sc = None
     if level in ("nc", "all"):
-        nc = witness is None and _nc(b, found)
+        nc = _nc(b, found, witness)
     if level in ("lc", "all"):
         lc = witness is not None
     if level in ("sc", "all"):

@@ -13,7 +13,8 @@ Every E_i is read by one integer rule over one common scale, which keeps
 every sign and tie: correlator, evaluate and evaluate_all each make one
 Fraction, and classical decides nc on dichotomic cycles with the same sum
 in place of the LP. The maximal quantum value has a known closed form in n
-as well (the n=4 case is Tsirelson's 2*sqrt(2)).
+as well (the n=4 case is Tsirelson's 2*sqrt(2)); near it, a Chebyshev
+sign decides violates_quantum exactly.
 """
 from __future__ import annotations
 
@@ -94,6 +95,21 @@ def quantum_bound(n: int) -> float:
     return n * c
 
 
+def _beats_quantum(v: Fraction, n: int, qb: float) -> bool:
+    """v > quantum_bound(n) = qb: in floats past 1e-9 from qb (far above its
+    float error for n < 10^6), else exactly: iff r > cos(pi/n), r = v/n for
+    even n and (v + n)/(3n - v) for odd n, iff (on (cos(2pi/n), 1]) the
+    Chebyshev U_{n-1}(r) > 0; with r = a/q, V_k = U_k(r) q^k = 2a V_{k-1} - q^2 V_{k-2}."""
+    if abs(float(v) - qb) > 1e-9:
+        return float(v) > qb
+    r = v / n if n % 2 == 0 else (v + n) / (3 * n - v)
+    a, q = r.numerator, r.denominator
+    before, u = 1, 2 * a
+    for _ in range(n - 2):
+        before, u = u, 2 * a * u - q * q * before
+    return u > 0
+
+
 @dataclass(frozen=True)
 class ViolationReport:
     """The tight family member for one behavior and how far it reaches."""
@@ -171,5 +187,5 @@ def evaluate_all(b: Behavior) -> ViolationReport:
         classical_bound=n - 2,
         quantum_bound=qb,
         violates_classical=value > (n - 2) * scale,
-        violates_quantum=float(max_value) > qb + 1e-12,
+        violates_quantum=_beats_quantum(max_value, n, qb),
     )

@@ -344,8 +344,9 @@ class TestHierarchy:
     @pytest.mark.parametrize("level", ["nc", "all"])
     def test_lc_witness_decides_nc_without_the_lp(self, monkeypatch, level):
         """LC implies contextual, so an LC behavior needs no LP; neither does
-        a dichotomic cycle (BELL), which the n-cycle inequalities decide; a
-        witness-free behavior of any other shape still gets exactly one."""
+        a dichotomic cycle (BELL), which the n-cycle inequalities decide, nor
+        a tree, where nondisturbance implies nc; a witness-free behavior of
+        any other shape still gets exactly one."""
         calls = []
         real = classical._lp
 
@@ -356,7 +357,10 @@ class TestHierarchy:
         monkeypatch.setattr(classical, "_lp", counted)
         bell32 = random_nd_coupling(make_bipartite_bell(3, 2), random.Random(5))  # weight 199/231
         triangle3 = random_nd_coupling(make_n_cycle(3, 3), random.Random(1))
-        cases = ((HARDY, 0, False), (PR, 0, False), (BELL, 0, True), (bell32, 1, False), (triangle3, 1, True))
+        tree = random_nd_coupling(path(5, 3), random.Random(2))
+        cases = (
+            (HARDY, 0, False), (PR, 0, False), (BELL, 0, True), (tree, 0, True), (bell32, 1, False), (triangle3, 1, True)
+        )
         for b, lp_calls, nc in cases:
             calls.clear()
             assert hierarchy(b, level=level).nc is nc
@@ -1128,3 +1132,127 @@ class TestCycleFacets:
         report = hierarchy(b)
         assert (report.nc, report.logically_contextual, report.support_size) == (True, False, 1566)
         assert hierarchy(b, level="nc").nc is True
+
+
+# -- the acyclic rule -------------------------------------------------------------
+
+
+def _sparse_distribution(k: int, rng: random.Random) -> list[Fraction]:
+    """A distribution over k cells with 1 or 2 of them possible."""
+    weights = [0] * k
+    for cell in rng.sample(range(k), rng.randint(1, min(2, k))):
+        weights[cell] = rng.randint(1, 4)
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+def acyclic_behavior(rng: random.Random) -> Behavior:
+    """A nondisturbing behavior on a random acyclic scenario of 4..9
+    measurements with 2 or 3 outcomes each. The first context is a triple;
+    each later one joins 1 or 2 measurements of an earlier context (never
+    all of them) with 1 or 2 new ones, so the contexts form a join tree.
+    A later table is the earlier table's marginal on the joined part times,
+    for each joined outcome, a sparse random table of the new measurements,
+    so every overlap agrees."""
+    names = ["X0", "X1", "X2"]
+    contexts = [tuple(names)]
+    parents = [None]
+    size = rng.randint(4, 8)
+    while len(names) < size:
+        pi = rng.randrange(len(contexts))
+        joined = tuple(rng.sample(contexts[pi], rng.randint(1, min(2, len(contexts[pi]) - 1))))
+        fresh = tuple(f"X{len(names) + i}" for i in range(rng.randint(1, 2)))
+        names += fresh
+        contexts.append(joined + fresh)
+        parents.append(pi)
+    s = Scenario(tuple(names), {m: tuple(map(str, range(rng.randint(2, 3)))) for m in names}, tuple(contexts))
+    cells = list(joint_outcomes(s, contexts[0]))
+    tables = [dict(zip(cells, _sparse_distribution(len(cells), rng)))]
+    for c, pi in zip(contexts[1:], parents[1:]):
+        parent = contexts[pi]
+        split = sum(m in parent for m in c)  # c is joined + fresh
+        marginal: dict[tuple, Fraction] = {}
+        for cell, p in tables[pi].items():
+            key = tuple(cell[parent.index(m)] for m in c[:split])
+            marginal[key] = marginal.get(key, 0) + p
+        fresh_cells = list(joint_outcomes(s, c[split:]))
+        table = {}
+        for key, p in marginal.items():
+            for cell, q in zip(fresh_cells, _sparse_distribution(len(fresh_cells), rng)):
+                table[key + cell] = p * q
+        tables.append(table)
+    return Behavior(
+        s, tuple(tuple(t.get(cell, Fraction(0)) for cell in joint_outcomes(s, c)) for c, t in zip(contexts, tables))
+    )
+
+
+def triangle_of_triples() -> Behavior:
+    """The GYO-cyclic ring of three triples, each table 1/2 on 000 and 111."""
+    names = [f"X{i}" for i in range(6)]
+    contexts = (("X0", "X1", "X2"), ("X2", "X3", "X4"), ("X4", "X5", "X0"))
+    s = Scenario(tuple(names), {m: ("0", "1") for m in names}, contexts)
+    return Behavior(s, ((Fraction(1, 2),) + (Fraction(0),) * 6 + (Fraction(1, 2),),) * 3)
+
+
+def path(n: int, l: int) -> Scenario:
+    names = tuple(f"M{i}" for i in range(n))
+    return Scenario(names, {m: tuple(map(str, range(l))) for m in names}, tuple(zip(names, names[1:])))
+
+
+class TestAcyclicRule:
+    """On an acyclic scenario nondisturbance implies nc (Vorob'ev), so
+    hierarchy answers nc with no LP; is_noncontextual's LP referees it."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch) -> list:
+        calls = []
+        real = classical._lp
+        monkeypatch.setattr(classical, "_lp", lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    def test_shape_rule(self):
+        def rule(s: Scenario) -> bool:
+            return classical._acyclic(index_shape(s)[1])
+
+        names = [f"X{i}" for i in range(6)]
+        two = {m: ("0", "1") for m in names}
+        covered = Scenario(tuple(names), two, triangle_of_triples().scenario.contexts + (("X0", "X2", "X4"),))
+        apart = Scenario(tuple(names), two, (("X0", "X1"), ("X2", "X3", "X4"), ("X5",)))
+        single = Scenario(("A",), {"A": ("0", "1")}, (("A",),))
+        assert all(rule(s) for s in (path(2, 2), path(12, 3), covered, apart, single))
+        cyclic = (make_n_cycle(3), make_n_cycle(5, 3), make_bipartite_bell(2, 2), triangle_of_triples().scenario)
+        assert not any(rule(s) for s in cyclic)
+        rng = random.Random(4)
+        assert all(rule(random_tree_scenario(rng)) for _ in range(50))
+
+    def test_trees_and_join_trees_skip_the_lp(self, lp_calls):
+        rng = random.Random(1962)
+        draws = [random_nd_coupling(random_tree_scenario(rng), rng) for _ in range(40)]
+        draws += [acyclic_behavior(rng) for _ in range(60)]
+        assert any(3 in map(len, b.scenario.outcomes.values()) for b in draws[40:])
+        for draw, b in enumerate(draws):
+            lp_calls.clear()
+            report = hierarchy(b)
+            assert (report.nc, hierarchy(b, level="nc").nc, lp_calls) == (True, True, []), draw
+            assert report.support_size == support_size(b) > 0, draw
+            assert is_noncontextual(b) and len(lp_calls) == 1, draw
+
+    def test_triangle_of_triples_still_solves_one_lp(self, lp_calls):
+        b = triangle_of_triples()
+        for level in ("nc", "all"):
+            lp_calls.clear()
+            assert hierarchy(b, level=level).nc is True
+            assert len(lp_calls) == 1
+
+    def test_acyclic_past_the_cap_raises(self, lp_calls):
+        b = random_nd_coupling(path(12, 3), random.Random(2))
+        for level in ("nc", "all"):
+            with pytest.raises(EnumerationCapExceeded):
+                hierarchy(b, cap=3**12 - 1, level=level)
+        assert hierarchy(b, cap=3**12).nc is True and lp_calls == []
+
+    def test_a_witness_on_an_acyclic_scenario_raises(self, monkeypatch):
+        b = random_nd_coupling(path(4, 2), random.Random(3))
+        monkeypatch.setattr(classical, "_witness", lambda *args: (("M0", "M1"), ("0", "0")))
+        with pytest.raises(RuntimeError, match="acyclic"):
+            hierarchy(b)
+        assert hierarchy(b, level="lc").logically_contextual is True  # only the nc question cross-checks

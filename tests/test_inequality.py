@@ -46,14 +46,14 @@ def tied_cycle() -> Behavior:
     return Behavior(make_n_cycle(4), (t,) * 4)
 
 
-def chsh(v: Fraction) -> Behavior:
-    """The 4-cycle with uniform marginals and E = (v/4, v/4, v/4, -v/4), whose
+def chsh(v: Fraction, n: int = 4) -> Behavior:
+    """The n-cycle with uniform marginals and E = (v/n, ..., v/n, -v/n), whose
     largest family member has value v."""
     tables = []
-    for e in (v / 4, v / 4, v / 4, -v / 4):
+    for e in (v / n,) * (n - 1) + (-v / n,):
         same, other = (1 + e) / 4, (1 - e) / 4
         tables.append((same, other, other, same))
-    return Behavior(make_n_cycle(4), tuple(tables))
+    return Behavior(make_n_cycle(n), tuple(tables))
 
 
 # ======================================================================
@@ -175,6 +175,20 @@ class TestEvaluateAll:
         assert evaluate_all(chsh(above)).max_value == above
         assert evaluate_all(chsh(above)).violates_quantum is True
         assert evaluate_all(chsh(below)).violates_quantum is False
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12, 13])
+    def test_quantum_flag_is_exact_near_the_bound(self, n):
+        # 1e-13 is well past the float error of quantum_bound(n) and well
+        # inside the 1e-12 slack a float comparison would need
+        qb = Fraction(quantum_bound(n))
+        above, below = qb + Fraction(1, 10**13), qb - Fraction(1, 10**13)
+        assert evaluate_all(chsh(above, n)).max_value == above
+        assert evaluate_all(chsh(above, n)).violates_quantum is True
+        assert evaluate_all(chsh(below, n)).violates_quantum is False
+
+    def test_quantum_flag_at_the_triangle_bound(self):
+        # quantum_bound(3) is 1 = n - 2 exactly, though its float reads 1 + 7e-16
+        assert evaluate_all(chsh(Fraction(1), 3)).violates_quantum is False
 
     def test_json_round_trip_values(self):
         d = evaluate_all(PR).to_json_dict()
