@@ -440,7 +440,8 @@ class TestRowLevels:
         # 2 x2 + x3 <= 3. x1 enters at row 0 (d becomes 3), then x2 at row 1
         # and x3 at row 2; row 0 has 0 in both their columns, so neither
         # pivot writes it. Then x0 enters and row 0, still at level 3 while
-        # d is 6, is the pivot row. Slack 1 re-enters last, and x0 leaves.
+        # d is 6, is the pivot row. Then slack 1 re-enters for x2, and x1
+        # for x0.
         lp = ([0, 1, 3, 3], [[2, 3, 0, 0], [1, 0, 2, 0], [0, 0, 2, 1]], [1, 2, 3])
         assert maximize(*lp) == oracle.ref_maximize(*lp) == (F(28, 3), [F(0), F(1, 3), F(0), F(3)])
 
