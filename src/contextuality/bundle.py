@@ -82,7 +82,7 @@ def build_bundle(b: AnyBehavior, cap: int | None = None) -> BundleDiagram:
     for ci, c in enumerate(s.contexts):
         u, v = c
         for k, cell in enumerate(joint_outcomes(s, c)):
-            if k in found.possible[ci]:
+            if found.possible[ci][k]:
                 edges.append(BundleEdge(ci + 1, (u, cell[0]), (v, cell[1]), k in found.covered[ci]))
     return BundleDiagram(
         base=s.measurements,

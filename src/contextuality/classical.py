@@ -26,19 +26,24 @@ a time, each sharing a context with one already placed where it can, and a
 context is checked once its last measurement is placed. Where every bag of
 that order (the placed measurements an open context still holds, plus the
 one being placed) has at most _MAX_STATES digit states, as on cycles, trees
-and small Bell scenarios, _scan eliminates in pure Python: a forward pass
-finds the moves between states that every closing context allows, and a
-backward pass counts each state's extensions over the Python ints, giving
-the support size and each context's covered cells (restrictions of members)
-with no listing. Members are listed, as digit rows over the measurement
-order ascending, only for support, the LP and global_distribution;
-is_strongly_contextual reads the forward pass alone. Past the bound, which
-one comparison with the plan's largest bag tells, _scan reads a numpy
-listing grown along the same plan; numpy loads only there.
+and small Bell scenarios, _scan eliminates in pure Python. A state is an
+int, the mixed-radix value of its digits, and each step's index arithmetic
+is compiled once per shape into flat int tables (_move_tables, cached with
+the plan): move j = state * radix + digit leads to nxt[j] and reads one
+cell per closing context, so a pass does lookups only. A forward pass keeps
+the moves that every closing context allows, reading the behavior's
+integer view (numerators, or booleans) at those cells, and a backward pass
+counts each state's extensions over the Python ints, giving the support
+size and each context's covered cells (restrictions of members) with no
+listing. Members are listed, as digit rows over the measurement order
+ascending, only for support, the LP and global_distribution;
+is_strongly_contextual reads the forward pass alone. Past the bound, where
+the plan carries no tables, _scan reads a numpy listing grown along the same
+plan; numpy loads only there.
 
 support / is_logically_contextual / is_strongly_contextual accept a Behavior
-or a PossibilisticBehavior; probability tables are read through their
-possibilistic collapse (cell possible iff p > 0).
+or a PossibilisticBehavior; a cell of a probability table is possible iff
+p > 0.
 """
 from __future__ import annotations
 
@@ -47,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import compress, islice
 from typing import Callable, NamedTuple
 
 from . import simplex
@@ -139,16 +144,18 @@ def _placement(
 
 @lru_cache(maxsize=256)
 def _elimination_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]) -> tuple:
-    """(order, steps, largest) of an elimination along the placement order;
-    largest is the digit-state count of its largest bag.
+    """(order, steps, largest, tables) of an elimination along the placement
+    order; largest is the digit-state count of its largest bag, and tables
+    are the kernel's move tables (see _move_tables) when largest is at most
+    _MAX_STATES, else None.
 
     Step k places order[k]. Its bag is the frontier before it (the placed
     measurements that a context not yet closed holds) then order[k], and a
     state is the bag's digits in that order. A step is (bag, radix of
     order[k], checks, keep): bag lists the measurement positions, checks
-    gives each context closing at k as (ci, (bag slot, cell stride) of its
-    other measurements, cell stride of order[k]), and keep lists the bag
-    slots of the frontier after the step.
+    gives each context closing at k as (ci, (measurement position, cell
+    stride) of each of its measurements), and keep lists the bag slots of
+    the frontier after the step.
     """
     order, closing = _placement(radices, ctx_positions)
     last = {q: k for k, cis in enumerate(closing) for ci in cis for q in ctx_positions[ci]}
@@ -159,76 +166,108 @@ def _elimination_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, 
         checks = []
         for ci in closing[k]:
             positions = ctx_positions[ci]
-            strides = {x: math.prod(radices[y] for y in positions[j + 1 :]) for j, x in enumerate(positions)}
-            own = strides.pop(q)
-            checks.append((ci, tuple((bag.index(x), st) for x, st in strides.items()), own))
+            strides = (math.prod(radices[y] for y in positions[j + 1 :]) for j in range(len(positions)))
+            checks.append((ci, tuple(zip(positions, strides))))
         frontier = tuple(x for x in bag if last[x] > k)
         steps.append((bag, radices[q], tuple(checks), tuple(map(bag.index, frontier))))
-    return order, tuple(steps), max(math.prod(radices[x] for x in bag) for bag, *_ in steps)
+    largest = max(math.prod(radices[x] for x in bag) for bag, *_ in steps)
+    return order, tuple(steps), largest, _move_tables(radices, steps) if largest <= _MAX_STATES else None
 
 
-def _forward(possible: list[set[int]], steps: tuple) -> tuple[list[dict], set]:
-    """The moves of each step and the states reached after the last.
+def _digit_sums(radices: list[int], weights: list[int]) -> tuple[int, ...]:
+    """sum(digit * weight) at each int of the mixed-radix range over radices
+    (last digit fastest), grown from the last digit out."""
+    sums = [0]
+    for r, w in zip(reversed(radices), reversed(weights)):
+        sums = [d + v for d in range(0, r * w, w) for v in sums] if w else sums * r
+    return tuple(sums)
 
-    moves[k] maps each frontier state some partial assignment reaches to its
-    moves (cells, digit, next state): the digits of order[k] that every
-    context closing at k allows, with the cell each such context reads. The
-    pass stops at the first step that reaches no state.
+
+def _move_tables(radices: tuple[int, ...], steps: list) -> tuple:
+    """The kernel's tables: per step, (radix, nxt, reads).
+
+    A frontier state is the mixed-radix int of its digits (last fastest), so
+    move j = state * radix + digit of a step is its bag state. The move
+    leads to frontier state nxt[j] and reads cell cells[j] of each context
+    (ci, cells) in reads, the contexts closing at the step.
+    """
+    tables = []
+    for bag, radix, checks, keep in steps:
+        bag_radices = [radices[x] for x in bag]
+        weights, stride = [0] * len(bag), 1
+        for i in reversed(keep):
+            weights[i], stride = stride, stride * bag_radices[i]
+        reads = []
+        for ci, pairs in checks:
+            strides = dict(pairs)
+            reads.append((ci, _digit_sums(bag_radices, [strides.get(x, 0) for x in bag])))
+        tables.append((radix, _digit_sums(bag_radices, weights), tuple(reads)))
+    return tuple(tables)
+
+
+def _forward(possible: list, tables: tuple) -> tuple[list[list[int]], set[int]]:
+    """The moves of each step and the frontier states reached after the last.
+
+    moves[k] lists the moves of step k, out of the states some partial
+    assignment reaches, that every context closing at k allows: a move is
+    kept when possible[ci] is nonzero at the cell it reads. Each state's
+    moves are ascending. The pass stops at the first step that reaches no
+    state.
     """
     moves = []
-    reached: set[tuple[int, ...]] = {()}
-    for _, radix, checks, keep in steps:
-        step = {}
-        for state in reached:
-            options = [((), d) for d in range(radix)]
-            for ci, others, own in checks:
-                base = sum(state[i] * st for i, st in others)
-                cells = possible[ci]
-                options = [(read + (base + d * own,), d) for read, d in options if base + d * own in cells]
-            step[state] = [(read, d, tuple(map((state + (d,)).__getitem__, keep))) for read, d in options]
-        moves.append(step)
-        reached = {after for outs in step.values() for *_, after in outs}
+    reached = {0}
+    for radix, nxt, reads in tables:
+        if len(reached) * radix == len(nxt):  # every state reached: every move
+            live = range(len(nxt))
+        else:
+            live = [j for s in reached for j in range(s * radix, s * radix + radix)]
+        for ci, cells in reads:
+            live = list(compress(live, map(possible[ci].__getitem__, map(cells.__getitem__, live))))
+        moves.append(live)
+        reached = set(map(nxt.__getitem__, live))
         if not reached:
             break
     return moves, reached
 
 
-def _backward(steps: tuple, moves: list[dict], reached: set, contexts: int):
-    """(support size, covered cells of each context, extends) from the
+def _backward(tables: tuple, moves: list[list[int]], reached: set[int], contexts: int):
+    """(support size, covered cells of each context, live moves) from the
     forward pass, counting in the Python ints.
 
-    extends[k] maps each state before step k that some support member passes
-    through to its number of extensions; a move is live when its next state
-    extends, and a live move's cells are covered.
+    A move is live when its next state extends to a full support member;
+    counts maps each such state to its number of extensions, and a live
+    move's cells are covered.
     """
-    counts = dict.fromkeys(reached, 1)  # {(): 1} unless the support is empty
+    counts = dict.fromkeys(reached, 1)  # {0: 1} unless the support is empty
     covered: list[set[int]] = [set() for _ in range(contexts)]
-    extends = [counts]
-    for (_, _, checks, _), step in reversed(list(zip(steps, moves))):
-        before = {}
-        for state, outs in step.items():
-            total = 0
-            for read, _, after in outs:
-                n = counts.get(after)
-                if n:
-                    total += n
-                    for (ci, *_), c in zip(checks, read):
-                        covered[ci].add(c)
-            if total:
-                before[state] = total
+    lives = []
+    for (radix, nxt, reads), step in reversed(list(zip(tables, moves))):
+        live, before = [], {}
+        for j in step:
+            n = counts.get(nxt[j])
+            if n:
+                s = j // radix
+                before[s] = before.get(s, 0) + n
+                live.append(j)
+        for ci, cells in reads:
+            covered[ci].update(map(cells.__getitem__, live))
         counts = before
-        extends.append(counts)
-    return counts.get((), 0), covered, extends[::-1]
+        lives.append(live)
+    return counts.get(0, 0), covered, lives[::-1]
 
 
-def _rows(order: tuple[int, ...], moves: list[dict], extends: list[dict]) -> list[tuple[int, ...]]:
+def _rows(order: tuple[int, ...], tables: tuple, lives: list[list[int]]) -> list[tuple[int, ...]]:
     """The support members as digit rows over the measurement order,
     ascending. Walking back, each extending state gets its completions in
     order: its live moves by digit, each followed by the next state's own."""
-    tails = dict.fromkeys(extends[-1], [()])
-    for step, states in zip(reversed(moves), reversed(extends[:-1])):
-        tails = {s: [(d,) + t for _, d, after in step[s] if after in tails for t in tails[after]] for s in states}
-    rows = tails.get((), [])
+    tails = {0: [()]}
+    for (radix, nxt, _), live in reversed(list(zip(tables, lives))):
+        before: dict[int, list] = {}
+        for j in live:
+            s = j // radix
+            before.setdefault(s, []).extend([(j - s * radix,) + t for t in tails[nxt[j]]])
+        tails = before
+    rows = tails.get(0, [])
     rank = sorted(range(len(order)), key=order.__getitem__)
     if rank != sorted(rank):  # placed out of measurement order
         rows = sorted(tuple(map(row.__getitem__, rank)) for row in rows)
@@ -236,13 +275,6 @@ def _rows(order: tuple[int, ...], moves: list[dict], extends: list[dict]) -> lis
 
 
 # -- the listing past the state bound ---------------------------------------------
-
-
-def _closing_cells(step: tuple) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """(ci, (measurement position, cell stride) pairs) of each context
-    closing at one plan step."""
-    bag, _, checks, _ = step
-    return [(ci, tuple((bag[i], st) for i, st in others) + ((bag[-1], own),)) for ci, others, own in checks]
 
 
 def _cell_codes(arr: np.ndarray, pairs: tuple[tuple[int, int], ...], radices: tuple[int, ...]) -> np.ndarray:
@@ -275,7 +307,7 @@ def _check_cap(s: Scenario, cap: int | None) -> int:
     return total
 
 
-def _survivor_chunks(b: AnyBehavior, possible: list[set[int]], cap: int | None):
+def _survivor_chunks(b: AnyBehavior, possible: list, cap: int | None):
     """A generator of the support in non-empty chunks of int64 assignment
     indices (mixed radix over the measurement order, last fastest), unordered.
 
@@ -289,13 +321,13 @@ def _survivor_chunks(b: AnyBehavior, possible: list[set[int]], cap: int | None):
     """
     _check_cap(b.scenario, cap)
     radices, ctx_positions = index_shape(b.scenario)
-    _, steps, _ = _elimination_plan(radices, ctx_positions)
-    masks = [np.array([k in cells for k in range(len(t))], dtype=bool) for cells, t in zip(possible, b.tables)]
+    _, steps, *_ = _elimination_plan(radices, ctx_positions)
+    masks = [np.array(list(map(bool, view)), dtype=bool) for view in possible]
 
     def grow(part: np.ndarray, k: int):
-        bag, radix, *_ = steps[k]
+        bag, radix, checks, _ = steps[k]
         part = (part[:, None] + np.arange(radix, dtype=np.int64) * math.prod(radices[bag[-1] + 1 :])).ravel()
-        for ci, pairs in _closing_cells(steps[k]):
+        for ci, pairs in checks:
             part = part[masks[ci][_cell_codes(part, pairs, radices)]]
         if k + 1 == len(steps):
             if len(part):
@@ -312,20 +344,23 @@ def _survivor_chunks(b: AnyBehavior, possible: list[set[int]], cap: int | None):
 
 class _Support(NamedTuple):
     """What every classical question reads off the support: its size, each
-    context's possible cells and covered cells (restrictions of members),
-    rows(), the members as digit rows over the measurement order,
-    ascending, and the scenario's index_shape, read once per scan."""
+    context's possibility view (see _possible) and covered cells
+    (restrictions of members), rows(), the members as digit rows over the
+    measurement order, ascending, and the scenario's index_shape, read once
+    per scan."""
 
     size: int
-    possible: list[set[int]]
+    possible: list
     covered: list[set[int]]
     rows: Callable[[], list[tuple[int, ...]]]
     shape: tuple
 
 
-def _possible(b: AnyBehavior) -> list[set[int]]:
-    tables = [nums for nums, _ in b._ints] if isinstance(b, Behavior) else b.tables
-    return [{k for k, p in enumerate(t) if p} for t in tables]  # cells are never negative
+def _possible(b: AnyBehavior) -> list:
+    """Each table's possibility view, nonzero exactly at its possible cells
+    (cells are never negative): a Behavior's integer numerators, or a
+    PossibilisticBehavior's booleans, read in place."""
+    return [nums for nums, _ in b._ints] if isinstance(b, Behavior) else b.tables
 
 
 def _scan(b: AnyBehavior, cap: int | None) -> _Support:
@@ -337,10 +372,10 @@ def _scan(b: AnyBehavior, cap: int | None) -> _Support:
     _check_cap(b.scenario, cap)
     possible = _possible(b)
     shape = index_shape(b.scenario)
-    order, steps, largest = _elimination_plan(*shape)
-    if largest > _MAX_STATES:  # the listing's members become digit rows once
+    order, steps, _, tables = _elimination_plan(*shape)
+    if tables is None:  # past the state bound: the listing's members become digit rows once
         radices = shape[0]
-        closing = [cells for step in steps for cells in _closing_cells(step)]
+        closing = [check for _, _, checks, _ in steps for check in checks]
         covered = [np.zeros(len(t), dtype=bool) for t in b.tables]
         chunks = [np.zeros(0, dtype=np.int64)]
         for arr in _survivor_chunks(b, possible, cap):
@@ -351,9 +386,9 @@ def _scan(b: AnyBehavior, cap: int | None) -> _Support:
         rows = list(zip(*((listed // math.prod(radices[q + 1 :]) % r).tolist() for q, r in enumerate(radices))))
         covered = [set(np.flatnonzero(cov).tolist()) for cov in covered]
         return _Support(len(rows), possible, covered, lambda: rows, shape)
-    moves, reached = _forward(possible, steps)
-    size, covered, extends = _backward(steps, moves, reached, len(possible))
-    return _Support(size, possible, covered, partial(_rows, order, moves, extends), shape)
+    moves, reached = _forward(possible, tables)
+    size, covered, lives = _backward(tables, moves, reached, len(possible))
+    return _Support(size, possible, covered, partial(_rows, order, tables, lives), shape)
 
 
 def _assignments(s: Scenario, rows: list[tuple[int, ...]]) -> list[GlobalAssignment]:
@@ -384,18 +419,20 @@ def is_strongly_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
     pass decides, stopping at the first step that reaches no state; past it
     the listing stops at its first chunk holding a survivor."""
     _check_cap(b.scenario, cap)
-    _, steps, largest = _elimination_plan(*index_shape(b.scenario))
-    if largest > _MAX_STATES:
+    tables = _elimination_plan(*index_shape(b.scenario))[3]
+    if tables is None:
         return next(_survivor_chunks(b, _possible(b), cap), None) is None
-    return not _forward(_possible(b), steps)[1]
+    return not _forward(_possible(b), tables)[1]
 
 
-def _witness(s: Scenario, possible: list[set[int]], covered: list[set[int]]):
-    """First possible cell, in (context, cell) order, that no member covers."""
-    for ci, (cells, cov) in enumerate(zip(possible, covered)):
-        bad = cells - cov
-        if bad:
-            return (s.contexts[ci], next(islice(joint_outcomes(s, s.contexts[ci]), min(bad), None)))
+def _witness(s: Scenario, possible: list, covered: list[set[int]]):
+    """First possible cell, in (context, cell) order, that no member covers.
+    Covered cells are possible, so a context has one iff it has fewer
+    covered cells than possible ones."""
+    for ci, (view, cov) in enumerate(zip(possible, covered)):
+        if len(cov) < len(view) - view.count(0):
+            cell = next(k for k, p in enumerate(view) if p and k not in cov)
+            return (s.contexts[ci], next(islice(joint_outcomes(s, s.contexts[ci]), cell, None)))
     return None
 
 
@@ -423,9 +460,7 @@ def is_logically_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
 # -- probabilistic level ------------------------------------------------------
 
 
-def _lp(
-    b: Behavior, possible: list[set[int]], members: list[tuple[int, ...]], shape: tuple
-) -> tuple[Fraction, list[Fraction]]:
+def _lp(b: Behavior, members: list[tuple[int, ...]], shape: tuple) -> tuple[Fraction, list[Fraction]]:
     """Maximize the total weight of a subnormalized global distribution whose
     context marginals are dominated by b's tables.
 
@@ -453,15 +488,16 @@ def _lp(
     """
     radices, ctx_positions = shape
     kept: dict[frozenset, tuple[tuple[int, int], int, int]] = {}  # pattern -> ((ci, cell), num, den)
-    for ci, ((nums, den), positions, cells) in enumerate(zip(b._ints, ctx_positions, possible)):
+    for ci, ((nums, den), positions) in enumerate(zip(b._ints, ctx_positions)):
         hit: dict[int, list[int]] = {}  # cell -> the members restricting to it
         for k, row in enumerate(members):
             cell = 0
             for q in positions:
                 cell = cell * radices[q] + row[q]
             hit.setdefault(cell, []).append(k)
-        for cell in sorted(cells):
-            num = nums[cell]
+        for cell, num in enumerate(nums):
+            if not num:
+                continue
             pattern = frozenset(hit.get(cell, ()))
             twin = kept.get(pattern)
             if twin is None or num * twin[2] < twin[1] * den:
@@ -514,7 +550,7 @@ def _nc(b: Behavior, found: _Support, witness) -> bool:
     if _dichotomic_cycle(b.scenario):
         value, scale, _ = tight_member(b._ints)
         return value <= (len(b.tables) - 2) * scale
-    return _lp(b, found.possible, found.rows(), found.shape)[0] == 1
+    return _lp(b, found.rows(), found.shape)[0] == 1
 
 
 def _solve(b: Behavior, cap: int | None) -> tuple[list[tuple[int, ...]], Fraction, list[Fraction]]:
@@ -525,7 +561,7 @@ def _solve(b: Behavior, cap: int | None) -> tuple[list[tuple[int, ...]], Fractio
     require_nondisturbing(b)
     found = _scan(b, cap)
     members = found.rows()
-    return (members, *_lp(b, found.possible, members, found.shape))
+    return (members, *_lp(b, members, found.shape))
 
 
 def noncontextual_weight(b: Behavior, cap: int | None = None) -> Fraction:

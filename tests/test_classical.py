@@ -710,7 +710,7 @@ class TestSupportKernel:
             found = classical._scan(b, None)
             assert found.size == len(want) and found.rows() == digit_rows(b, want), f"draw {draw}"
             assert found.covered == covered_cells(b, want), f"draw {draw}"
-            assert found.possible == [{k for k, p in enumerate(t) if p} for t in b.tables]
+            assert [list(map(bool, view)) for view in found.possible] == [list(map(bool, t)) for t in b.tables]
             sizes.append(len(want))
             disturbing += not check_possibilistic_nd(b).ok
         assert len(sizes) > 200 and sizes.count(0) > 15 and max(sizes) > 500, (len(sizes), sizes.count(0))
@@ -718,13 +718,13 @@ class TestSupportKernel:
 
     @staticmethod
     def forward_states(monkeypatch) -> list[list[int]]:
-        """Record, for each forward pass, the states reached before each step."""
+        """Record, for each forward pass, the states with a move at each step."""
         runs = []
         forward = classical._forward
 
-        def recorded(possible, steps):
-            moves, reached = forward(possible, steps)
-            runs.append([len(step) for step in moves])
+        def recorded(possible, tables):
+            moves, reached = forward(possible, tables)
+            runs.append([len({j // radix for j in step}) for (radix, *_), step in zip(tables, moves)])
             return moves, reached
 
         monkeypatch.setattr(classical, "_forward", recorded)
@@ -857,13 +857,115 @@ class TestEliminationWitness:
     def test_cap_is_checked_before_any_work(self, monkeypatch):
         b = collapse(random_nd_coupling(make_bipartite_bell(3, 2), random.Random(3)))
         assert enumeration_size(b.scenario) == 64
-        for name in ("_possible", "_elimination_plan", "_forward", "_backward", "_survivor_chunks"):
+        for name in ("_possible", "_elimination_plan", "_move_tables", "_forward", "_backward", "_survivor_chunks"):
             monkeypatch.setattr(classical, name, lambda *args: pytest.fail("work before the cap check"))
         for reader in (logical_contextuality_witness, is_logically_contextual):
             with pytest.raises(EnumerationCapExceeded, match=r"^64 global assignments exceed the cap 63$"):
                 reader(b, cap=63)
             with pytest.raises(ValueError, match="cap must be positive"):
                 reader(b, cap=0)
+
+
+def weighted(pb: PossibilisticBehavior, rng: random.Random) -> Behavior:
+    """A probability table on each possible set of pb, weights 1..4 (most
+    of these disturb)."""
+    tables = []
+    for t in pb.tables:
+        weights = [rng.randint(1, 4) * p for p in t]
+        tables.append(tuple(Fraction(w, sum(weights)) for w in weights))
+    return Behavior(pb.scenario, tuple(tables))
+
+
+def clash(s: Scenario) -> PossibilisticBehavior:
+    """Empty support: the first context allows only the first outcome of a
+    measurement it shares with a later context, which allows only its
+    second; every other cell is possible."""
+    c0 = s.contexts[0]
+    ci, m = next((ci, m) for ci, c in enumerate(s.contexts) if ci for m in c if m in c0)
+    first, second = s.outcomes[m][:2]
+    tables = [[True] * s.context_cells(k) for k in range(len(s.contexts))]
+    for k, want in ((0, first), (ci, second)):
+        c = s.contexts[k]
+        tables[k] = [cell[c.index(m)] == want for cell in joint_outcomes(s, c)]
+    return PossibilisticBehavior(s, tuple(map(tuple, tables)))
+
+
+class TestMoveTables:
+    """The per-shape move tables behind _forward, _backward and _rows."""
+
+    @staticmethod
+    def shapes() -> list[Scenario]:
+        pair_tree = Scenario(
+            ("M1", "M2", "M3", "M4", "M5"),
+            {"M1": ("0", "1"), "M2": ("0", "1", "2"), "M3": ("0", "1"), "M4": ("0", "1", "2", "3"), "M5": ("0", "1")},
+            (("M1", "M2"), ("M1", "M3"), ("M3", "M4"), ("M3", "M5")),
+        )
+        triangle = Scenario(
+            ("X", "Y", "Z"),
+            {"X": ("0", "1"), "Y": ("0", "1", "2"), "Z": ("0", "1", "2", "3")},
+            (("X", "Y"), ("Y", "Z"), ("Z", "X")),
+        )
+        ring = triple_contexts(random.Random(6))
+        return [make_bipartite_bell(2, 3), make_bipartite_bell(3, 2), pair_tree, ring, triangle]
+
+    @staticmethod
+    def tables(s: Scenario) -> tuple:
+        tables = classical._elimination_plan(*index_shape(s))[3]
+        assert tables is not None
+        return tables
+
+    def test_every_branch_matches_the_oracles(self):
+        """Size, covered cells, rows and witness equal plain enumeration on
+        shapes whose steps close 0, 1, 2 and 3 contexts, probabilistic and
+        possibilistic, with empty supports among them."""
+        rng = random.Random(28)
+        closing, sizes, kinds = set(), [], set()
+        for s in self.shapes():
+            closing |= {len(reads) for *_, reads in self.tables(s)}
+            draws = [random_possible(s, rng) for _ in range(4)] + [clash(s)]
+            draws += [weighted(pb, rng) for pb in draws]
+            draws += [random_nd_mixture(s, rng, rng.randint(1, 3))]
+            if all(len(c) == 2 for c in s.contexts):
+                draws += [random_nd_coupling(s, rng, max_components=3), random_pnd(s, rng)]
+            for draw, b in enumerate(draws):
+                want = oracle.ref_survivors(b)
+                found = classical._scan(b, None)
+                assert found.size == len(want), (s.contexts, draw)
+                assert found.covered == covered_cells(b, want), (s.contexts, draw)
+                assert found.rows() == digit_rows(b, want), (s.contexts, draw)
+                assert logical_contextuality_witness(b) == oracle.brute_witness(b), (s.contexts, draw)
+                assert is_strongly_contextual(b) == (len(want) == 0), (s.contexts, draw)
+                sizes.append(len(want))
+                kinds.add(type(b))
+        assert closing == {0, 1, 2, 3}, closing
+        assert kinds == {Behavior, PossibilisticBehavior}
+        assert sizes.count(0) >= 10 and max(sizes) > 20, sizes
+
+    def test_a_shape_past_the_state_bound_builds_no_tables(self, monkeypatch):
+        bell = make_bipartite_bell(3, 2)
+        outcomes = {m: tuple(map(str, range(13 if m[0] == "A" else 2))) for m in bell.measurements}
+        s = Scenario(bell.measurements, outcomes, bell.contexts)
+        classical._elimination_plan.cache_clear()
+        TestSupportKernel.forbid(monkeypatch, "_move_tables", "_forward")
+        plan = classical._elimination_plan(*index_shape(s))
+        assert plan[2] == 4394 > classical._MAX_STATES and plan[3] is None
+        b = random_pnd(s, random.Random(13))
+        assert support_size(b) == len(oracle.ref_survivors(b))
+
+    def test_first_call_equals_repeat_and_builds_once(self, monkeypatch):
+        s = triple_contexts(random.Random(3))
+        classical._elimination_plan.cache_clear()
+        built = []
+        build = classical._move_tables
+        monkeypatch.setattr(classical, "_move_tables", lambda *args: built.append(1) or build(*args))
+        rng = random.Random(50)
+        for k in range(50):
+            b = random_possible(s, rng) if k % 2 else weighted(random_possible(s, rng), rng)
+            first = classical._scan(b, None)
+            first = (first.size, first.covered, first.rows())
+            again = classical._scan(b, None)
+            assert first == (again.size, again.covered, again.rows()), k
+        assert built == [1]
 
 
 # ======================================================================
@@ -928,7 +1030,7 @@ class TestTwinFreeLP:
                 continue
             sizes.clear()
             found = classical._scan(b, None)
-            assert classical._lp(b, found.possible, found.rows(), found.shape) == oracle.ref_maximize(c, rows, rhs)
+            assert classical._lp(b, found.rows(), found.shape) == oracle.ref_maximize(c, rows, rhs)
             assert sizes[0][1] == len(c) and sizes[0][0] <= len(rows)
             collapsed += sizes[0][0] < len(rows)
         assert collapsed >= 20, collapsed
