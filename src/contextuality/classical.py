@@ -288,11 +288,11 @@ def _cell_codes(arr: np.ndarray, pairs: tuple[tuple[int, int], ...], radices: tu
 
 def enumeration_size(s: Scenario) -> int:
     """Number of global assignments, prod of outcome counts."""
-    return math.prod(len(s.outcomes[m]) for m in s.measurements)
+    return math.prod(index_shape(s)[0])
 
 
-def _check_cap(s: Scenario, cap: int | None) -> int:
-    """The assignment count of s, checked against cap (default: default_cap()).
+def _check_cap(s: Scenario, cap: int | None) -> None:
+    """Check the assignment count of s against cap (default: default_cap()).
 
     :raises EnumerationCapExceeded: when the assignment count exceeds cap, or
         the int64 range of assignment indices.
@@ -304,22 +304,15 @@ def _check_cap(s: Scenario, cap: int | None) -> int:
         raise EnumerationCapExceeded(f"{total} global assignments exceed the cap {cap}")
     if total > _MAX_INDEX:
         raise EnumerationCapExceeded(f"{total} global assignments exceed the int64 index range")
-    return total
 
 
-def _survivor_chunks(b: AnyBehavior, possible: list, cap: int | None):
+def _survivor_chunks(b: AnyBehavior, possible: list):
     """A generator of the support in non-empty chunks of int64 assignment
-    indices (mixed radix over the measurement order, last fastest), unordered.
-
-    The cap is checked here, so an oversized scenario raises on the call,
-    not on the first chunk. Partial assignments (unplaced digits 0) grow
-    along the elimination plan's order in slices of at most _CHUNK; each
-    step keeps the partials that every context closing there allows, and a
-    slice that reaches full depth is yielded.
-
-    :raises EnumerationCapExceeded: when the assignment count exceeds cap.
-    """
-    _check_cap(b.scenario, cap)
+    indices (mixed radix over the measurement order, last fastest), unordered,
+    on a scenario its callers have checked against the cap. Partial
+    assignments (unplaced digits 0) grow along the elimination plan's order in
+    slices of at most _CHUNK; each step keeps the partials that every context
+    closing there allows, and a slice that reaches full depth is yielded."""
     radices, ctx_positions = index_shape(b.scenario)
     _, steps, *_ = _elimination_plan(radices, ctx_positions)
     masks = [np.array(list(map(bool, view)), dtype=bool) for view in possible]
@@ -346,14 +339,12 @@ class _Support(NamedTuple):
     """What every classical question reads off the support: its size, each
     context's possibility view (see _possible) and covered cells
     (restrictions of members), rows(), the members as digit rows over the
-    measurement order, ascending, and the scenario's index_shape, read once
-    per scan."""
+    measurement order, ascending."""
 
     size: int
     possible: list
     covered: list[set[int]]
     rows: Callable[[], list[tuple[int, ...]]]
-    shape: tuple
 
 
 def _possible(b: AnyBehavior) -> list:
@@ -371,24 +362,23 @@ def _scan(b: AnyBehavior, cap: int | None) -> _Support:
     """
     _check_cap(b.scenario, cap)
     possible = _possible(b)
-    shape = index_shape(b.scenario)
-    order, steps, _, tables = _elimination_plan(*shape)
+    radices, ctx_positions = index_shape(b.scenario)
+    order, steps, _, tables = _elimination_plan(radices, ctx_positions)
     if tables is None:  # past the state bound: the listing's members become digit rows once
-        radices = shape[0]
         closing = [check for _, _, checks, _ in steps for check in checks]
         covered = [np.zeros(len(t), dtype=bool) for t in b.tables]
         chunks = [np.zeros(0, dtype=np.int64)]
-        for arr in _survivor_chunks(b, possible, cap):
+        for arr in _survivor_chunks(b, possible):
             chunks.append(arr)
             for ci, pairs in closing:
                 covered[ci][_cell_codes(arr, pairs, radices)] = True
         listed = np.sort(np.concatenate(chunks))
         rows = list(zip(*((listed // math.prod(radices[q + 1 :]) % r).tolist() for q, r in enumerate(radices))))
         covered = [set(np.flatnonzero(cov).tolist()) for cov in covered]
-        return _Support(len(rows), possible, covered, lambda: rows, shape)
+        return _Support(len(rows), possible, covered, lambda: rows)
     moves, reached = _forward(possible, tables)
     size, covered, lives = _backward(tables, moves, reached, len(possible))
-    return _Support(size, possible, covered, partial(_rows, order, tables, lives), shape)
+    return _Support(size, possible, covered, partial(_rows, order, tables, lives))
 
 
 def _assignments(s: Scenario, rows: list[tuple[int, ...]]) -> list[GlobalAssignment]:
@@ -421,7 +411,7 @@ def is_strongly_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
     _check_cap(b.scenario, cap)
     tables = _elimination_plan(*index_shape(b.scenario))[3]
     if tables is None:
-        return next(_survivor_chunks(b, _possible(b), cap), None) is None
+        return next(_survivor_chunks(b, _possible(b)), None) is None
     return not _forward(_possible(b), tables)[1]
 
 
@@ -460,7 +450,7 @@ def is_logically_contextual(b: AnyBehavior, cap: int | None = None) -> bool:
 # -- probabilistic level ------------------------------------------------------
 
 
-def _lp(b: Behavior, members: list[tuple[int, ...]], shape: tuple) -> tuple[Fraction, list[Fraction]]:
+def _lp(b: Behavior, members: list[tuple[int, ...]]) -> tuple[Fraction, list[Fraction]]:
     """Maximize the total weight of a subnormalized global distribution whose
     context marginals are dominated by b's tables.
 
@@ -483,10 +473,8 @@ def _lp(b: Behavior, members: list[tuple[int, ...]], shape: tuple) -> tuple[Frac
     kept row; after that slack leaves, the twin's row has no positive entry.
     So the twin's slack never leaves, integer pivots never read its row, and
     the pivots and (value, x) are the full LP's. A dropped twin's dual is 0.
-
-    shape is b's index_shape.
     """
-    radices, ctx_positions = shape
+    radices, ctx_positions = index_shape(b.scenario)
     kept: dict[frozenset, tuple[tuple[int, int], int, int]] = {}  # pattern -> ((ci, cell), num, den)
     for ci, ((nums, den), positions) in enumerate(zip(b._ints, ctx_positions)):
         hit: dict[int, list[int]] = {}  # cell -> the members restricting to it
@@ -517,7 +505,7 @@ def _dichotomic_cycle(s: Scenario) -> bool:
         traverse_cycle(s)
     except NotCycle:
         return False
-    return all(len(s.outcomes[m]) == 2 for m in s.measurements)
+    return all(r == 2 for r in index_shape(s)[0])
 
 
 @lru_cache(maxsize=256)
@@ -541,7 +529,7 @@ def _nc(b: Behavior, found: _Support, witness) -> bool:
     Theory Probab. Appl. 7, 147, 1962), where a witness raises; else never
     with a witness; on a dichotomic cycle, iff every n-cycle inequality
     holds (they are complete there); elsewhere, iff the LP's optimum is 1."""
-    if _acyclic(found.shape[1]):
+    if _acyclic(index_shape(b.scenario)[1]):
         if witness is not None:
             raise RuntimeError(f"LC witness {witness} on an acyclic scenario, where nondisturbance implies nc")
         return True
@@ -550,7 +538,7 @@ def _nc(b: Behavior, found: _Support, witness) -> bool:
     if _dichotomic_cycle(b.scenario):
         value, scale, _ = tight_member(b._ints)
         return value <= (len(b.tables) - 2) * scale
-    return _lp(b, found.rows(), found.shape)[0] == 1
+    return _lp(b, found.rows())[0] == 1
 
 
 def _solve(b: Behavior, cap: int | None) -> tuple[list[tuple[int, ...]], Fraction, list[Fraction]]:
@@ -561,7 +549,7 @@ def _solve(b: Behavior, cap: int | None) -> tuple[list[tuple[int, ...]], Fractio
     require_nondisturbing(b)
     found = _scan(b, cap)
     members = found.rows()
-    return (members, *_lp(b, members, found.shape))
+    return (members, *_lp(b, members))
 
 
 def noncontextual_weight(b: Behavior, cap: int | None = None) -> Fraction:

@@ -87,3 +87,10 @@ class NegativeProbability(ContextualityError):
 
 class DegenerateParams(ContextualityError):
     """Construction parameters sit on a degenerate configuration."""
+
+
+def require_ints(error: type[ContextualityError] = InvalidArgument, **values) -> None:
+    """Raise error, naming the first of values that is not an int (a bool is one)."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise error(f"{name} must be an int, got {shown(value)}")

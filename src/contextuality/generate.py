@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .behavior import Behavior, PossibilisticBehavior, joint_outcomes
-from .errors import InvalidArgument
+from .errors import InvalidArgument, require_ints
 from .paradox import pr_box_behavior
 from .scenario import Scenario, require_pairs, traverse_cycle
 
@@ -109,9 +109,10 @@ def random_nd_coupling(
     mixture of 1..max_components transportation-plan vertices of the two
     marginals, so every context reproduces the shared marginals exactly.
 
-    :raises ValueError: if max_components is below 1.
+    :raises ValueError: if max_components is not an int or is below 1.
     """
     require_pairs(s)
+    require_ints(max_components=max_components)
     if max_components < 1:
         raise InvalidArgument(f"max_components must be at least 1, got {max_components}")
     q = {m: _random_distribution(len(s.outcomes[m]), rng) for m in s.measurements}
@@ -119,12 +120,10 @@ def random_nd_coupling(
     for u, v in s.contexts:
         parts = rng.randint(1, max_components)
         weights = _random_distribution(parts, rng)
-        cells = [Fraction(0)] * (len(s.outcomes[u]) * len(s.outcomes[v]))
+        cells = [Fraction(0)] * (len(q[u]) * len(q[v]))
         for w in weights:
             vertex = _transport_vertex(q[u], q[v], rng)
-            for i in range(len(s.outcomes[u])):
-                for j in range(len(s.outcomes[v])):
-                    cells[i * len(s.outcomes[v]) + j] += w * vertex[i][j]
+            cells = [p + w * x for p, x in zip(cells, (x for row in vertex for x in row))]
         tables.append(tuple(cells))
     return Behavior(s, tuple(tables))
 
@@ -153,13 +152,13 @@ def random_nd_mixture(
     by construction; with include_pr an extremal-box component on a
     dichotomic cycle is mixed in, which can leave the classical polytope.
 
-    :raises ValueError: if components is negative, or 0 without include_pr.
+    :raises ValueError: if components is not an int, is negative, or is 0 without include_pr.
     """
     least = 0 if include_pr else 1
-    if components is not None and components < least:
+    components = rng.randint(2, 5) if components is None else components
+    require_ints(components=components)
+    if components < least:
         raise InvalidArgument(f"components must be at least {least}, got {components}")
-    if components is None:
-        components = rng.randint(2, 5)
     parts = []  # per component, each context's possible cells
     for _ in range(components):
         a = {m: rng.choice(s.outcomes[m]) for m in s.measurements}

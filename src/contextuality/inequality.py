@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .behavior import Behavior, require_nondisturbing, require_probabilistic
-from .errors import InvalidArgument, shown
+from .errors import InvalidArgument, require_ints, shown
 from .scenario import require_dichotomic, traverse_cycle
 
 
@@ -87,6 +87,7 @@ def evaluate(b: Behavior, ineq: NcycleInequality) -> Fraction:
 
 def quantum_bound(n: int) -> float:
     """Largest quantum value of the family's left side on the n-cycle."""
+    require_ints(n=n)
     if n < 3:
         raise InvalidArgument(f"need n >= 3, got {n}")
     c = math.cos(math.pi / n)

@@ -151,10 +151,7 @@ def verify_certificate(b: AnyBehavior, cert: ParadoxCertificate) -> bool:
             return False
         if not out_set <= set(s.outcomes[v]):
             return False
-        expect_forbidden = {
-            (x, y) for x in st.reachable_in for y in s.outcomes[v] if y not in out_set
-        }
-        if forbidden != expect_forbidden:
+        if forbidden != {(x, y) for x in st.reachable_in for y in s.outcomes[v] if y not in out_set}:
             return False
         for x, y in st.forbidden:
             if _oriented_possible(pb, ci, st.context, (x, y)):
@@ -421,16 +418,7 @@ def detect_bell22_paradox(b: AnyBehavior) -> BellParadox | None:
         bob_out, alice_out = a, b_out
     m_idx = next(alice.index(x) + 1 for x in others if x in alice)
     l_idx = next(bob.index(x) + 1 for x in others if x in bob)
-    return BellParadox(
-        i=i,
-        j=j,
-        m=m_idx,
-        l=l_idx,
-        alice_outcome=alice_out,
-        bob_outcome=bob_out,
-        certificate=cert,
-        cycle=cycle,
-    )
+    return BellParadox(i, j, m_idx, l_idx, alice_out, bob_out, cert, cycle)
 
 
 @dataclass(frozen=True)
@@ -515,12 +503,7 @@ class PrBoxForm:
 def _xor_type(pb: PossibilisticBehavior, ci: int) -> str | None:
     """'E' if possibles are exactly {(0,0),(1,1)} by outcome index, 'N' for
     {(0,1),(1,0)}, None otherwise. Orientation-independent."""
-    table = pb.tables[ci]
-    if table == (True, False, False, True):
-        return "E"
-    if table == (False, True, True, False):
-        return "N"
-    return None
+    return {(True, False, False, True): "E", (False, True, True, False): "N"}.get(pb.tables[ci])
 
 
 def classify_strong_contextuality(b: AnyBehavior) -> PrBoxForm | None:
@@ -590,9 +573,7 @@ def pr_box_behavior(
     for m, a in zip(measurements, assignment):
         if a not in s.outcomes[m]:
             raise InvalidArgument(f"{a!r} is not an outcome of {m!r}")
-    bit = {
-        m: s.outcomes[m].index(a) for m, a in zip(measurements, assignment)
-    }
+    bit = {m: s.outcomes[m].index(a) for m, a in zip(measurements, assignment)}
     tables: list[tuple[bool, ...] | None] = [None] * n
     for ci, (u, v) in order:
         flip = 1 if ci == flip_context_index - 1 else 0

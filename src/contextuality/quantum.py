@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from .behavior import Behavior, joint_outcomes, require_nondisturbing
 from .errors import DegenerateParams, InvalidArgument, InvalidModel, NegativeProbability, NotNondisturbing, shown
+from .errors import require_ints
 from .lazy import Deferred
 from .scenario import Scenario, make_n_cycle
 
@@ -92,14 +93,10 @@ def validate_model(model: QuantumModel, s: Scenario) -> None:
         if np.linalg.norm(total - eye) > EPS:
             raise InvalidModel(f"projectors of {m!r} do not sum to the identity")
     for c in s.contexts:
-        for i, m1 in enumerate(c):
-            for m2 in c[i + 1 :]:
-                for p in model.projectors[m1]:
-                    for q in model.projectors[m2]:
-                        if np.linalg.norm(p @ q - q @ p) > EPS:
-                            raise InvalidModel(
-                                f"projectors of {m1!r} and {m2!r} do not commute in context {c}"
-                            )
+        for m1, m2 in itertools.combinations(c, 2):
+            for p, q in itertools.product(model.projectors[m1], model.projectors[m2]):
+                if np.linalg.norm(p @ q - q @ p) > EPS:
+                    raise InvalidModel(f"projectors of {m1!r} and {m2!r} do not commute in context {c}")
 
 
 def trace_probability(
@@ -260,6 +257,7 @@ class OddCycleParams:
     thetas: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        require_ints(n=self.n)
         if self.n < 5 or self.n % 2 == 0:
             raise InvalidArgument(f"odd-cycle construction needs odd n >= 5, got {self.n}")
         for name, want in (("eta", 3), ("v3", 3), ("thetas", (self.n - 3) // 2)):
@@ -407,6 +405,7 @@ class EvenCycleParams:
     alpha: float
 
     def __post_init__(self) -> None:
+        require_ints(n=self.n)
         if self.n < 4 or self.n % 2 == 1:
             raise InvalidArgument(f"even-cycle construction needs even n >= 4, got {self.n}")
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -442,6 +441,7 @@ def _even_layout(n: int) -> dict[int, tuple[str, int]]:
 
 def hardy_probability(n: int, alpha: float) -> float:
     """Closed form of the even-cycle paradox probability p_1(1,1)."""
+    require_ints(n=n)
     if n < 4 or n % 2 == 1:
         raise InvalidArgument(f"closed form applies to even n >= 4, got {n}")
     c, s = math.cos(alpha), math.sin(alpha)
@@ -606,8 +606,10 @@ def optimize_gamma(n: int, restarts: int = 40, tol: float = 1e-10, seed: int = 0
     seed. Degenerate parameters score 0; the best value wins, ties keep the
     earliest restart. Best-effort: the largest value found, no convergence guarantee.
 
-    :raises ValueError: if n < 4, restarts < 1, seed < 0 or tol is not finite and positive.
+    :raises ValueError: if n, restarts or seed is not an int, n < 4, restarts < 1,
+        seed < 0 or tol is not finite and positive.
     """
+    require_ints(n=n, restarts=restarts, seed=seed)
     if n < 4:
         raise InvalidArgument(f"cycle constructions need n >= 4, got {n}")
     if restarts < 1:

@@ -15,13 +15,14 @@ module also provides chordless-cycle enumeration and cycle traversal.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import ContextualityError, InvalidArgument, InvalidScenario, NonDichotomic, NonSimpleScenario, NotCycle
-from .errors import shown, shown_path
+from .errors import require_ints, shown, shown_path
 
 DEFAULT_CAP = 1 << 24
 
@@ -44,6 +45,7 @@ def resolve_cap(cap: int | None) -> int:
             cap = int(raw)
         except ValueError:
             raise InvalidArgument(f"CTX_CAP must be an integer, got {shown(raw)}") from None
+    require_ints(cap=cap)
     if cap < 1:
         raise InvalidArgument(f"{name} must be positive, got {cap}")
     return cap
@@ -58,6 +60,9 @@ class Scenario:
     :param contexts: ordered tuple of contexts; each context is an ordered
         tuple of measurement labels. The stored order of a context is the key
         order of every joint-outcome table attached to it.
+
+    index_shape stores the index shape as _shape at its first read: not a
+    field, so repr, == and hash read the fields alone; pickles and copies keep it.
     """
 
     measurements: tuple[str, ...]
@@ -128,10 +133,7 @@ class Scenario:
 
     def context_cells(self, context_index: int) -> int:
         """Number of joint outcomes of one context."""
-        cells = 1
-        for m in self.contexts[context_index]:
-            cells *= len(self.outcomes[m])
-        return cells
+        return math.prod(len(self.outcomes[m]) for m in self.contexts[context_index])
 
     # -- JSON --------------------------------------------------------------
 
@@ -181,10 +183,21 @@ def load_scenario(path: str) -> Scenario:
 
 
 def index_shape(s: Scenario) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Outcome counts and context positions: the key of every per-shape cache."""
-    index = {m: q for q, m in enumerate(s.measurements)}
-    radices = tuple(len(s.outcomes[m]) for m in s.measurements)
-    return radices, tuple(tuple(map(index.__getitem__, c)) for c in s.contexts)
+    """Outcome counts and context positions, built at most once per scenario
+    (see Scenario) and one object for equal scenarios (_interned_shape)."""
+    try:
+        return s._shape
+    except AttributeError:
+        shape = _interned_shape(s.measurements, tuple(len(s.outcomes[m]) for m in s.measurements), s.contexts)
+        object.__setattr__(s, "_shape", shape)
+        return shape
+
+
+@lru_cache(maxsize=256)
+def _interned_shape(measurements: tuple[str, ...], radices: tuple[int, ...], contexts: tuple) -> tuple:
+    """index_shape of the scenarios with these labels and outcome counts."""
+    index = {m: q for q, m in enumerate(measurements)}
+    return radices, tuple(tuple(map(index.__getitem__, c)) for c in contexts)
 
 
 # -- shape guards -----------------------------------------------------------
@@ -215,6 +228,7 @@ def make_n_cycle(n: int, l: int = 2) -> Scenario:
         scenario, n=5 with l=2 is KCBS.
     :param l: outcomes per measurement, at least 2, labeled "0".."l-1".
     """
+    require_ints(InvalidScenario, n=n, l=l)
     if n < 3:
         raise InvalidScenario(f"n-cycle needs n >= 3, got {n}")
     if l < 2:
@@ -231,6 +245,7 @@ def make_bipartite_bell(k: int, l: int = 2) -> Scenario:
     Measurements A1..Ak and B1..Bk, each with l outcomes; every pair
     {A_i, B_j} is a context, so the compatibility graph is K_{k,k}.
     """
+    require_ints(InvalidScenario, k=k, l=l)
     if k < 2:
         raise InvalidScenario(f"bipartite Bell needs k >= 2 settings, got {k}")
     if l < 2:

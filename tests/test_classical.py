@@ -29,6 +29,7 @@ from contextuality import (
     build_bundle,
     build_even_cycle,
     build_odd_cycle,
+    check_nondisturbance,
     check_possibilistic_nd,
     collapse,
     contextual_fraction,
@@ -56,7 +57,7 @@ from contextuality import (
     support_size,
 )
 from contextuality import classical
-from contextuality.scenario import index_shape
+from contextuality.scenario import _interned_shape, index_shape
 
 import oracle
 
@@ -329,17 +330,26 @@ class TestHierarchy:
             hierarchy(b, level="all")
             assert calls == {"scan": 1, "nd": 1}
 
-    def test_shape_is_read_once(self, monkeypatch):
-        """hierarchy reads index_shape once, in its scan, and hands it to the
-        shape rule and the LP (check_nondisturbance reads its own)."""
+    def test_shape_is_built_once_per_scenario(self, monkeypatch):
+        """Each scenario builds its index shape once, and no question asked
+        again builds it again: on a dichotomic cycle, on Bell (3, 2) (the LP),
+        on a tree (the acyclic rule) and past the state bound (the listing)."""
+        builds = []
+        monkeypatch.setattr("contextuality.scenario._interned_shape", lambda *k: builds.append(k) or _interned_shape(*k))
+        bell = make_bipartite_bell(3, 2)
+        outcomes = {m: tuple(map(str, range(13 if m[0] == "A" else 2))) for m in bell.measurements}
+        bell13 = Scenario(bell.measurements, outcomes, bell.contexts)  # past the state bound
         calls = []
-        real = classical.index_shape
-        monkeypatch.setattr(classical, "index_shape", lambda s: calls.append(s) or real(s))
-        bell32 = random_nd_coupling(make_bipartite_bell(3, 2), random.Random(5))
-        for b in (HARDY, BELL, bell32):
-            calls.clear()
-            hierarchy(b, level="all")
-            assert len(calls) == 1
+        for s in (make_n_cycle(5), bell, path(5, 3), bell13):
+            pb = random_pnd(s, random.Random(5))
+            possibilistic = (check_possibilistic_nd, support_size, is_strongly_contextual, logical_contextuality_witness)
+            calls += [(ask, pb) for ask in possibilistic]
+            b = random_nd_coupling(s, random.Random(5), max_components=1)
+            calls += [(ask, b) for ask in (hierarchy, check_nondisturbance, noncontextual_weight)]
+        for _ in range(2):
+            for ask, behavior in calls:
+                ask(behavior)
+            assert len(builds) == 4, builds
 
     @pytest.mark.parametrize("level", ["nc", "all"])
     def test_lc_witness_decides_nc_without_the_lp(self, monkeypatch, level):
@@ -518,7 +528,7 @@ def reference_listing(monkeypatch):
     the numpy listing past the state bound, and the kernel's member rows
     within it."""
 
-    def listed(b, possible, cap):
+    def listed(b, possible):
         survivors = oracle.ref_survivors(b)
         return iter([survivors] if len(survivors) else [])
 
@@ -539,7 +549,7 @@ def digit_rows(b, indices: np.ndarray) -> list[tuple[int, ...]]:
 
 def listed_indices(b) -> np.ndarray:
     """The numpy listing's members, ascending."""
-    chunks = list(classical._survivor_chunks(b, classical._possible(b), None))
+    chunks = list(classical._survivor_chunks(b, classical._possible(b)))
     return np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + chunks))
 
 
@@ -632,7 +642,7 @@ class TestCycleWalk:
     def test_listing_stays_near_the_support(self, monkeypatch):
         b = random_nd_coupling(make_n_cycle(24), random.Random(4))
         passed = count_cell_codes(monkeypatch)
-        size = sum(len(arr) for arr in classical._survivor_chunks(b, classical._possible(b), None))
+        size = sum(len(arr) for arr in classical._survivor_chunks(b, classical._possible(b)))
         # the prototype passed 72,944; a scan of every assignment passes at least 2^24
         assert size == 13824 and passed[0] <= 8 * size, passed[0]
         # level "lc": the LP over thousands of support columns is not the point here
@@ -665,7 +675,7 @@ class TestCycleWalk:
         assert max(len(keep) for *_, keep in classical._elimination_plan(*index_shape(s))[1]) == 2
         passed = count_cell_codes(monkeypatch)
         assert support_size(b, cap=1 << 62) == 1
-        assert sum(len(arr) for arr in classical._survivor_chunks(b, classical._possible(b), 1 << 62)) == 1
+        assert sum(len(arr) for arr in classical._survivor_chunks(b, classical._possible(b))) == 1
         assert passed[0] < 1000, f"{passed[0]} indices passed"
 
 
@@ -1030,7 +1040,7 @@ class TestTwinFreeLP:
                 continue
             sizes.clear()
             found = classical._scan(b, None)
-            assert classical._lp(b, found.rows(), found.shape) == oracle.ref_maximize(c, rows, rhs)
+            assert classical._lp(b, found.rows()) == oracle.ref_maximize(c, rows, rhs)
             assert sizes[0][1] == len(c) and sizes[0][0] <= len(rows)
             collapsed += sizes[0][0] < len(rows)
         assert collapsed >= 20, collapsed

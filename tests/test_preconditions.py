@@ -13,8 +13,11 @@ import pytest
 
 from contextuality import (
     Behavior,
+    EnumerationCapExceeded,
+    EvenCycleParams,
     InvalidArgument,
     InvalidBehavior,
+    InvalidScenario,
     NcycleInequality,
     NegativeProbability,
     NonDichotomic,
@@ -22,6 +25,7 @@ from contextuality import (
     NotCycle,
     NotNondisturbing,
     NotPossibilisticallyND,
+    OddCycleParams,
     PossibilisticBehavior,
     Scenario,
     WrongScenarioShape,
@@ -39,14 +43,19 @@ from contextuality import (
     evaluate_all,
     fixture,
     global_distribution,
+    hardy_probability,
     hierarchy,
     is_noncontextual,
     make_bipartite_bell,
     make_n_cycle,
     noncontextual_weight,
+    optimize_gamma,
     pr_box_behavior,
+    quantum_bound,
     random_nd_coupling,
+    random_nd_mixture,
     random_pnd,
+    support_size,
 )
 
 BIT = ("0", "1")
@@ -198,6 +207,65 @@ ARGUMENT_CASES = [
         r"signs must be \+1 or -1, got \('a', 'b', 'c'\)",
         id="NcycleInequality/string-sign",
     ),
+    # a non-int count, size or seed: the class the range check raises, naming the argument
+    pytest.param(
+        lambda: optimize_gamma(5, restarts=2.5),
+        "restarts must be an int, got 2.5",
+        id="gamma/float-restarts",
+    ),
+    pytest.param(
+        lambda: optimize_gamma(5, restarts=1, seed=1.5),
+        "seed must be an int, got 1.5",
+        id="gamma/float-seed",
+    ),
+    pytest.param(lambda: optimize_gamma("4"), "n must be an int, got '4'", id="gamma/string-n"),
+    pytest.param(lambda: optimize_gamma(6.0), r"n must be an int, got 6\.0", id="gamma/float-n"),
+    pytest.param(
+        lambda: random_nd_mixture(make_n_cycle(4), Random(0), components=2.5),
+        "components must be an int, got 2.5",
+        id="random_nd_mixture/float-components",
+    ),
+    pytest.param(
+        lambda: random_nd_coupling(make_n_cycle(4), Random(0), max_components="2"),
+        "max_components must be an int, got '2'",
+        id="random_nd_coupling/string-components",
+    ),
+    pytest.param(
+        lambda: random_nd_coupling(make_n_cycle(4), Random(0), max_components=1.5),
+        "max_components must be an int, got 1.5",
+        id="random_nd_coupling/float-components",
+    ),
+    pytest.param(
+        lambda: OddCycleParams("5", (1, 1, 1), (1, 1, 0), (0.5,)),
+        "n must be an int, got '5'",
+        id="OddCycleParams/string-n",
+    ),
+    pytest.param(
+        lambda: EvenCycleParams(4.5, 0.3),
+        "n must be an int, got 4.5",
+        id="EvenCycleParams/float-n",
+    ),
+    pytest.param(
+        lambda: EvenCycleParams(6.0, 0.3),
+        r"n must be an int, got 6\.0",
+        id="EvenCycleParams/integral-float-n",
+    ),
+    pytest.param(
+        lambda: hardy_probability(4.5, 0.3),
+        "n must be an int, got 4.5",
+        id="hardy_probability/float-n",
+    ),
+    pytest.param(lambda: quantum_bound(4.5), "n must be an int, got 4.5", id="quantum_bound/float-n"),
+    pytest.param(
+        lambda: support_size(fixture("bell"), cap="5"),
+        "cap must be an int, got '5'",
+        id="support_size/string-cap",
+    ),
+    pytest.param(
+        lambda: support_size(fixture("bell"), cap=1.5),
+        "cap must be an int, got 1.5",
+        id="support_size/float-cap",
+    ),
 ]
 
 
@@ -205,3 +273,34 @@ ARGUMENT_CASES = [
 def test_rejected_argument_raises_invalid_argument(call, message):
     with pytest.raises(InvalidArgument, match=f"^{message}$"):
         call()
+
+
+# The scenario makers raise InvalidScenario for a size or outcome count out of
+# range, and so for one that is not an int.
+SCENARIO_ARGUMENT_CASES = [
+    pytest.param(lambda: make_n_cycle(4.0), r"n must be an int, got 4\.0", id="make_n_cycle/float-n"),
+    pytest.param(lambda: make_n_cycle(4, "3"), "l must be an int, got '3'", id="make_n_cycle/string-l"),
+    pytest.param(
+        lambda: make_bipartite_bell(2.5),
+        "k must be an int, got 2.5",
+        id="make_bipartite_bell/float-k",
+    ),
+    pytest.param(
+        lambda: make_bipartite_bell(2, 2.0),
+        r"l must be an int, got 2\.0",
+        id="make_bipartite_bell/float-l",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", SCENARIO_ARGUMENT_CASES)
+def test_rejected_scenario_argument_raises_invalid_scenario(call, message):
+    with pytest.raises(InvalidScenario, match=f"^{message}$"):
+        call()
+
+
+def test_a_bool_passes_as_an_int():
+    coupling = random_nd_coupling(make_n_cycle(4), Random(0), max_components=True)
+    assert coupling == random_nd_coupling(make_n_cycle(4), Random(0), max_components=1)
+    with pytest.raises(EnumerationCapExceeded, match="^16 global assignments exceed the cap True$"):
+        support_size(fixture("bell"), cap=True)

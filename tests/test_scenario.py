@@ -1,9 +1,15 @@
-"""Scenario construction, the standard families, and cycle enumeration."""
+"""Scenario construction, the standard families, cycle enumeration, and the
+index shape each scenario owns."""
 
+import copy
+import dataclasses
+import gc
 import itertools
+import pickle
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -342,3 +348,56 @@ class TestTraverseCycle:
                 traverse_cycle(s)
         info = scenario._cycle_walk.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+# ============================================================
+# 5. The index shape
+# ============================================================
+
+
+def rebuilt(s: Scenario) -> tuple:
+    """The index shape, built from the labels: outcome counts in measurement
+    order and each context's measurement positions."""
+    position = {m: q for q, m in enumerate(s.measurements)}
+    return tuple(len(s.outcomes[m]) for m in s.measurements), tuple(tuple(map(position.get, c)) for c in s.contexts)
+
+
+class TestIndexShape:
+    def test_equal_scenarios_share_one_shape(self):
+        s, t = make_n_cycle(7, 3), make_n_cycle(7, 3)
+        assert s is not t and scenario.index_shape(s) is scenario.index_shape(t)
+        assert scenario.index_shape(Scenario.from_json_dict(s.to_json_dict())) is scenario.index_shape(s)
+        assert scenario.index_shape(s) == rebuilt(s)
+
+    def test_different_shapes_stay_apart(self):
+        s = make_n_cycle(5, 2)
+        reordered = Scenario(s.measurements, s.outcomes, s.contexts[::-1])
+        cases = [s, make_n_cycle(5, 3), reordered]  # same labels, other outcome counts or context order
+        shapes = [scenario.index_shape(c) for c in cases]
+        assert shapes == [rebuilt(c) for c in cases] and len(set(shapes)) == 3
+
+    def test_copies_keep_equality_hash_and_shape(self):
+        s = make_bipartite_bell(2, 3)
+        fresh = pickle.dumps(s)
+        shape = scenario.index_shape(s)
+        assert repr(s) == repr(make_bipartite_bell(2, 3)) and pickle.loads(fresh) == s
+        copies = [pickle.loads(fresh), pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)]
+        for c in copies + [dataclasses.replace(s)]:
+            assert c == s and hash(c) == hash(s) and scenario.index_shape(c) == shape == rebuilt(c)
+        moved = dataclasses.replace(s, contexts=s.contexts[1:] + s.contexts[:1])
+        assert moved != s and scenario.index_shape(moved) == rebuilt(moved) != shape
+
+    def test_shapes_of_equal_scenarios_take_no_copies(self):
+        scenario.index_shape(make_n_cycle(9, 3))  # interned, and the attribute known to the class
+        scenarios = [make_n_cycle(9, 3) for _ in range(1200)]
+        tracemalloc.start()
+        try:  # a full collection empties the free lists, which hold freed temporaries
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for s in scenarios:
+                scenario.index_shape(s)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 100_000, retained  # a copy per scenario holds about 0.9 MB
