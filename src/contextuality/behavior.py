@@ -30,7 +30,7 @@ from .errors import (
     SubsetNotInContext,
     shown,
 )
-from .scenario import Scenario, index_shape, load_scenario, read_json, resolve_cap
+from .scenario import Scenario, index_shape, load_scenario, read_json, resolve_cap, sized_cache
 
 
 def joint_outcomes(s: Scenario, context: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
@@ -78,8 +78,9 @@ class Behavior:
 
     Validation leaves _ints, the integer view every exact question reads:
     per table, its numerators over the lcm of its denominators, and that
-    lcm. It is an instance attribute, not a field, so repr and == read the
-    tables alone; pickling and copying keep it.
+    lcm; check_nondisturbance leaves _nd, its report. Both are instance
+    attributes, not fields, so repr and == read the tables alone; pickling
+    and copying keep them.
     """
 
     scenario: Scenario
@@ -207,7 +208,9 @@ def check_nondisturbance(b: Behavior) -> DisturbanceReport:
     :raises InvalidBehavior: if b is a PossibilisticBehavior.
     """
     require_probabilistic(b)
-    return _nd_walk(b, exact=True)
+    if "_nd" not in b.__dict__:  # the first check of b walks, and b keeps the report (see Behavior)
+        object.__setattr__(b, "_nd", _nd_walk(b, exact=True))
+    return b._nd
 
 
 def check_possibilistic_nd(pb: AnyBehavior) -> DisturbanceReport:
@@ -314,28 +317,44 @@ def _nd_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...
 
 
 def _parse_rational(raw) -> Fraction:
-    if isinstance(raw, bool):
-        raise InvalidBehavior(f"probability {shown(raw)} is not a number or rational string")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        # Fraction builds 10**exponent exactly, so one short string could stall the loader.
-        if "e" in raw or "E" in raw:
-            raise InvalidBehavior(f"probability {shown(raw)} has an exponent; write it as 'num/den' or a decimal")
-        num, _, den = raw.partition("/")
-        try:
-            if raw.isascii() and num.isdigit() and (den.isdigit() or num == raw):  # 'n' or 'n/d', plain digits
+    try:
+        if type(raw) is str and raw.isascii():
+            num, _, den = raw.partition("/")
+            if num.isdigit() and (den.isdigit() or num == raw):  # 'n' or 'n/d', plain digits
                 return Fraction(int(num), int(den or 1))
+        if isinstance(raw, bool):
+            raise InvalidBehavior(f"probability {shown(raw)} is not a number or rational string")
+        if isinstance(raw, int):
             return Fraction(raw)
-        except ValueError:
-            raise InvalidBehavior(f"cannot parse probability {shown(raw)}") from None
-        except ZeroDivisionError:
-            raise InvalidBehavior(f"probability {shown(raw)} has a zero denominator") from None
+        if isinstance(raw, str):
+            # Fraction builds 10**exponent exactly, so one short string could stall the loader.
+            if "e" in raw or "E" in raw:
+                raise InvalidBehavior(f"probability {shown(raw)} has an exponent; write it as 'num/den' or a decimal")
+            return Fraction(raw)
+    except ValueError:
+        raise InvalidBehavior(f"cannot parse probability {shown(raw)}") from None
+    except ZeroDivisionError:
+        raise InvalidBehavior(f"probability {shown(raw)} has a zero denominator") from None
     raise InvalidBehavior(f"probability {shown(raw)} must be an int or a 'num/den' string")
 
 
+_KEYED_CELLS = 4096  # the largest context, in cells, whose "probs" keys _key_cells maps
+
+
+@sized_cache(1 << 16, len)
+def _key_cells(labels: tuple[tuple[str, ...], ...], order: tuple[int, ...]) -> dict[str, int]:
+    """The "probs" key of each cell of a context, mapped to the cell. labels
+    are the outcome labels of its measurements in stored order, and order[j]
+    is the entry position of stored measurement j; keys follow the entry's
+    order. Empty when a label holds ',', where keys split ambiguously."""
+    if any("," in o for ls in labels for o in ls):
+        return {}
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    return {",".join(map(joint.__getitem__, inverse)): c for c, joint in enumerate(itertools.product(*labels))}
+
+
 def _is_list_of(value, kind: type) -> bool:
-    return isinstance(value, list) and all(isinstance(x, kind) for x in value)
+    return isinstance(value, list) and all(map(kind.__instancecheck__, value))
 
 
 def behavior_from_json_dict(
@@ -397,6 +416,7 @@ def behavior_from_json_dict(
         cells = scenario.context_cells(i)
         if cells > cap:
             raise EnumerationCapExceeded(f"context {shown(context)} has {cells} joint outcomes, more than the cap {cap}")
+        order = tuple(map(given.index, context))
         if possibilistic:
             if not _is_list_of(entry["possible"], list):
                 raise InvalidBehavior(f"'possible' for context {shown(given)} must be a list of lists")
@@ -404,13 +424,15 @@ def behavior_from_json_dict(
         else:
             if not isinstance(entry["probs"], dict):
                 raise InvalidBehavior(f"'probs' for context {shown(given)} must be an object")
-            pairs = ((tuple(key.split(",")), _parse_rational(raw)) for key, raw in entry["probs"].items())
-        order = tuple(map(given.index, context))
+            keys = _key_cells(tuple(map(scenario.outcomes.__getitem__, context)), order) if cells <= _KEYED_CELLS else {}
+            pairs = ((keys[k] if k in keys else tuple(k.split(",")), _parse_rational(v)) for k, v in entry["probs"].items())
         table = [zero] * cells
         for joint, value in pairs:
-            if len(joint) != len(given):
-                raise InvalidBehavior(f"outcome tuple {shown(joint)} does not match context {shown(given)}")
-            table[cell_index(scenario, context, tuple(map(joint.__getitem__, order)))] = value
+            if type(joint) is tuple:  # not a mapped key: checked as it always was
+                if len(joint) != len(given):
+                    raise InvalidBehavior(f"outcome tuple {shown(joint)} does not match context {shown(given)}")
+                joint = cell_index(scenario, context, tuple(map(joint.__getitem__, order)))
+            table[joint] = value
         tables.append(tuple(table))
     if by_set:
         extra = [sorted(k) for k in by_set]

@@ -62,6 +62,7 @@ from .errors import EnumerationCapExceeded, InvalidArgument, NotCycle
 from .inequality import tight_member
 from .lazy import Deferred
 from .scenario import Scenario, default_cap, index_shape, resolve_cap, traverse_cycle  # default_cap is re-exported
+from .scenario import sized_cache
 
 np = Deferred("numpy", globals(), "np")
 
@@ -142,12 +143,14 @@ def _placement(
     return tuple(rank), tuple(map(tuple, closing))
 
 
-@lru_cache(maxsize=256)
+# A plan's size is its move tables' entries: len(nxt) per step and per context read.
+@sized_cache(1 << 18, lambda plan: sum(len(nxt) * (1 + len(reads)) for _, nxt, reads in plan[3] or ()))
 def _elimination_plan(radices: tuple[int, ...], ctx_positions: tuple[tuple[int, ...], ...]) -> tuple:
     """(order, steps, largest, tables) of an elimination along the placement
     order; largest is the digit-state count of its largest bag, and tables
     are the kernel's move tables (see _move_tables) when largest is at most
-    _MAX_STATES, else None.
+    _MAX_STATES, else None. The plans kept hold at most 2^18 table entries,
+    about 40,000 per shape at the state bound.
 
     Step k places order[k]. Its bag is the frontier before it (the placed
     measurements that a context not yet closed holds) then order[k], and a

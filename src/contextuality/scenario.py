@@ -18,8 +18,9 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from functools import lru_cache, update_wrapper
+from threading import Lock
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ContextualityError, InvalidArgument, InvalidScenario, NonDichotomic, NonSimpleScenario, NotCycle
 from .errors import require_ints, shown, shown_path
@@ -75,7 +76,10 @@ class Scenario:
             self, "outcomes", {m: tuple(v) for m, v in self.outcomes.items()}
         )
         object.__setattr__(self, "contexts", tuple(tuple(c) for c in self.contexts))
-        self._validate()
+        try:  # each distinct scenario is validated once
+            _accepted(self)
+        except (KeyError, TypeError):  # a label missing or unhashable: validated uncached, raising as always
+            self._validate()
 
     def __hash__(self) -> int:
         # outcomes is a dict, equal whatever its key order: hash it in measurement order.
@@ -132,8 +136,9 @@ class Scenario:
             raise InvalidScenario(f"unknown outcome {shown(label)} for measurement {shown(measurement)}") from None
 
     def context_cells(self, context_index: int) -> int:
-        """Number of joint outcomes of one context."""
-        return math.prod(len(self.outcomes[m]) for m in self.contexts[context_index])
+        """Number of joint outcomes of one context, read off the index shape."""
+        radices, ctx_positions = index_shape(self)
+        return math.prod(map(radices.__getitem__, ctx_positions[context_index]))
 
     # -- JSON --------------------------------------------------------------
 
@@ -153,12 +158,12 @@ class Scenario:
                 raise InvalidScenario(f"scenario JSON missing {key!r}")
         try:
             lists = [data["measurements"], data["contexts"], *data["contexts"]]
-            if any(isinstance(v, str) for v in [*lists, *data["outcomes"].values()]):
+            if any(map(str.__instancecheck__, [*lists, *data["outcomes"].values()])):
                 raise InvalidScenario("scenario JSON has a string where a list of labels belongs")
             return cls(
-                measurements=tuple(str(m) for m in data["measurements"]),
-                outcomes={str(m): tuple(str(o) for o in v) for m, v in data["outcomes"].items()},
-                contexts=tuple(tuple(str(m) for m in c) for c in data["contexts"]),
+                measurements=tuple(map(str, data["measurements"])),
+                outcomes={str(m): tuple(map(str, v)) for m, v in data["outcomes"].items()},
+                contexts=tuple(tuple(map(str, c)) for c in data["contexts"]),
             )
         except (TypeError, AttributeError) as exc:
             raise InvalidScenario(f"malformed scenario JSON: {exc}") from exc
@@ -198,6 +203,44 @@ def _interned_shape(measurements: tuple[str, ...], radices: tuple[int, ...], con
     """index_shape of the scenarios with these labels and outcome counts."""
     index = {m: q for q, m in enumerate(measurements)}
     return radices, tuple(tuple(map(index.__getitem__, c)) for c in contexts)
+
+
+@lru_cache(maxsize=256)
+def _accepted(s: Scenario) -> None:
+    """s._validate(), kept once it passes for the scenarios equal to s; so a
+    rejected scenario raises the same error each time."""
+    s._validate()
+
+
+def sized_cache(budget: int, size: Callable[[Any], int]) -> Callable:
+    """Memoize a pure function of hashable arguments, keeping at most 256
+    values whose sizes sum to at most budget, oldest out first. A value larger
+    than budget is returned but not kept, and a call that raises keeps nothing."""
+
+    def decorate(fn: Callable) -> Callable:
+        kept: dict = {}  # args -> (value, its size), oldest first
+        lock = Lock()
+
+        def cached(*args):
+            hit = kept.get(args)  # a hit takes no lock
+            if hit is None:
+                hit = (value := fn(*args)), size(value)
+                if hit[1] <= budget:
+                    with lock:
+                        kept[args] = hit
+                        total = sum(n for _, n in kept.values())
+                        while total > budget or len(kept) > 256:
+                            total -= kept.pop(next(iter(kept)))[1]
+            return hit[0]
+
+        def cache_clear() -> None:
+            with lock:
+                kept.clear()
+
+        cached.cache_clear = cache_clear
+        return update_wrapper(cached, fn)
+
+    return decorate
 
 
 # -- shape guards -----------------------------------------------------------

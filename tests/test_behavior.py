@@ -1,12 +1,15 @@
 """Behavior tables, marginals, disturbance checks, and JSON round-trips."""
 
+import copy
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import pickle
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,7 @@ from contextuality import (
     InvalidBehavior,
     InvalidScenario,
     NegativeProbability,
+    NotNondisturbing,
     PossibilisticBehavior,
     Scenario,
     SubsetNotInContext,
@@ -33,21 +37,28 @@ from contextuality import (
     check_nondisturbance,
     check_possibilistic_nd,
     collapse,
+    deterministic_behavior,
+    detect_cycle_paradox,
     evaluate_all,
     fixture,
+    global_distribution,
     hierarchy,
     joint_outcomes,
     load_behavior,
     make_bipartite_bell,
     make_n_cycle,
     noncontextual_weight,
+    pr_box_behavior,
     random_nd_coupling,
     random_nd_mixture,
     random_pnd,
+    random_tree_scenario,
     save_behavior,
 )
 from contextuality import behavior as behavior_module
+from contextuality.behavior import cell_index
 from contextuality.errors import shown
+from contextuality.scenario import resolve_cap
 
 import oracle
 
@@ -794,6 +805,285 @@ class TestJson:
         with pytest.raises(ContextualityError) as info:
             behavior_from_json_dict(data, cap=cap)
         assert type(info.value) is error, info.value
+
+
+# ============================================================
+# 4b. The table loop against its per-key predecessor
+# ============================================================
+
+
+def _frozen_rational(raw) -> Fraction:
+    """_parse_rational as it was before its digit path moved to the top."""
+    if isinstance(raw, bool):
+        raise InvalidBehavior(f"probability {shown(raw)} is not a number or rational string")
+    if isinstance(raw, int):
+        return Fraction(raw)
+    if isinstance(raw, str):
+        if "e" in raw or "E" in raw:
+            raise InvalidBehavior(f"probability {shown(raw)} has an exponent; write it as 'num/den' or a decimal")
+        num, _, den = raw.partition("/")
+        try:
+            if raw.isascii() and num.isdigit() and (den.isdigit() or num == raw):
+                return Fraction(int(num), int(den or 1))
+            return Fraction(raw)
+        except ValueError:
+            raise InvalidBehavior(f"cannot parse probability {shown(raw)}") from None
+        except ZeroDivisionError:
+            raise InvalidBehavior(f"probability {shown(raw)} has a zero denominator") from None
+    raise InvalidBehavior(f"probability {shown(raw)} must be an int or a 'num/den' string")
+
+
+def _frozen_list_of(value, kind: type) -> bool:
+    return isinstance(value, list) and all(isinstance(x, kind) for x in value)
+
+
+def _frozen_from_json_dict(data: dict, cap: int | None = None):
+    """behavior_from_json_dict for inline scenarios as it was before per-shape
+    key maps: every "probs" key is split, checked and placed by cell_index."""
+    cap = resolve_cap(cap)
+    if not isinstance(data, dict):
+        raise InvalidBehavior("behavior JSON must be an object")
+    if "scenario" not in data or "tables" not in data:
+        raise InvalidBehavior("behavior JSON needs 'scenario' and 'tables'")
+    scenario = Scenario.from_json_dict(data["scenario"])
+    entries = data["tables"]
+    if not isinstance(entries, list):
+        raise InvalidBehavior("'tables' must be a list")
+    by_set: dict[frozenset, dict] = {}
+    for entry in entries:
+        if not isinstance(entry, dict) or "context" not in entry:
+            raise InvalidBehavior("each table entry needs a 'context'")
+        if not _frozen_list_of(entry["context"], str):
+            raise InvalidBehavior(f"'context' must be a list of strings, got {shown(entry['context'])}")
+        key = frozenset(entry["context"])
+        if len(key) != len(entry["context"]):
+            raise InvalidBehavior(f"table context {shown(entry['context'])} repeats a measurement")
+        if key in by_set:
+            raise InvalidBehavior(f"duplicate table for context {shown(sorted(key))}")
+        by_set[key] = entry
+    kinds = {("probs" in e, "possible" in e) for e in by_set.values()}
+    if kinds not in ({(True, False)}, {(False, True)}):
+        raise InvalidBehavior("every table entry needs exactly one of 'probs' or 'possible'")
+    possibilistic = kinds == {(False, True)}
+    zero = False if possibilistic else Fraction(0)
+    tables = []
+    for i, context in enumerate(scenario.contexts):
+        entry = by_set.pop(frozenset(context), None)
+        if entry is None:
+            raise InvalidBehavior(f"no table for context {shown(context)}")
+        given = tuple(entry["context"])
+        cells = scenario.context_cells(i)
+        if cells > cap:
+            raise EnumerationCapExceeded(f"context {shown(context)} has {cells} joint outcomes, more than the cap {cap}")
+        if possibilistic:
+            if not _frozen_list_of(entry["possible"], list):
+                raise InvalidBehavior(f"'possible' for context {shown(given)} must be a list of lists")
+            pairs = ((tuple(map(str, labels)), True) for labels in entry["possible"])
+        else:
+            if not isinstance(entry["probs"], dict):
+                raise InvalidBehavior(f"'probs' for context {shown(given)} must be an object")
+            pairs = ((tuple(key.split(",")), _frozen_rational(raw)) for key, raw in entry["probs"].items())
+        order = tuple(map(given.index, context))
+        table = [zero] * cells
+        for joint, value in pairs:
+            if len(joint) != len(given):
+                raise InvalidBehavior(f"outcome tuple {shown(joint)} does not match context {shown(given)}")
+            table[cell_index(scenario, context, tuple(map(joint.__getitem__, order)))] = value
+        tables.append(tuple(table))
+    if by_set:
+        extra = [sorted(k) for k in by_set]
+        raise InvalidBehavior(f"tables given for unknown contexts: {shown(extra)}")
+    cls = PossibilisticBehavior if possibilistic else Behavior
+    return cls(scenario, tuple(tables), metadata=data.get("metadata"))
+
+
+def _outcome(parse, data: dict, cap: int | None):
+    """What parse makes of data: the behavior with its metadata and integer
+    view, or the class and message of what it raised."""
+    try:
+        b = parse(data, cap=cap)
+    except Exception as e:  # any exception at all: both parsers must raise alike
+        return type(e), str(e)
+    return type(b), b, b.metadata, getattr(b, "_ints", None)
+
+
+ODD_PROBABILITIES = ["2/4", "0/7", "007/10", "3", "1", "0", 0, 1, 2, -1, True, False, None, 0.5, "1e3", "1E3",
+                     "\u0661/\u0662", "1/0", "0/0", " 1/2", "1/2/3", "-1/2", "1_0/20", "0.5", "", "/",
+                     "1" * 5000, "1/" + "2" * 5000, "2" * 4300 + "/" + "3" * 4300]
+
+
+def _seeded_behaviors() -> list:
+    """Seeded draws from every generator, and every fixture."""
+    rng = random.Random(31)
+    out = [fixture(name) for name in ("bell", "hardy", "hardy4", "pr-box", "cabello5")]
+    for s in (make_n_cycle(4), make_n_cycle(5, 3), make_bipartite_bell(2, 3), make_bipartite_bell(3, 2),
+              random_tree_scenario(rng), random_tree_scenario(rng)):
+        out += [random_nd_coupling(s, rng), random_nd_mixture(s, rng), random_pnd(s, rng)]
+        out.append(deterministic_behavior(s, {m: rng.choice(s.outcomes[m]) for m in s.measurements}))
+    for s in (make_n_cycle(4), make_n_cycle(6)):
+        out += [random_nd_mixture(s, rng, include_pr=True), pr_box_behavior(s, 2)]
+    out.append(build_even_cycle(EvenCycleParams(4, 0.4))[1])
+    out.append(build_odd_cycle(OddCycleParams(5, (1, 1, 1), (1, 1, 0), (0.7,)))[1])
+    binary_triples = Scenario(tuple("ABCD"), {m: ("0", "1") for m in "ABCD"}, (("A", "B", "C"), ("C", "D", "A")))
+    for s in (TRIPLES, binary_triples):  # a wrong key map misses on TRIPLES' mixed labels, but not here
+        out += [_random_behavior(s, rng, p) for p in (False, True, False)]
+    return out + [collapse(fixture("hardy"))]
+
+
+def _comma_payloads() -> list[dict]:
+    """Behaviors whose outcome labels hold ',': possibilistic files, and
+    hand-written "probs" whose keys split into the wrong number of labels."""
+    s = Scenario(("A", "B"), {"A": ("p", "p,q"), "B": ("q,r", "r")}, (("A", "B"),))
+    out = [behavior_to_json_dict(collapse(Behavior(s, ((F(1, 2), F(0), F(0), F(1, 2)),))))]
+    out += [{"scenario": s.to_json_dict(), "tables": [{"context": ["A", "B"], "probs": probs}]}
+            for probs in ({"p,q,r": "1"}, {"p,r": "1"}, {"p,q,r,r": "1"}, {"p,q,q,r": "1/2", "p,r": "1/2"})]
+    out.append({"scenario": s.to_json_dict(), "tables": [{"context": ["B", "A"], "possible": [["q,r", "p,q"]]}]})
+    return out
+
+
+def _parser_inputs() -> list[tuple[dict, int | None]]:
+    rng = random.Random(32)
+    inputs = []
+    for b in _seeded_behaviors():
+        data = behavior_to_json_dict(b)
+        inputs += [(data, None)] + [(_reordered(data, rng, k), None) for k in range(6)]
+    inputs += [(data, None) for data in _comma_payloads()]
+    bell = behavior_to_json_dict(fixture("bell"))
+    one = {"scenario": {"measurements": ["X"], "outcomes": {"X": ["0", "1"]}, "contexts": [["X"]]}}
+    for raw in ODD_PROBABILITIES:
+        inputs.append(({**bell, "tables": _first(probs={"0,0": raw, "1,1": "1/2"})(bell["tables"])}, None))
+        inputs += [({**one, "tables": [{"context": ["X"], "probs": probs}]}, None)
+                   for probs in ({"0": raw}, {"0": raw, "1": "1/2"}, {"1": raw, "0": "1/2"})]
+    for case in MALFORMED:
+        data = behavior_to_json_dict(collapse(fixture("bell")) if case[1] else fixture("bell"))
+        inputs.append(({**data, "tables": case[2](data["tables"])}, case[3]))
+    t = bell["tables"]
+    for tables in (_first(probs={"0,7": "1"})(t), _first(probs={"7,0": "1/2", "1,1": "1/2"})(t),
+                   _first(probs={"0": "1"})(t), _first(probs={"0,0,0": "1"})(t), _first(probs={"": "1"})(t),
+                   _first(probs={"0,0": "1/2", "1,1": "1/2", 7: "0"})(t), _first(probs={"0,,0": "1"})(t),
+                   t[:-1], t[1:], [*t, {"context": ["A1", "A2"], "probs": {"0,0": "1"}}]):
+        inputs.append(({**bell, "tables": tables}, None))
+    inputs += [(bell, cap) for cap in (1, 3, 4)] + [(behavior_to_json_dict(fixture("cabello5")), 3)]
+    return inputs
+
+
+class TestParserAgainstPredecessor:
+    """behavior_from_json_dict against _frozen_from_json_dict, which reads
+    every key the per-key way: an equal behavior with an equal integer view,
+    or the same exception class and message, on every input."""
+
+    def test_every_input_parses_or_fails_alike(self):
+        inputs = _parser_inputs()
+        kinds = set()
+        for k, (data, cap) in enumerate(inputs):
+            want = _outcome(_frozen_from_json_dict, data, cap)
+            assert _outcome(behavior_from_json_dict, data, cap) == want, (k, data.get("tables"), cap)
+            kinds.add(want[0])
+        assert {Behavior, PossibilisticBehavior, InvalidBehavior, InvalidScenario, NegativeProbability,
+                EnumerationCapExceeded, AttributeError} <= kinds, kinds
+        assert len(inputs) > 400
+
+    def test_a_repeat_parse_reads_the_kept_key_map(self, monkeypatch):
+        data = behavior_to_json_dict(random_nd_coupling(make_n_cycle(5, 3), random.Random(4)))
+        first = behavior_from_json_dict(data)
+        monkeypatch.setattr(behavior_module, "cell_index", lambda *args: pytest.fail("a mapped key took cell_index"))
+        again = behavior_from_json_dict(_reordered(data, random.Random(5), 1))
+        assert again == first and again._ints == first._ints
+
+    def test_a_million_cell_context_parses_fast_and_leaves_little(self, monkeypatch):
+        """The key map is built only for small contexts, so one 1024 x 1024
+        context with two entries parses in well under 2 s and, once dropped,
+        leaves less than 1 MB behind (the scenario's validation and shape)."""
+
+        def payload(tag: str) -> dict:
+            labels = [f"{tag}{k}" for k in range(1024)]
+            scenario = {"measurements": ["A", "B"], "outcomes": {"A": labels, "B": labels}, "contexts": [["A", "B"]]}
+            probs = {f"{tag}0,{tag}0": "1/2", f"{tag}1023,{tag}1023": "1/2"}
+            return {"scenario": scenario, "tables": [{"context": ["B", "A"], "probs": probs}]}
+
+        mapped = []
+        key_cells = behavior_module._key_cells
+        monkeypatch.setattr(behavior_module, "_key_cells", lambda *args: mapped.append(args) or key_cells(*args))
+        start = time.perf_counter()
+        b = behavior_from_json_dict(payload("t"))
+        assert time.perf_counter() - start < 2 and not mapped
+        assert b.tables[0][0] == b.tables[0][-1] == F(1, 2) and len(b.tables[0]) == 1 << 20
+        del b
+        data = payload("m")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            b = behavior_from_json_dict(data)
+            assert check_nondisturbance(b).ok
+            del b
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20, retained
+
+
+class TestStoredNdReport:
+    """check_nondisturbance keeps its report on the Behavior as _nd, the way
+    validation keeps _ints; the possibilistic check keeps nothing."""
+
+    @staticmethod
+    def count_walks(monkeypatch) -> list[bool]:
+        walks: list[bool] = []
+        walk = behavior_module._nd_walk
+        monkeypatch.setattr(behavior_module, "_nd_walk", lambda b, exact: walks.append(exact) or walk(b, exact))
+        return walks
+
+    def test_one_exact_walk_serves_every_later_question(self, monkeypatch):
+        walks = self.count_walks(monkeypatch)
+        for s in (make_n_cycle(5), make_bipartite_bell(2, 3)):
+            b = random_nd_coupling(s, random.Random(6))
+            walks.clear()
+            assert hierarchy(b, level="all").nd
+            if s.measurements[0] == "M1":
+                evaluate_all(b)
+            noncontextual_weight(b)
+            global_distribution(b)
+            assert check_nondisturbance(b) is check_nondisturbance(b)
+            assert walks == [True], walks
+
+    def test_a_disturbing_report_is_kept_and_still_raises(self, monkeypatch):
+        b = self.disturbing()
+        walks = self.count_walks(monkeypatch)
+        report = check_nondisturbance(b)
+        assert not report.ok
+        for _ in range(3):
+            assert hierarchy(b).nd is False and check_nondisturbance(b) == report
+            with pytest.raises(NotNondisturbing, match="disagree on"):
+                noncontextual_weight(b)
+        assert walks == [True]
+
+    def test_the_possibilistic_check_walks_every_time(self, monkeypatch):
+        b = fixture("hardy")
+        pb = collapse(b)
+        walks = self.count_walks(monkeypatch)
+        for _ in range(3):
+            assert check_possibilistic_nd(b).ok and check_possibilistic_nd(pb).ok
+            assert detect_cycle_paradox(pb) is not None
+        assert walks == [False] * 9 and "_nd" not in b.__dict__ and "_nd" not in pb.__dict__
+
+    @staticmethod
+    def disturbing() -> Behavior:
+        s = make_n_cycle(3)
+        return Behavior(s, ((F(1, 2), F(0), F(0), F(1, 2)), (F(1),) + (F(0),) * 3, (F(1, 4),) * 4))
+
+    def test_copies_keep_equality_hash_and_a_correct_report(self):
+        for b in (fixture("hardy"), self.disturbing()):
+            report = check_nondisturbance(b)
+            assert "_nd" not in repr(b) and [f.name for f in dataclasses.fields(b)] == ["scenario", "tables", "metadata"]
+            for again in (pickle.loads(pickle.dumps(b)), copy.copy(b), copy.deepcopy(b), dataclasses.replace(b)):
+                assert again == b and hash(again) == hash(b) and again._ints == b._ints
+                assert check_nondisturbance(again) == report
+        ok, bad = fixture("bell"), self.disturbing()
+        assert check_nondisturbance(ok).ok
+        moved = dataclasses.replace(ok, scenario=bad.scenario, tables=bad.tables)
+        assert "_nd" not in moved.__dict__ and not check_nondisturbance(moved).ok
 
 
 # ============================================================

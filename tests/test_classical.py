@@ -1,10 +1,13 @@
 """Support enumeration, logical and strong contextuality, and the exact LP."""
 
+import gc
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -961,6 +964,35 @@ class TestMoveTables:
         assert plan[2] == 4394 > classical._MAX_STATES and plan[3] is None
         b = random_pnd(s, random.Random(13))
         assert support_size(b) == len(oracle.ref_survivors(b))
+
+    def test_kept_tables_are_bounded_by_their_entries(self):
+        """40 distinct 6-cycle shapes near the state bound hold about 1.3M
+        table entries, some 11 MB; the plans kept hold at most 2^18 entries."""
+        ring = tuple((q, (q + 1) % 6) for q in range(6))
+        classical._elimination_plan.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for radices in itertools.islice(itertools.product((15, 16), repeat=6), 40):
+                plan = classical._elimination_plan(radices, ring)
+                assert 3375 <= plan[2] <= classical._MAX_STATES and plan[3] is not None
+            del plan
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 3 << 20, retained
+
+    def test_small_shapes_keep_hitting_the_cache(self, monkeypatch):
+        shapes = [make_n_cycle(n, l) for n in range(3, 13) for l in (2, 3)]
+        shapes += [make_bipartite_bell(k, l) for k in (2, 3, 4) for l in (2, 3)] + [path(6, 3)]
+        shapes += [random_tree_scenario(random.Random(seed)) for seed in range(20)] + self.shapes()
+        classical._elimination_plan.cache_clear()
+        plans = [classical._elimination_plan(*index_shape(s)) for s in shapes]
+        assert all(plan[3] is not None for plan in plans)
+        TestSupportKernel.forbid(monkeypatch, "_move_tables")
+        assert [classical._elimination_plan(*index_shape(s)) for s in shapes] == plans
 
     def test_first_call_equals_repeat_and_builds_once(self, monkeypatch):
         s = triple_contexts(random.Random(3))

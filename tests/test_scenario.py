@@ -9,6 +9,7 @@ import pickle
 import random
 import re
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -20,6 +21,7 @@ from contextuality import (
     NonSimpleScenario,
     NotCycle,
     Scenario,
+    behavior_from_json_dict,
     chordless_cycles,
     load_scenario,
     make_bipartite_bell,
@@ -85,6 +87,45 @@ class TestScenarioValidation:
     def test_invalid_structures(self, measurements, outcomes, contexts):
         with pytest.raises(InvalidScenario):
             Scenario(measurements, outcomes, contexts)
+
+    def test_each_accepted_triple_is_validated_once(self, monkeypatch):
+        calls = []
+        validate = Scenario._validate
+        monkeypatch.setattr(Scenario, "_validate", lambda s: calls.append(1) or validate(s))
+        names = ["once-A", "once-B", "once-C"]
+        pairs = [names[:2], names[1:]]
+        data = {
+            "scenario": {"measurements": names, "outcomes": {m: ["0", "1"] for m in names}, "contexts": pairs},
+            "tables": [{"context": c, "probs": {"0,0": "1"}} for c in pairs],
+        }
+        parsed = {behavior_from_json_dict(data) for _ in range(1000)}
+        assert len(parsed) == 1 and len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "measurements, outcomes, contexts",
+        [
+            ((), {}, ()),
+            (("A", "A"), {"A": ("0", "1")}, (("A",),)),
+            (("A",), {"A": ("0",)}, (("A",),)),
+            (("A", "B"), {"A": ("0", "1"), "B": ("0", "1")}, (("A",), ("A", "B"))),
+            ((1, "A"), {1: ("0", "1"), "A": ("0", "1")}, ((1,), ("A",))),  # a TypeError from inside the checks
+            (("A",), {"A": ([1],)}, (("A",),)),  # unhashable labels: the checks run uncached
+            (("A",), {"A": ([1], [2])}, (("A",),)),
+            ((["A"],), {}, ()),
+            (("A", "B"), {"A": ("0", "1")}, (("A", "B"),)),  # a missing outcome list: no hash either
+        ],
+    )
+    def test_a_rejected_scenario_raises_alike_each_time(self, monkeypatch, measurements, outcomes, contexts):
+        calls = []
+        validate = Scenario._validate
+        monkeypatch.setattr(Scenario, "_validate", lambda s: calls.append(1) or validate(s))
+        raised = []
+        for k in range(3):
+            with pytest.raises((InvalidScenario, TypeError)) as info:
+                Scenario(measurements, outcomes, contexts)
+            raised.append((type(info.value), str(info.value)))
+            assert len(calls) > k
+        assert raised == raised[:1] * 3
 
     @pytest.mark.parametrize(
         "contexts, message",
@@ -401,3 +442,68 @@ class TestIndexShape:
         finally:
             tracemalloc.stop()
         assert retained <= 100_000, retained  # a copy per scenario holds about 0.9 MB
+
+
+class TestSizedCache:
+    """The memo behind the behavior key maps and the elimination plans."""
+
+    @staticmethod
+    def kept(cached) -> dict:
+        """The memo's own dict, args -> (value, size), oldest first."""
+        return next(c.cell_contents for c in cached.__closure__ if type(c.cell_contents) is dict)
+
+    @staticmethod
+    def memo(budget: int):
+        calls: list[int] = []
+
+        @scenario.sized_cache(budget, len)
+        def stars(n: int) -> str:
+            if n < 0:
+                raise ValueError(n)
+            calls.append(n)
+            return "*" * n
+
+        return stars, TestSizedCache.kept(stars), calls
+
+    def test_oldest_out_within_budget_and_count(self):
+        stars, kept, calls = self.memo(10)
+        assert stars(4) == stars(4) == "****" and calls == [4]
+        stars(5), stars(2)  # 11 > 10: the oldest goes
+        assert list(kept) == [(5,), (2,)]
+        assert stars(11) == "*" * 11 and list(kept) == [(5,), (2,)]  # past the budget: returned, kept nowhere
+        with pytest.raises(ValueError):
+            stars(-1)
+        assert (-1,) not in kept and stars(2) == "**" and calls == [4, 5, 2, 11]
+        stars.cache_clear()
+        assert not kept and stars(2) == "**" and calls[-1] == 2
+        empty = scenario.sized_cache(10, len)(lambda k: "")
+        for k in range(300):  # size 0 each: the count alone bounds them
+            empty(k)
+        assert list(self.kept(empty)) == [(k,) for k in range(44, 300)]
+
+    def test_threads_share_it_without_losing_count(self):
+        stars, kept, _ = self.memo(100)
+        errors: list[BaseException] = []
+
+        def hammer(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(3000):
+                    n = rng.randrange(40)
+                    assert stars(n) == "*" * n
+            except BaseException as e:  # reported below, after every thread is joined
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors, errors
+        assert len(kept) <= 256 and sum(n for _, n in kept.values()) <= 100
+        assert all(value == "*" * n == "*" * args[0] for args, (value, n) in kept.items())
