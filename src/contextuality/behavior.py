@@ -168,8 +168,9 @@ def _shaped(s: Scenario, tables: tuple) -> Iterator[tuple[tuple[str, ...], tuple
 
 def _project(b: AnyBehavior, ci: int, shared: tuple[str, ...]) -> dict:
     """Nonzero marginals of context ci on the measurements shared, keyed by
-    joint outcome: its cell groups' (_cell_groups) integer sums, or a lone
-    cell's own entry; a possibilistic table maps each possible one to True.
+    joint outcome in the order of its first cell: one pass adds each nonzero
+    cell's integer to its joint outcome; a possibilistic table maps each
+    possible one to True.
 
     :raises SubsetNotInContext: if some measurement is not in the context.
     """
@@ -180,15 +181,13 @@ def _project(b: AnyBehavior, ci: int, shared: tuple[str, ...]) -> dict:
     except ValueError:
         outside = next(m for m in shared if m not in c)
         raise SubsetNotInContext(f"measurement {shown(outside)} is not in context {shown(c)}") from None
-    keys = joint_outcomes(s, shared)
-    if len(set(pos)) < len(pos):  # a repeated measurement reads one outcome in each of its places
-        keys = (joint for joint in keys if len(set(zip(pos, joint))) == len(set(pos)))
     exact = isinstance(b, Behavior)
-    own = b.tables[ci]
-    nums, den = b._ints[ci] if exact else (own, 1)
-    groups = _cell_groups(tuple(len(s.outcomes[m]) for m in c), pos)
-    sums = (own[g[0]] if len(g) == 1 else Fraction(sum(map(nums.__getitem__, g)), den) for g in groups)
-    return {key: p if exact else True for key, p in zip(keys, sums) if p}
+    nums, den = b._ints[ci] if exact else (b.tables[ci], 1)
+    sums: dict = {}
+    for joint, n in zip(itertools.compress(joint_outcomes(s, c), nums), filter(None, nums)):  # no object per zero cell
+        key = tuple(map(joint.__getitem__, pos))
+        sums[key] = sums.get(key, 0) + n
+    return {key: Fraction(n, den) if exact else True for key, n in sums.items()}
 
 
 def collapse(b: Behavior) -> PossibilisticBehavior:
@@ -293,7 +292,8 @@ def _numerators(t: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
 @lru_cache(maxsize=1024)
 def _cell_groups(radices: tuple[int, ...], where: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """A context's cells (outcome counts radices) grouped by their joint
-    outcome at the positions where, groups in that joint outcome's order."""
+    outcome at the positions where, groups in that joint outcome's order;
+    read by _nd_plan alone."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for cell, digits in enumerate(itertools.product(*map(range, radices))):
         groups.setdefault(tuple(digits[w] for w in where), []).append(cell)

@@ -402,7 +402,6 @@ def detect_bell22_paradox(b: AnyBehavior) -> BellParadox | None:
     pb = _as_possibilistic(b)
     s = pb.scenario
     alice, bob = _bell_parts(s)
-    require_dichotomic(s)
     hit = detect_simple_scenario_paradox(pb)
     if hit is None:
         return None

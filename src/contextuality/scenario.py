@@ -62,8 +62,11 @@ class Scenario:
         tuple of measurement labels. The stored order of a context is the key
         order of every joint-outcome table attached to it.
 
-    index_shape stores the index shape as _shape at its first read: not a
+    Construction stores the index shape (see index_shape) as _shape: not a
     field, so repr, == and hash read the fields alone; pickles and copies keep it.
+
+    :raises InvalidScenario: also for an unhashable label, or labels of types
+        that cannot be sorted together.
     """
 
     measurements: tuple[str, ...]
@@ -76,10 +79,11 @@ class Scenario:
             self, "outcomes", {m: tuple(v) for m, v in self.outcomes.items()}
         )
         object.__setattr__(self, "contexts", tuple(tuple(c) for c in self.contexts))
-        try:  # each distinct scenario is validated once
-            _accepted(self)
-        except (KeyError, TypeError):  # a label missing or unhashable: validated uncached, raising as always
-            self._validate()
+        try:  # each distinct scenario is validated and shaped once
+            shape = _accepted(self)
+        except (KeyError, TypeError):  # a label missing or unhashable: no hash, so checked uncached
+            shape = _accepted.__wrapped__(self)
+        object.__setattr__(self, "_shape", shape)
 
     def __hash__(self) -> int:
         # outcomes is a dict, equal whatever its key order: hash it in measurement order.
@@ -188,28 +192,21 @@ def load_scenario(path: str) -> Scenario:
 
 
 def index_shape(s: Scenario) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Outcome counts and context positions, built at most once per scenario
-    (see Scenario) and one object for equal scenarios (_interned_shape)."""
+    """Outcome counts and context positions, built once per distinct
+    scenario (_accepted) and stored on it; equal scenarios share one object."""
+    return s._shape
+
+
+@lru_cache(maxsize=256)
+def _accepted(s: Scenario) -> tuple:
+    """index_shape of s once s._validate() passes, kept for the scenarios
+    equal to s; a rejected scenario raises the same error each time."""
     try:
-        return s._shape
-    except AttributeError:
-        shape = _interned_shape(s.measurements, tuple(len(s.outcomes[m]) for m in s.measurements), s.contexts)
-        object.__setattr__(s, "_shape", shape)
-        return shape
-
-
-@lru_cache(maxsize=256)
-def _interned_shape(measurements: tuple[str, ...], radices: tuple[int, ...], contexts: tuple) -> tuple:
-    """index_shape of the scenarios with these labels and outcome counts."""
-    index = {m: q for q, m in enumerate(measurements)}
-    return radices, tuple(tuple(map(index.__getitem__, c)) for c in contexts)
-
-
-@lru_cache(maxsize=256)
-def _accepted(s: Scenario) -> None:
-    """s._validate(), kept once it passes for the scenarios equal to s; so a
-    rejected scenario raises the same error each time."""
-    s._validate()
+        s._validate()
+    except TypeError:  # the message would name the labels' types in set order
+        raise InvalidScenario("scenario labels must be hashable and of one sortable type") from None
+    index = {m: q for q, m in enumerate(s.measurements)}
+    return tuple(len(s.outcomes[m]) for m in s.measurements), tuple(tuple(map(index.__getitem__, c)) for c in s.contexts)
 
 
 def sized_cache(budget: int, size: Callable[[Any], int]) -> Callable:

@@ -8,6 +8,7 @@ import json
 import math
 import pickle
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -1021,6 +1022,122 @@ class TestParserAgainstPredecessor:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+        assert retained < 1 << 20, retained
+
+
+# ============================================================
+# 4c. The marginal projection against its cell-group predecessor
+# ============================================================
+
+
+def _frozen_cell_groups(radices: tuple[int, ...], where: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """_cell_groups as it is: a context's cells grouped by their joint outcome
+    at the positions where, groups in that joint outcome's order."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for cell, digits in enumerate(itertools.product(*map(range, radices))):
+        groups.setdefault(tuple(digits[w] for w in where), []).append(cell)
+    return tuple(tuple(groups[key]) for key in sorted(groups))
+
+
+def _frozen_project(b, ci: int, shared: tuple[str, ...]) -> dict:
+    """_project as it was before its single pass: the cell groups' integer
+    sums, or a lone cell's own entry."""
+    s = b.scenario
+    c = s.contexts[ci]
+    try:
+        pos = tuple(c.index(m) for m in shared)
+    except ValueError:
+        outside = next(m for m in shared if m not in c)
+        raise SubsetNotInContext(f"measurement {shown(outside)} is not in context {shown(c)}") from None
+    keys = joint_outcomes(s, shared)
+    if len(set(pos)) < len(pos):
+        keys = (joint for joint in keys if len(set(zip(pos, joint))) == len(set(pos)))
+    exact = isinstance(b, Behavior)
+    own = b.tables[ci]
+    nums, den = b._ints[ci] if exact else (own, 1)
+    groups = _frozen_cell_groups(tuple(len(s.outcomes[m]) for m in c), pos)
+    sums = (own[g[0]] if len(g) == 1 else Fraction(sum(map(nums.__getitem__, g)), den) for g in groups)
+    return {key: p if exact else True for key, p in zip(keys, sums) if p}
+
+
+def _projected_behaviors() -> list:
+    """_seeded_behaviors (every generator and the five fixtures), and the
+    collapse of each Behavior among them."""
+    out = _seeded_behaviors()
+    return out + [collapse(b) for b in out if isinstance(b, Behavior)]
+
+
+class TestProjectionAgainstPredecessor:
+    """_project against _frozen_project on every context of every seeded
+    behavior, and the one-pass projection's cost on a million-cell context."""
+
+    def test_every_marginal_is_equal(self):
+        """Every tuple of a context's measurements, in every order and with
+        repeats (the empty one too), at every joint outcome."""
+        checked = 0
+        for b in _projected_behaviors():
+            s = b.scenario
+            for ci, c in enumerate(s.contexts):
+                for k in range(len(c) + 1):
+                    for shared in itertools.product(c, repeat=k):
+                        want = _frozen_project(b, ci, shared)
+                        assert behavior_module._project(b, ci, shared) == want, (b, ci, shared)
+                        for joint in itertools.product(*(s.outcomes[m] for m in shared)):
+                            got = b.marginal(ci, shared, joint)
+                            expected = want.get(joint, F(0)) if isinstance(b, Behavior) else joint in want
+                            assert type(got) is type(expected) and got == expected, (b, ci, shared, joint)
+                            checked += 1
+                outside = next((m for m in s.measurements if m not in c), None)
+                if outside is not None:
+                    with pytest.raises(SubsetNotInContext) as info:
+                        b.marginal(ci, (c[0], outside), (s.outcomes[c[0]][0], s.outcomes[outside][0]))
+                    with pytest.raises(SubsetNotInContext, match=re.escape(str(info.value))):
+                        _frozen_project(b, ci, (c[0], outside))
+        assert checked > 15_000, checked
+
+    def test_writer_and_possible_outcomes_are_byte_identical(self, monkeypatch):
+        behaviors = _projected_behaviors()
+
+        def written() -> list[str]:
+            out = []
+            for b in behaviors:
+                out.append(json.dumps(behavior_to_json_dict(b)))
+                if isinstance(b, PossibilisticBehavior):
+                    out.append(repr([b.possible_outcomes(ci) for ci in range(len(b.scenario.contexts))]))
+            return out
+
+        monkeypatch.setattr(behavior_module, "_cell_groups", lambda *args: pytest.fail("_project built cell groups"))
+        got = written()
+        monkeypatch.setattr(behavior_module, "_project", _frozen_project)
+        assert got == written()
+
+    def test_a_million_cell_context_projects_fast_and_leaves_nothing(self):
+        """One 1024 x 1024 context with two nonzero cells: the writer and a
+        marginal each take under 1 s, and once both results are dropped less
+        than 1 MB stays allocated (no cell groups are kept)."""
+        labels = tuple(map(str, range(1024)))
+        s = Scenario(("A", "B"), {"A": labels, "B": labels}, (("A", "B"),))
+        table = [F(0)] * (1 << 20)
+        table[0] = table[-1] = F(1, 2)
+        b = Behavior(s, (tuple(table),))
+        del table
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            start = time.perf_counter()
+            data = behavior_to_json_dict(b)
+            wrote = time.perf_counter() - start
+            start = time.perf_counter()
+            half = b.marginal(0, ("A",), ("0",))
+            projected = time.perf_counter() - start
+            assert data["tables"][0]["probs"] == {"0,0": "1/2", "1023,1023": "1/2"} and half == F(1, 2)
+            del data, half
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert wrote < 1 and projected < 1, (wrote, projected)
         assert retained < 1 << 20, retained
 
 

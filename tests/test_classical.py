@@ -60,7 +60,8 @@ from contextuality import (
     support_size,
 )
 from contextuality import classical
-from contextuality.scenario import _interned_shape, index_shape
+from contextuality import scenario
+from contextuality.scenario import index_shape
 
 import oracle
 
@@ -334,11 +335,13 @@ class TestHierarchy:
             assert calls == {"scan": 1, "nd": 1}
 
     def test_shape_is_built_once_per_scenario(self, monkeypatch):
-        """Each scenario builds its index shape once, and no question asked
-        again builds it again: on a dichotomic cycle, on Bell (3, 2) (the LP),
-        on a tree (the acyclic rule) and past the state bound (the listing)."""
-        builds = []
-        monkeypatch.setattr("contextuality.scenario._interned_shape", lambda *k: builds.append(k) or _interned_shape(*k))
+        """Each scenario takes its index shape from _accepted once, at
+        construction, and no question asks _accepted again: on a dichotomic
+        cycle, on Bell (3, 2) (the LP), on a tree (the acyclic rule) and past
+        the state bound (the listing)."""
+        accepted = scenario._accepted
+        built = []
+        monkeypatch.setattr(scenario, "_accepted", lambda s: built.append(s) or accepted(s))
         bell = make_bipartite_bell(3, 2)
         outcomes = {m: tuple(map(str, range(13 if m[0] == "A" else 2))) for m in bell.measurements}
         bell13 = Scenario(bell.measurements, outcomes, bell.contexts)  # past the state bound
@@ -349,10 +352,11 @@ class TestHierarchy:
             calls += [(ask, pb) for ask in possibilistic]
             b = random_nd_coupling(s, random.Random(5), max_components=1)
             calls += [(ask, b) for ask in (hierarchy, check_nondisturbance, noncontextual_weight)]
+        assert len(built) == 4 and all(index_shape(s) is accepted(s) for s in built)
         for _ in range(2):
             for ask, behavior in calls:
                 ask(behavior)
-            assert len(builds) == 4, builds
+            assert len(built) == 4, built
 
     @pytest.mark.parametrize("level", ["nc", "all"])
     def test_lc_witness_decides_nc_without_the_lp(self, monkeypatch, level):

@@ -5,9 +5,11 @@ import copy
 import dataclasses
 import gc
 import itertools
+import os
 import pickle
 import random
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -108,7 +110,7 @@ class TestScenarioValidation:
             (("A", "A"), {"A": ("0", "1")}, (("A",),)),
             (("A",), {"A": ("0",)}, (("A",),)),
             (("A", "B"), {"A": ("0", "1"), "B": ("0", "1")}, (("A",), ("A", "B"))),
-            ((1, "A"), {1: ("0", "1"), "A": ("0", "1")}, ((1,), ("A",))),  # a TypeError from inside the checks
+            ((1, "A"), {1: ("0", "1"), "A": ("0", "1")}, ((1,), ("A",))),  # labels that cannot be sorted together
             (("A",), {"A": ([1],)}, (("A",),)),  # unhashable labels: the checks run uncached
             (("A",), {"A": ([1], [2])}, (("A",),)),
             ((["A"],), {}, ()),
@@ -121,11 +123,28 @@ class TestScenarioValidation:
         monkeypatch.setattr(Scenario, "_validate", lambda s: calls.append(1) or validate(s))
         raised = []
         for k in range(3):
-            with pytest.raises((InvalidScenario, TypeError)) as info:
+            with pytest.raises(InvalidScenario) as info:
                 Scenario(measurements, outcomes, contexts)
             raised.append((type(info.value), str(info.value)))
             assert len(calls) > k
         assert raised == raised[:1] * 3
+
+    def test_mixed_label_types_raise_one_message_under_every_hash_seed(self):
+        """sorted's TypeError names the two types in set order, which follows
+        PYTHONHASHSEED (seeds 0 and 5 put 1 and 'A' in opposite orders); the
+        InvalidScenario raised in its place reads the same under both."""
+        code = (
+            "from contextuality import Scenario\n"
+            "try:\n    Scenario((1, 'A'), {1: ('0', '1'), 'A': ('0', '1')}, ((1,), ('A',)))\n"
+            "except Exception as e:\n    print(type(e).__name__, e)"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(scenario.__file__)))
+        outs = [
+            subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                           capture_output=True, text=True, check=True).stdout
+            for seed in ("0", "5")
+        ]
+        assert outs[0] == outs[1] == "InvalidScenario scenario labels must be hashable and of one sortable type\n"
 
     @pytest.mark.parametrize(
         "contexts, message",
