@@ -353,6 +353,12 @@ def _key_cells(labels: tuple[tuple[str, ...], ...], order: tuple[int, ...]) -> d
     return {",".join(map(joint.__getitem__, inverse)): c for c, joint in enumerate(itertools.product(*labels))}
 
 
+def _split_key(key) -> tuple[str, ...]:
+    if not isinstance(key, str):
+        raise InvalidBehavior("'probs' keys must be strings of comma-joined outcome labels")
+    return tuple(key.split(","))
+
+
 def _is_list_of(value, kind: type) -> bool:
     return isinstance(value, list) and all(map(kind.__instancecheck__, value))
 
@@ -425,7 +431,7 @@ def behavior_from_json_dict(
             if not isinstance(entry["probs"], dict):
                 raise InvalidBehavior(f"'probs' for context {shown(given)} must be an object")
             keys = _key_cells(tuple(map(scenario.outcomes.__getitem__, context)), order) if cells <= _KEYED_CELLS else {}
-            pairs = ((keys[k] if k in keys else tuple(k.split(",")), _parse_rational(v)) for k, v in entry["probs"].items())
+            pairs = ((keys[k] if k in keys else _split_key(k), _parse_rational(v)) for k, v in entry["probs"].items())
         table = [zero] * cells
         for joint, value in pairs:
             if type(joint) is tuple:  # not a mapped key: checked as it always was

@@ -466,16 +466,18 @@ def _lp(b: Behavior, members: list[tuple[int, ...]]) -> tuple[Fraction, list[Fra
     weight) <= 1 with slack 1 - total, so optimum 1 makes every constraint
     tight.
 
-    Rows go to simplex.maximize as ints, scaled by their table's lcm (b's
-    integer view), so a right-hand side is its cell's numerator. Twin rows
-    (rows hit by the same members) are passed once: the one with the
-    smallest right-hand side, the first in (context, cell) order on ties, in
-    that order. This is exact: while both slacks are
-    basic, a twin's tableau row is the kept row's with a right-hand side no
-    smaller, so the ratio test with its smallest-label tie-break picks the
-    kept row; after that slack leaves, the twin's row has no positive entry.
-    So the twin's slack never leaves, integer pivots never read its row, and
-    the pivots and (value, x) are the full LP's. A dropped twin's dual is 0.
+    Rows go to simplex.maximize as 0/1 member patterns, right-hand sides as
+    num * (scale // den) over one scale, the lcm of the kept rows' dens: each
+    row scaled by a positive constant and every variable by scale, which
+    changes no pivot; (value, x) is simplex's over scale. Twin rows (rows hit
+    by the same members) are passed once: the one with the smallest
+    right-hand side, the first in (context, cell) order on ties, in that
+    order. This is exact: while both slacks are basic, a twin's tableau row is
+    the kept row's with a right-hand side no smaller, so the ratio test with
+    its smallest-label tie-break picks the kept row; after that slack leaves,
+    the twin's row has no positive entry. So the twin's slack never leaves,
+    integer pivots never read its row, and the pivots and (value, x) are the
+    full LP's. A dropped twin's dual is 0.
     """
     radices, ctx_positions = index_shape(b.scenario)
     kept: dict[frozenset, tuple[tuple[int, int], int, int]] = {}  # pattern -> ((ci, cell), num, den)
@@ -493,11 +495,15 @@ def _lp(b: Behavior, members: list[tuple[int, ...]]) -> tuple[Fraction, list[Fra
             twin = kept.get(pattern)
             if twin is None or num * twin[2] < twin[1] * den:
                 kept[pattern] = ((ci, cell), num, den)
-    n = len(members)
-    rows = sorted(
-        (at, num, [den * (k in pattern) for k in range(n)]) for pattern, (at, num, den) in kept.items()
-    )
-    return simplex.maximize([1] * n, [row for *_, row in rows], [num for _, num, _ in rows])
+    scale = math.lcm(*(den for _, _, den in kept.values()))
+    rows, rhs = [], []
+    for pattern, (_, num, den) in sorted(kept.items(), key=lambda item: item[1][0]):
+        rows.append(row := [0] * len(members))
+        for k in pattern:
+            row[k] = 1
+        rhs.append(num * (scale // den))
+    value, x = simplex.maximize([1] * len(members), rows, rhs)
+    return value / scale, [a / scale for a in x]
 
 
 def _dichotomic_cycle(s: Scenario) -> bool:

@@ -74,11 +74,12 @@ class Scenario:
     contexts: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "measurements", tuple(self.measurements))
-        object.__setattr__(
-            self, "outcomes", {m: tuple(v) for m, v in self.outcomes.items()}
-        )
-        object.__setattr__(self, "contexts", tuple(tuple(c) for c in self.contexts))
+        try:
+            object.__setattr__(self, "measurements", tuple(self.measurements))
+            object.__setattr__(self, "outcomes", {m: tuple(v) for m, v in self.outcomes.items()})
+            object.__setattr__(self, "contexts", tuple(tuple(c) for c in self.contexts))
+        except (TypeError, AttributeError):
+            raise InvalidScenario("scenario fields must be label sequences, outcomes a map of them") from None
         try:  # each distinct scenario is validated and shaped once
             shape = _accepted(self)
         except (KeyError, TypeError):  # a label missing or unhashable: no hash, so checked uncached

@@ -7,16 +7,18 @@ needed. Bland's smallest-label rule (label n+i is row i's slack) ends it.
 Pivots are integer-preserving (Edmonds 1967; Bareiss 1968) on the lrs
 dictionary: rows and c are scaled to ints by their lcm, the rational tableau
 is T/d with d the last pivot, and only nonbasic columns are stored, since a
-basic one is d*e_r. A row's level is the d when it was last written (the
-row at d is T[i]*d // level[i]). Pivoting on p = T[r][s], row r brought up
-to d, sets each row with f = T[i][s] != 0 to (T[i]*p - f*T[r]) // level[i]
-at level p (Sylvester), with -(f*d // level[i]) on the leaving column d*e_r,
-which column s then holds; row r, at level p, gets d there, and a row with
-f == 0 is left alone. So every entry is the full tableau's (slacks starting
-as the identity) times a positive constant per row, and the pivots are the
-rational tableau's: scaling a row, c or a slack column by a positive
-constant changes no reduced cost's sign and no cross-multiplied ratio test.
-x_i is T[i][-1] / level[i]. Rows may arrive prescaled, as classical._lp's do.
+basic one is d*e_r. A row's level is the d when it was last written (the row
+at d is T[i]*d // level[i]). Pivoting on p = T[r][s], row r brought up to d,
+sets each row with f = T[i][s] != 0 to (T[i]*p - f*T[r]) // level[i] at level
+p (Sylvester), with -(f*d // level[i]) on the leaving column d*e_r, which
+column s then holds; row r, at level p, gets d there, and a row with f == 0 is
+left alone. A row at level p gets T[i] - f*T[r] // p (exact), in place at
+T[r]'s nonzero columns, as most do on classical._lp's 0/1 rows. So every entry
+is the full tableau's (slacks starting as the identity) times a positive
+constant per row, and the pivots are the rational tableau's: scaling a row, c
+or a slack column by a positive constant changes no reduced cost's sign and no
+cross-multiplied ratio test. x_i is T[i][-1] / level[i]. Rows may arrive
+prescaled, as classical._lp's do.
 """
 from __future__ import annotations
 
@@ -81,11 +83,16 @@ def maximize(
         if level[r] != d:
             piv_row = tableau[r] = [a * d // level[r] for a in piv_row]
         p = piv_row[s]
+        nonzero = [j for j, b in enumerate(piv_row) if b]
         for i, row in enumerate(tableau):
             f = row[s]
             if f and i != r:
-                tableau[i] = [(a * p - f * b) // level[i] for a, b in zip(row, piv_row)]
-                tableau[i][s] = -(f * d // level[i])
+                if level[i] == p:
+                    for j in nonzero:
+                        row[j] -= f * piv_row[j] // p
+                else:
+                    row = tableau[i] = [(a * p - f * b) // level[i] for a, b in zip(row, piv_row)]
+                row[s] = -(f * d // level[i])
                 level[i] = p
         piv_row[s] = d
         level[r] = p

@@ -129,6 +129,20 @@ class TestScenarioValidation:
             assert len(calls) > k
         assert raised == raised[:1] * 3
 
+    @pytest.mark.parametrize(
+        "measurements, outcomes, contexts",
+        [
+            (("A",), {"A": 5}, (("A",),)),  # an outcome list that is not iterable
+            (5, {}, ()),  # measurements that are not iterable
+            (("A",), None, (("A",),)),  # outcomes with no .items()
+            (("A",), {"A": ("0", "1")}, (5,)),  # a context that is not iterable
+        ],
+    )
+    def test_a_field_that_does_not_convert_raises_one_message(self, measurements, outcomes, contexts):
+        with pytest.raises(InvalidScenario) as info:
+            Scenario(measurements, outcomes, contexts)
+        assert str(info.value) == "scenario fields must be label sequences, outcomes a map of them"
+
     def test_mixed_label_types_raise_one_message_under_every_hash_seed(self):
         """sorted's TypeError names the two types in set order, which follows
         PYTHONHASHSEED (seeds 0 and 5 put 1 and 'A' in opposite orders); the

@@ -2,6 +2,7 @@
 and exact agreement with the dense Fraction tableau in tests/oracle.py."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,15 +13,20 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from contextuality import (
+    Scenario,
+    classical,
     contextual_fraction,
+    fixture,
     global_distribution,
     make_bipartite_bell,
     make_n_cycle,
     random_nd_coupling,
     random_nd_mixture,
+    random_tree_scenario,
     simplex,
     support_size,
 )
+from contextuality.scenario import index_shape
 from contextuality.simplex import maximize
 
 import oracle
@@ -454,3 +460,200 @@ class TestRowLevels:
     def test_sparse_lps_match_reference(self, lp):
         got, want = solve(maximize, lp), solve(oracle.ref_maximize, lp)
         assert got == want, f"row-level tableau {got} vs Fraction tableau {want}"
+
+
+# ======================================================================
+# 9. Unit-coefficient rows and in-place rewrites against the predecessor
+# ======================================================================
+
+
+def frozen_maximize(c, rows, rhs, pivots=None, rewrites=None):
+    """simplex.maximize as it was before rows at the pivot's level were
+    updated in place: every rewrite is dense. Appends (entering label,
+    leaving label) to pivots at each pivot, and counts in rewrites the
+    rewritten rows already at the pivot's level ("in place") and the others
+    ("dense")."""
+
+    def scaled(values):
+        if all(type(a) is int for a in values):
+            return list(values), 1
+        values = [a if type(a) is int else Fraction(a) for a in values]
+        scale = math.lcm(*{a.denominator for a in values})
+        return [a.numerator * (scale // a.denominator) for a in values], scale
+
+    nvars, m = len(c), len(rows)
+    if len(rhs) != m:
+        raise ValueError(f"{m} rows but {len(rhs)} right-hand sides")
+    for b_i in rhs:
+        if b_i < 0:
+            raise ValueError(f"negative right-hand side {b_i}; all-slack start needs b >= 0")
+    tableau = []
+    for i, row in enumerate(rows):
+        if len(row) != nvars:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {nvars}")
+        tableau.append(scaled([*row, rhs[i]])[0])
+    obj, c_scale = scaled(c)
+    tableau.append(obj + [0])
+    nonbasic, basis = list(range(nvars)), list(range(nvars, nvars + m))
+    d = 1
+    level = [1] * (m + 1)
+    while True:
+        s = min((j for j in range(nvars) if tableau[m][j] > 0), key=nonbasic.__getitem__, default=None)
+        if s is None:
+            break
+        r = None
+        for i in range(m):
+            a = tableau[i][s]
+            if a > 0:
+                if r is not None:
+                    bi_ar, br_ai = tableau[i][-1] * tableau[r][s], tableau[r][-1] * a
+                if r is None or bi_ar < br_ai or (bi_ar == br_ai and basis[i] < basis[r]):
+                    r = i
+        if r is None:
+            raise ArithmeticError("LP is unbounded")
+        piv_row = tableau[r]
+        if level[r] != d:
+            piv_row = tableau[r] = [a * d // level[r] for a in piv_row]
+        p = piv_row[s]
+        for i, row in enumerate(tableau):
+            f = row[s]
+            if f and i != r:
+                if rewrites is not None:
+                    rewrites["in place" if level[i] == p else "dense"] += 1
+                tableau[i] = [(a * p - f * b) // level[i] for a, b in zip(row, piv_row)]
+                tableau[i][s] = -(f * d // level[i])
+                level[i] = p
+        piv_row[s] = d
+        level[r] = p
+        if pivots is not None:
+            pivots.append((nonbasic[s], basis[r]))
+        nonbasic[s], basis[r] = basis[r], nonbasic[s]
+        d = p
+    x = [Fraction(0)] * nvars
+    for i, bv in enumerate(basis):
+        if bv < nvars:
+            x[bv] = Fraction(tableau[i][-1], level[i])
+    return Fraction(-tableau[m][-1], level[m] * c_scale), x
+
+
+def frozen_lp(b, members, pivots=None):
+    """classical._lp as it was before its rows were 0/1: each kept row is its
+    pattern times its table's lcm, with its cell's numerator on the right,
+    solved by frozen_maximize."""
+    radices, ctx_positions = index_shape(b.scenario)
+    kept = {}
+    for ci, ((nums, den), positions) in enumerate(zip(b._ints, ctx_positions)):
+        hit = {}
+        for k, row in enumerate(members):
+            cell = 0
+            for q in positions:
+                cell = cell * radices[q] + row[q]
+            hit.setdefault(cell, []).append(k)
+        for cell, num in enumerate(nums):
+            if not num:
+                continue
+            pattern = frozenset(hit.get(cell, ()))
+            twin = kept.get(pattern)
+            if twin is None or num * twin[2] < twin[1] * den:
+                kept[pattern] = ((ci, cell), num, den)
+    n = len(members)
+    rows = sorted(
+        (at, num, [den * (k in pattern) for k in range(n)]) for pattern, (at, num, den) in kept.items()
+    )
+    return frozen_maximize([1] * n, [row for *_, row in rows], [num for _, num, _ in rows], pivots)
+
+
+def live_pivots(monkeypatch) -> list:
+    """Record simplex.maximize's pivots as (entering label, leaving label).
+    Its Bland step calls min(..., key=nonbasic.__getitem__) once before each
+    pivot and once at the end, so at each call the column the last pivot
+    entered at holds that pivot's leaving label. A pending choice from another
+    call's nonbasic list was cut short by ArithmeticError and is dropped."""
+    pivots, pending = [], []
+
+    def recording_min(iterable, key, default):
+        s = min(iterable, key=key, default=default)
+        nonbasic = key.__self__
+        if pending and pending[0][0] is nonbasic:
+            _, last, entering = pending[0]
+            pivots.append((entering, nonbasic[last]))
+        pending[:] = [] if s is None else [(nonbasic, s, nonbasic[s])]
+        return s
+
+    monkeypatch.setattr(simplex, "min", recording_min, raising=False)
+    return pivots
+
+
+def unit_lp(rng: random.Random):
+    """An LP with 0/1 rows and right-hand sides of up to 60 bits, some of
+    them fractions and some 0, and costs mostly 1: the shape classical._lp
+    passes, with its scale left large."""
+    nvars, m = rng.randint(1, 8), rng.randint(2, 14)
+    rows = [[int(rng.random() < 0.4) for _ in range(nvars)] for _ in range(m)]
+    rhs = [
+        0 if rng.random() < 0.1 else Fraction(rng.getrandbits(60), rng.choice((1, 1, 3, 1 << 20)))
+        for _ in range(m)
+    ]
+    c = [1 if rng.random() < 0.8 else rng.randint(-1, 3) for _ in range(nvars)]
+    return c, rows, rhs
+
+
+def ring_of_triples(rng: random.Random) -> Scenario:
+    names = [f"X{i}" for i in range(6)]
+    outcomes = {m: tuple(str(o) for o in range(rng.randint(2, 3))) for m in names}
+    return Scenario(tuple(names), outcomes, (("X0", "X1", "X2"), ("X2", "X3", "X4"), ("X4", "X5", "X0")))
+
+
+def predecessor_draws(rng: random.Random):
+    """Seeded couplings and mixtures on l >= 3 cycles, Bell (3,2), (2,3) and
+    (3,3), trees and a ring of triples, then the five fixtures."""
+    pairwise = [make_n_cycle(n, l) for n, l in ((3, 3), (4, 3), (5, 3), (3, 4), (4, 4))]
+    pairwise += [make_bipartite_bell(3, 2), make_bipartite_bell(2, 3), make_bipartite_bell(3, 3)]
+    for _ in range(3):
+        for s in pairwise + [random_tree_scenario(rng)]:
+            yield random_nd_coupling(s, rng, max_components=rng.randint(1, 8))
+            yield random_nd_mixture(s, rng, rng.randint(2, 12))
+        yield random_nd_mixture(ring_of_triples(rng), rng, rng.randint(2, 12))
+    for n in (3, 4, 5):
+        yield random_nd_mixture(make_n_cycle(n), rng, rng.randint(2, 6), include_pr=True)
+    yield from map(fixture, ("bell", "hardy", "pr-box", "cabello5", "hardy4"))
+
+
+class TestUnitCoefficientRows:
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_unit_lps_match_reference(self, rng):
+        lp = unit_lp(rng)
+        got, want = solve(maximize, lp), solve(oracle.ref_maximize, lp)
+        assert got == want, f"in-place tableau {got} vs Fraction tableau {want}"
+
+    def test_unit_lps_reach_both_rewrites(self, monkeypatch):
+        """The draws of unit_lp rewrite rows both at the pivot's level (in
+        place) and off it (dense), and match the predecessor pivot for pivot."""
+        pivots, rewrites = live_pivots(monkeypatch), Counter()
+        for seed in range(200):
+            lp, want_pivots = unit_lp(random.Random(seed)), []
+            pivots.clear()
+            assert solve(maximize, lp) == solve(lambda *a: frozen_maximize(*a, want_pivots, rewrites), lp)
+            assert pivots == want_pivots
+        assert rewrites["in place"] > 400 and rewrites["dense"] > 400, rewrites
+
+    def test_same_point_and_pivots_as_the_predecessor(self, monkeypatch):
+        """classical._lp, with 0/1 rows over one scale and in-place rewrites,
+        gives the predecessor's (value, x) with the same types, by the same
+        pivots, on seeded draws and the fixtures."""
+        pivots = live_pivots(monkeypatch)
+        total, nontrivial = 0, 0
+        for b in predecessor_draws(random.Random(33)):
+            members = classical._scan(b, None).rows()
+            if len(members) > 120:
+                continue
+            want_pivots = []
+            want = frozen_lp(b, members, want_pivots)
+            pivots.clear()
+            got = classical._lp(b, members)
+            assert repr(got) == repr(want), b.scenario
+            assert pivots == want_pivots, b.scenario
+            total += 1
+            nontrivial += len(pivots) > 3 and got[0] < 1
+        assert total >= 60 and nontrivial >= 3, (total, nontrivial)
